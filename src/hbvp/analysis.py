@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .grid import (GridFunction, HolderIndex, algebra_constant, holder_norm,
-                   sup_norm)
+                   product)
 from .problem import ProblemFamily, apply_B, instantiate
 from .solver import (ConditionZeroViolated, SolveRejected, apply_L,
                      build_companion, characteristic_matrix,
@@ -71,49 +71,72 @@ def default_probes(fam: ProblemFamily, N: int = 32):
     return probes
 
 
-def _coeff_diff(fam: ProblemFamily, j: int, eps: float, N: int) -> GridFunction:
-    """A_j(., eps) - A_j(., 0) with an exact symbolic source."""
-    e_eps = fam.coeff_exprs(eps)[j]
-    e_zero = fam.coeff_exprs(0.0)[j]
+def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray, fam: ProblemFamily,
+              eps: float, N: int) -> GridFunction:
+    """e(., eps) - e(., 0) with an exact symbolic source."""
     diff = np.empty(e_eps.shape, dtype=object)
     for idx in np.ndindex(e_eps.shape):
         diff[idx] = ex.sub(e_eps[idx], ex.substitute_eps(e_zero[idx], 0.0))
     return GridFunction.from_exprs(diff, fam.interval, N, eps=eps)
+
+
+def _coeff_diff(fam: ProblemFamily, j: int, eps: float, N: int) -> GridFunction:
+    """A_j(., eps) - A_j(., 0) with an exact symbolic source."""
+    return _eps_diff(fam.coeff_exprs(eps)[j], fam.coeff_exprs(0.0)[j], fam,
+                     eps, N)
 
 
 def _rhs_diff(fam: ProblemFamily, eps: float, N: int) -> GridFunction:
-    e_eps = fam.rhs_exprs(eps)
-    e_zero = fam.rhs_exprs(0.0)
-    diff = np.empty(e_eps.shape, dtype=object)
-    for idx in np.ndindex(e_eps.shape):
-        diff[idx] = ex.sub(e_eps[idx], ex.substitute_eps(e_zero[idx], 0.0))
-    return GridFunction.from_exprs(diff, fam.interval, N, eps=eps)
+    return _eps_diff(fam.rhs_exprs(eps), fam.rhs_exprs(0.0), fam, eps, N)
+
+
+def _all_zero(sources: np.ndarray) -> bool:
+    return all(isinstance(e, ex.Const) and e.value == 0 for e in sources.flat)
+
+
+def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
+    """The pairs (j, _coeff_diff(fam, j, eps, N)) whose difference does not
+    fold to the zero expression.
+
+    A zero difference has Holder norm 0, and leaving it out keeps a purely
+    rough right-hand-side perturbation's symbolic source (and hence its
+    exact Holder seminorm) in the perturbation residual.
+    """
+    diffs = ((j, _coeff_diff(fam, j, eps, N)) for j in range(fam.r))
+    return [(j, d) for j, d in diffs if not _all_zero(d.sources)]
+
+
+def _coeff_diff_action(diffs: list, y: GridFunction,
+                       acc: GridFunction | None = None):
+    """acc + sum_j (A_j(eps) - A_j(0)) y^(j) over the `_coeff_diffs`;
+    None when both acc and diffs are empty."""
+    for j, dA in diffs:
+        term = product(dA, y.derivative(j))
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # --- discrepancy and the two-sided sweep -------------------------------------
 
-def _all_zero(sources) -> bool:
-    return sources is not None and all(
-        isinstance(sources[idx], ex.Const) and sources[idx].value == 0
-        for idx in np.ndindex(sources.shape))
+def _perturbation(fam: ProblemFamily, inst, inst0, y0: GridFunction):
+    """Residual of y0 in the eps problem with the eps = 0 problem's
+    residual cancelled exactly.
 
-
-def _perturbation_residual(fam: ProblemFamily, eps: float, y0: GridFunction,
-                           N: int) -> GridFunction:
-    """(L(eps) - L(0)) y0 - (f(eps) - f(0)) with exact cancellation.
-
-    Coefficient differences that fold to the zero expression are skipped,
-    so a purely rough right-hand-side perturbation keeps its symbolic
-    source (and hence its exact Holder seminorm).
+    Returns (L(eps) - L(0)) y0 - (f(eps) - f(0)) and the boundary data
+    c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0.  Negated, the first is
+    the right-hand side of delta = y(eps) - y(0), and c_delta its boundary
+    data; their norms make up the discrepancy.
     """
-    from .grid import product
-    resid = _rhs_diff(fam, eps, N).scale(-1.0)
-    for j in range(fam.r):
-        dA = _coeff_diff(fam, j, eps, N)
-        if _all_zero(dA.sources):
-            continue
-        resid = resid + product(dA, y0.derivative(j))
-    return resid
+    resid = _coeff_diff_action(_coeff_diffs(fam, inst.eps, inst.N), y0,
+                               _rhs_diff(fam, inst.eps, inst.N).scale(-1.0))
+    c_delta = (inst.c - inst0.c) - (apply_B(inst.B, y0)[:, 0]
+                                    - apply_B(inst0.B, y0)[:, 0])
+    return resid, c_delta
+
+
+def _discrepancy_norm(resid: GridFunction, bvec: np.ndarray,
+                      idx: HolderIndex, M: int) -> float:
+    return holder_norm(resid, idx, M).total + float(np.linalg.norm(bvec))
 
 
 def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
@@ -133,12 +156,8 @@ def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
         resid = apply_L(inst, y0) - inst.rhs.resample(2 * N)
         bvec = apply_B(inst.B, y0)[:, 0] - inst.c
     else:
-        inst0 = instantiate(fam, 0.0, N)
-        resid = _perturbation_residual(fam, eps, y0, N)
-        bvec = (apply_B(inst.B, y0)[:, 0] - apply_B(inst0.B, y0)[:, 0]
-                - (inst.c - inst0.c))
-    term1 = holder_norm(resid, idx, M).total
-    return term1 + float(np.linalg.norm(bvec))
+        resid, bvec = _perturbation(fam, inst, instantiate(fam, 0.0, N), y0)
+    return _discrepancy_norm(resid, bvec, idx, M)
 
 
 @dataclass
@@ -184,16 +203,6 @@ class SweepReport:
         }
 
 
-def _delta_solve(fam: ProblemFamily, inst_eps, y0: GridFunction,
-                 B0, c0: np.ndarray, N: int):
-    """Solve for delta = y(eps) - y(0) through the exactly-cancelled
-    perturbation data, avoiding loss of significance at tiny eps."""
-    rhs = _perturbation_residual(fam, inst_eps.eps, y0, N).scale(-1.0)
-    c_delta = (inst_eps.c - c0) - (apply_B(inst_eps.B, y0)[:, 0]
-                                   - apply_B(B0, y0)[:, 0])
-    return solve_bvp_direct(inst_eps, rhs=rhs, c=c_delta)
-
-
 def two_sided_sweep(fam: ProblemFamily, eps_sequence=None,
                     idx: HolderIndex | None = None, N: int = 32,
                     M: int = DEFAULT_M, jobs: int = 1) -> SweepReport:
@@ -217,9 +226,12 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None,
             inst = instantiate(fam, eps, N)
             cm = characteristic_matrix(
                 inst.B, fundamental_matrix(build_companion(inst)).X)
-            delta = _delta_solve(fam, inst, y0, inst0.B, inst0.c, N)
+            # delta = y(eps) - y(0) from the exactly-cancelled perturbation
+            # data, avoiding loss of significance at tiny eps
+            resid, c_delta = _perturbation(fam, inst, inst0, y0)
+            delta = solve_bvp_direct(inst, rhs=resid.scale(-1.0), c=c_delta)
             error = holder_norm(delta.y, err_idx, M).total
-            d = discrepancy(fam, eps, y0, idx, N, M)
+            d = _discrepancy_norm(resid, c_delta, idx, M)
             ratio = error / d if d > 0 else None
             return SweepRecord(eps, error, d, ratio, cm.margin,
                                delta.residual)
@@ -253,7 +265,6 @@ class LimitConditionReport:
     verdicts: dict = field(default_factory=dict)
 
     def rows(self):
-        r = len(self.condI_norms[0]) if self.condI_norms else 0
         for i, eps in enumerate(self.eps_sequence):
             yield ([eps] + list(self.condI_norms[i])
                    + [self.condII_probe[i], self.condIII_norm[i],
@@ -283,8 +294,10 @@ def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
     condI, condII, condIII, condIV = [], [], [], []
     for eps in eps_sequence:
         inst = instantiate(fam, eps, N)
-        condI.append([holder_norm(_coeff_diff(fam, j, eps, N), idx, M).total
-                      for j in range(fam.r)])
+        row = [0.0] * fam.r
+        for j, dA in _coeff_diffs(fam, eps, N):
+            row[j] = holder_norm(dA, idx, M).total
+        condI.append(row)
         dev = 0.0
         for y in probes:
             delta = apply_B(inst.B, y)[:, 0] - apply_B(inst0.B, y)[:, 0]
@@ -318,9 +331,12 @@ class MainTheoremVerdict:
     errors_tend_to_zero: bool   # empirical (**)
     behavior: bool
     agreement: bool
+    limits: LimitConditionReport = field(repr=False)
 
     def summary(self):
-        return self.__dict__.copy()
+        out = self.__dict__.copy()
+        del out["limits"]
+        return out
 
 
 def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
@@ -358,7 +374,7 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
         cond0_ok=bool(cond0["satisfied"]), condI_ok=lim.verdicts["I"],
         condII_ok=lim.verdicts["II"], criterion=criterion,
         solvable=solvable, errors_tend_to_zero=errors_ok,
-        behavior=behavior, agreement=(criterion == behavior))
+        behavior=behavior, agreement=(criterion == behavior), limits=lim)
 
 
 # --- operator convergence (monomial extraction + equivalences) -----------------
@@ -383,7 +399,6 @@ def extract_coefficients_monomials(fam: ProblemFamily, eps: float,
             # Z^(l) = p!/(p-l)! t^{p-l} I
             coeff = math.factorial(p) / math.factorial(p - l)
             Zl = _monomial_matrix(fam, p - l, m, max(N, acc.N)).scale(coeff)
-            from .grid import product
             acc = acc - product(recovered[l], Zl)
         recovered.append(acc.scale(1.0 / math.factorial(p)))
     return recovered
@@ -422,20 +437,23 @@ class Theorem2Report:
 
 def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
                                probes=None, idx: HolderIndex | None = None,
-                               N: int = 32, M: int = DEFAULT_M) -> Theorem2Report:
+                               N: int = 32, M: int = DEFAULT_M,
+                               limits: LimitConditionReport | None = None
+                               ) -> Theorem2Report:
     """Probe operator-norm lower bounds against the coefficient aggregate.
 
     S(eps) = sum_j ||A_j(eps)-A_j(0)||_{n,alpha} dominates (up to the
     calibrated constant c2) the probe estimate P(eps) of the operator-norm
-    distance, and the two vanish together.
+    distance, and the two vanish together.  S sums the Condition I norms
+    of `limits`, a limit_conditions_report of fam with the same probes,
+    idx, N and M, whose eps sequence replaces eps_sequence; it is measured
+    here when not given.
     """
-    from .grid import product
     idx = idx or fam.idx
     err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
-    if eps_sequence is None:
-        eps_sequence = geometric_eps(fam.eps0)
-    eps_sequence = sorted(eps_sequence, reverse=True)
     probes = probes or default_probes(fam, N)
+    limits = limits or limit_conditions_report(fam, eps_sequence, probes,
+                                               idx, N, M)
     K = algebra_constant(idx)
     probe_norms = [holder_norm(y, err_idx, M).total for y in probes]
     deriv_sums = []
@@ -444,25 +462,23 @@ def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
             holder_norm(y.derivative(j), idx, M).total
             for j in range(fam.r)))
     c2 = max(K * ds / pn for ds, pn in zip(deriv_sums, probe_norms))
-    S_vals, P_vals = [], []
-    for eps in eps_sequence:
-        diffs = [_coeff_diff(fam, j, eps, N) for j in range(fam.r)]
-        S_vals.append(sum(holder_norm(d, idx, M).total for d in diffs))
+    S_vals = [sum(row) for row in limits.condI_norms]
+    P_vals = []
+    for eps in limits.eps_sequence:
+        diffs = _coeff_diffs(fam, eps, N)
         best = 0.0
         for y, pn in zip(probes, probe_norms):
-            acc = None
-            for j in range(fam.r):
-                term = product(diffs[j], y.derivative(j))
-                acc = term if acc is None else acc + term
-            best = max(best, holder_norm(acc, idx, M).total / pn)
+            acc = _coeff_diff_action(diffs, y)
+            if acc is not None:
+                best = max(best, holder_norm(acc, idx, M).total / pn)
         P_vals.append(best)
     slack = 1e-9
     holds = all(p <= c2 * s + slack * (1 + s) for p, s in
                 zip(P_vals, S_vals))
     s_zero = tends_to_zero(S_vals)
     p_zero = tends_to_zero(P_vals)
-    return Theorem2Report(list(eps_sequence), S_vals, P_vals, c2, holds,
-                          s_zero, p_zero, s_zero == p_zero)
+    return Theorem2Report(list(limits.eps_sequence), S_vals, P_vals, c2,
+                          holds, s_zero, p_zero, s_zero == p_zero)
 
 
 def boundedness_probe_B(fam: ProblemFamily, eps_sequence=None, probes=None,

@@ -55,12 +55,9 @@ def diff_matrix(nodes: np.ndarray,
     return D
 
 
-def cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev series coefficients from values at ascending CGL nodes.
-
-    Operates on the last axis.
-    """
-    N = values.shape[-1] - 1
+def _values_to_coeffs(N: int):
+    """Factors of the values -> coefficients map at ascending CGL nodes:
+    coefficients = scale * ((values * halve) @ C.T)."""
     j = np.arange(N + 1)
     # ascending node j corresponds to x_j = -cos(pi j / N)
     C = np.cos(np.outer(j, np.pi * j / N)) * ((-1.0) ** j)[:, None]
@@ -68,15 +65,16 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
     halve[0] = halve[-1] = 0.5
     scale = np.full(N + 1, 2.0 / N)
     scale[0] = scale[-1] = 1.0 / N
+    return C, halve, scale
+
+
+def cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """Chebyshev series coefficients from values at ascending CGL nodes.
+
+    Operates on the last axis.
+    """
+    C, halve, scale = _values_to_coeffs(values.shape[-1] - 1)
     return scale * ((values * halve) @ C.T)
-
-
-def coeffs_to_values(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of cheb_coeffs (last axis)."""
-    N = coeffs.shape[-1] - 1
-    j = np.arange(N + 1)
-    T = ((-1.0) ** j)[:, None] * np.cos(np.outer(j, np.pi * j / N))
-    return coeffs @ T
 
 
 def clenshaw_curtis_weights(N: int, a: float = -1.0,
@@ -90,12 +88,7 @@ def clenshaw_curtis_weights(N: int, a: float = -1.0,
     even = k % 2 == 0
     moments[even] = 2.0 / (1.0 - k[even] ** 2)
     # weight vector = moments composed with the values->coeffs map
-    j = np.arange(N + 1)
-    C = np.cos(np.outer(j, np.pi * j / N)) * ((-1.0) ** j)[:, None]
-    halve = np.ones(N + 1)
-    halve[0] = halve[-1] = 0.5
-    scale = np.full(N + 1, 2.0 / N)
-    scale[0] = scale[-1] = 1.0 / N
+    C, halve, scale = _values_to_coeffs(N)
     w = (moments * scale) @ C * halve
     return w * (b - a) / 2.0
 

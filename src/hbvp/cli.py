@@ -7,7 +7,8 @@ plain CSV/JSON with 17-significant-digit numbers and no timestamps, so
 identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or parse error, 2 well-posedness
-(Condition (0)) violation, 3 verification disagreement.
+(Condition (0)) violation or a solve rejected by the residual gate,
+3 verification disagreement.
 """
 from __future__ import annotations
 
@@ -63,7 +64,6 @@ def cmd_solve(args) -> int:
     res = solve_bvp_direct(inst)
     cm = characteristic_matrix(
         inst.B, fundamental_matrix(build_companion(inst)).X)
-    margin = cm.margin / max(float(np.linalg.norm(cm.M, 2)), 1e-300)
     out = args.out
     ts = np.linspace(fam.interval[0], fam.interval[1], 4 * res.N + 1)
     vals = res.y.eval_at(ts)
@@ -78,11 +78,11 @@ def cmd_solve(args) -> int:
         "family": fam.name, "eps": args.eps, "degree": res.N,
         "route": res.route, "residual": res.residual,
         "boundary_residual": res.boundary_residual,
-        "cond0_margin": margin,
+        "cond0_margin": cm.margin,
     })
     print(f"{fam.name}: solved at eps={an.fmt(args.eps)}, N={res.N}, "
           f"residual={an.fmt(res.residual)}, "
-          f"cond0 margin={an.fmt(margin)}")
+          f"cond0 margin={an.fmt(cm.margin)}")
     return EXIT_OK
 
 
@@ -122,9 +122,11 @@ def cmd_verify(args) -> int:
         kwargs = dict(N=args.degree, M=args.samples)
         if args.zero_tol is not None:
             kwargs["criterion_final_factor"] = args.zero_tol
-        verdict = an.main_theorem_suite(fam, **kwargs)
-        t2 = an.theorem2_equivalence_check(fam, N=args.degree,
-                                           M=args.samples)
+        probes = an.default_probes(fam, args.degree)
+        verdict = an.main_theorem_suite(fam, probes=probes, **kwargs)
+        t2 = an.theorem2_equivalence_check(fam, probes=probes, N=args.degree,
+                                           M=args.samples,
+                                           limits=verdict.limits)
         ok = verdict.agreement and t2.joint and t2.bound_holds
         all_ok = all_ok and ok
         rows.append([fam.name, verdict.cond0_ok, verdict.condI_ok,

@@ -204,16 +204,6 @@ class GridFunction:
         return GridFunction(self.values * c, self.interval,
                             sources=sources, eps=self.eps)
 
-    def block(self, rows, cols=slice(None)) -> "GridFunction":
-        return GridFunction(self.values[rows, cols], self.interval)
-
-    def entry(self, i: int, j: int = 0) -> "GridFunction":
-        src = None
-        if self.sources is not None:
-            src = self.sources[i:i + 1, j:j + 1]
-        return GridFunction(self.values[i:i + 1, j:j + 1], self.interval,
-                            sources=src, eps=self.eps)
-
 
 def interpolate(e, interval, N: int, shape=None, eps: float = 0.0) -> GridFunction:
     """Build a GridFunction from expressions, strings, or sample values."""
@@ -232,10 +222,6 @@ def interpolate(e, interval, N: int, shape=None, eps: float = 0.0) -> GridFuncti
     if values.ndim == 1:
         values = values.reshape(1, 1, -1)
     return GridFunction(values, interval)
-
-
-def differentiate(g: GridFunction) -> GridFunction:
-    return g.derivative(1)
 
 
 def product(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -7,14 +7,14 @@ consume the same instantiated data, so they cross-validate each other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import chebyshev as cheb
-from .grid import GridFunction, product, sup_norm
-from .problem import (BoundaryOperator, ProblemInstance, apply_B,
-                      boundary_matrix, instantiate)
+from .grid import GridFunction, product
+from .problem import (BoundaryOperator, IntegralTerm, ProblemInstance,
+                      apply_B, boundary_matrix)
 
 RESIDUAL_RTOL = 1e-6
 CONDITION_ZERO_RTOL = 1e-10
@@ -59,7 +59,7 @@ class FundamentalMatrix:
 @dataclass(frozen=True)
 class CharacteristicMatrix:
     M: np.ndarray     # (rm, rm)
-    margin: float     # smallest singular value
+    margin: float     # sigma_min(M) / ||M||_2, the Condition (0) margin
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class SolveResult:
     y: GridFunction   # (m, 1)
     residual: float
     boundary_residual: float
-    margin: float
     N: int
     route: str
 
@@ -154,19 +153,21 @@ def particular_solution(cs: CompanionSystem, N: int | None = None) -> GridFuncti
 
 
 def characteristic_matrix(B: BoundaryOperator, X: GridFunction) -> CharacteristicMatrix:
-    """Boundary operator applied to the y-part of each column of X."""
+    """Boundary operator applied to the y-part of each column of X.
+
+    The margin sigma_min(M) / ||M||_2 is the one Condition (0) margin that
+    every solver, suite and artifact reads.
+    """
     m = B.m
     Ytop = GridFunction(X.values[:m, :], X.interval)
     M = apply_B(B, Ytop)
     sigma = np.linalg.svd(M, compute_uv=False)
-    return CharacteristicMatrix(M, float(sigma[-1]))
+    return CharacteristicMatrix(M, float(sigma[-1] / max(sigma[0], 1e-300)))
 
 
-def check_condition_zero(cm: CharacteristicMatrix, tol: float | None = None):
+def check_condition_zero(cm: CharacteristicMatrix,
+                         tol: float = CONDITION_ZERO_RTOL):
     """Thresholded well-posedness decision for the unperturbed problem."""
-    if tol is None:
-        tol = CONDITION_ZERO_RTOL * max(
-            float(np.linalg.norm(cm.M, 2)), 1e-300)
     return {"satisfied": cm.margin > tol, "margin": cm.margin, "tol": tol}
 
 
@@ -178,17 +179,15 @@ def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
     return out
 
 
-def instantiate_like(inst: ProblemInstance, N: int) -> ProblemInstance:
-    """Same instance data re-interpolated at a new degree."""
-    from dataclasses import replace
-    from .problem import BoundaryOperator, IntegralTerm
-    coeffs = tuple(c.resample(N) for c in inst.coeffs)
-    rhs = inst.rhs.resample(N)
+def _resampled(inst: ProblemInstance, N: int,
+               rhs: GridFunction | None = None) -> ProblemInstance:
+    """The instance re-interpolated at degree N, optionally with its
+    right-hand side replaced by rhs."""
     integrals = tuple(IntegralTerm(t.order, t.density.resample(N))
                       for t in inst.B.integral_terms)
-    B = BoundaryOperator(inst.B.point_terms, integrals, inst.B.size,
-                         inst.B.m, inst.B.interval)
-    return replace(inst, coeffs=coeffs, rhs=rhs, B=B, N=N)
+    return replace(inst, coeffs=tuple(c.resample(N) for c in inst.coeffs),
+                   rhs=(inst.rhs if rhs is None else rhs).resample(N),
+                   B=replace(inst.B, integral_terms=integrals), N=N)
 
 
 def _residuals(instance: ProblemInstance, y: GridFunction,
@@ -267,12 +266,11 @@ def solve_bvp_direct(instance: ProblemInstance,
     rhs_scale = float(np.max(np.abs(rhs_gf.values)))
     if not _accept(residual, rhs_scale):
         if _retry:
-            finer = instantiate_like(instance, 2 * N)
+            finer = _resampled(instance, 2 * N)
             return solve_bvp_direct(finer, rhs=custom_rhs, c=custom_c,
                                     _retry=False)
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
-    return SolveResult(y, residual, bres,
-                       float(sigma[-1] / sigma[0]), N, "direct")
+    return SolveResult(y, residual, bres, N, "direct")
 
 
 def solve_bvp(instance: ProblemInstance,
@@ -285,7 +283,7 @@ def solve_bvp(instance: ProblemInstance,
     custom_rhs, custom_c = rhs, c
     rhs_gf = instance.rhs if rhs is None else rhs.resample(N)
     cvec = instance.c if c is None else np.asarray(c, dtype=complex)
-    work = instance if rhs is None else _with_rhs(instance, rhs_gf)
+    work = instance if rhs is None else _resampled(instance, N, rhs_gf)
     cs = build_companion(work)
     fund = fundamental_matrix(cs)
     cm = characteristic_matrix(instance.B, fund.X)
@@ -308,16 +306,10 @@ def solve_bvp(instance: ProblemInstance,
     rhs_scale = float(np.max(np.abs(rhs_gf.values)))
     if not _accept(residual, rhs_scale):
         if _retry:
-            finer = instantiate_like(instance, 2 * N)
+            finer = _resampled(instance, 2 * N)
             return solve_bvp(finer, rhs=custom_rhs, c=custom_c, _retry=False)
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
-    margin = cm.margin / max(float(np.linalg.norm(cm.M, 2)), 1e-300)
-    return SolveResult(y, residual, bres, margin, N, "companion")
-
-
-def _with_rhs(inst: ProblemInstance, rhs: GridFunction) -> ProblemInstance:
-    from dataclasses import replace
-    return replace(inst, rhs=rhs)
+    return SolveResult(y, residual, bres, N, "companion")
 
 
 def solve_matrix_bvp(instance: ProblemInstance) -> GridFunction:

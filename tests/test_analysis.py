@@ -86,6 +86,16 @@ def test_two_sided_sweep_f1_band():
         assert rep.kappa_hat_low <= r.ratio <= rep.kappa_hat_high
 
 
+@pytest.mark.parametrize("name", ["F1_smooth_perturb", "F6_holder_rough"])
+def test_sweep_discrepancy_equals_public_discrepancy(name):
+    fam = gallery(name)
+    rep = an.two_sided_sweep(fam, [0.5, 0.125], N=16, M=256)
+    y0 = solve_bvp_direct(instantiate(fam, 0.0, 16)).y
+    for rec in rep.records:
+        assert rec.discrepancy == an.discrepancy(fam, rec.eps, y0, N=16,
+                                                 M=256)
+
+
 def test_two_sided_sweep_degenerate_eps_zero():
     rep = an.two_sided_sweep(gallery("F1_smooth_perturb"), [0.0],
                              N=16, M=256)
@@ -174,6 +184,21 @@ def test_theorem2_positive_and_negative():
     r3 = an.theorem2_equivalence_check(gallery("F3_cond0_violated"),
                                        EPS_SHORT, N=16, M=256)
     assert max(r3.S) < 1e-12 and max(r3.P) < 1e-12  # eps-independent
+
+
+def test_theorem2_S_sums_condition_I_norms():
+    for name in ("F1_smooth_perturb", "F4_limitI_violated"):
+        fam = gallery(name)
+        t2 = an.theorem2_equivalence_check(fam, EPS_SHORT, N=16, M=256)
+        lim = an.limit_conditions_report(fam, EPS_SHORT, N=16, M=256)
+        assert t2.eps_sequence == lim.eps_sequence
+        assert t2.S == [sum(row) for row in lim.condI_norms]
+
+
+def test_theorem2_P_exactly_zero_for_eps_independent_coefficients():
+    t2 = an.theorem2_equivalence_check(gallery("F2_boundary_perturb"),
+                                       EPS_SHORT, N=16, M=256)
+    assert t2.P == [0.0] * len(EPS_SHORT)
 
 
 def test_boundedness_probe():

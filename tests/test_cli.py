@@ -1,4 +1,5 @@
 """Command-line front end: exit codes, artifacts, determinism."""
+import csv
 import json
 
 import pytest
@@ -21,6 +22,17 @@ def test_solve_f1_exit_zero_and_summary(tmp_path):
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "t,re_y0,im_y0"
     assert len(lines) > 100
+
+
+def test_solve_and_sweep_report_the_same_cond0_margin(tmp_path):
+    common = ["--gallery", "F1_smooth_perturb", "--eps", "0.25",
+              "--degree", "16", "--samples", "256"]
+    assert run(["solve"] + common + ["--out", str(tmp_path / "s")]) == 0
+    assert run(["sweep"] + common + ["--out", str(tmp_path / "w")]) == 0
+    summary = json.loads((tmp_path / "s" / "solve_summary.json").read_text())
+    with open(tmp_path / "w" / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["cond0_margin"]) == summary["cond0_margin"]
 
 
 def test_solve_f3_exit_two(capsys):
