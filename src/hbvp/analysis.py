@@ -20,9 +20,7 @@ from .grid import (GridFunction, HolderIndex, algebra_constant, holder_norm,
                    product)
 from .problem import ProblemFamily, apply_B, instantiate
 from .solver import (ConditionZeroViolated, SolveRejected, apply_L,
-                     build_companion, characteristic_matrix,
-                     check_condition_zero, fundamental_matrix,
-                     solve_bvp_direct)
+                     check_condition_zero, solve_bvp_direct)
 
 ZERO_TAIL_LEN = 5
 ZERO_FINAL_FACTOR = 1e-3
@@ -224,8 +222,6 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None,
     def one(eps):
         try:
             inst = instantiate(fam, eps, N)
-            cm = characteristic_matrix(
-                inst.B, fundamental_matrix(build_companion(inst)).X)
             # delta = y(eps) - y(0) from the exactly-cancelled perturbation
             # data, avoiding loss of significance at tiny eps
             resid, c_delta = _perturbation(fam, inst, inst0, y0)
@@ -233,7 +229,7 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None,
             error = holder_norm(delta.y, err_idx, M).total
             d = _discrepancy_norm(resid, c_delta, idx, M)
             ratio = error / d if d > 0 else None
-            return SweepRecord(eps, error, d, ratio, cm.margin,
+            return SweepRecord(eps, error, d, ratio, delta.margin,
                                delta.residual)
         except (ConditionZeroViolated, SolveRejected) as err:
             return SweepRecord(eps, None, None, None, None, None,
@@ -263,20 +259,6 @@ class LimitConditionReport:
     condIII_norm: list
     condIV: list
     verdicts: dict = field(default_factory=dict)
-
-    def rows(self):
-        for i, eps in enumerate(self.eps_sequence):
-            yield ([eps] + list(self.condI_norms[i])
-                   + [self.condII_probe[i], self.condIII_norm[i],
-                      self.condIV[i]])
-
-    def columns(self):
-        r = len(self.condI_norms[0]) if self.condI_norms else 0
-        return (["eps"] + [f"condI_A{j}" for j in range(r)]
-                + ["condII_probe", "condIII_norm", "condIV"])
-
-    def write_csv(self, path: str):
-        write_csv(path, self.columns(), self.rows())
 
 
 def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
@@ -333,11 +315,6 @@ class MainTheoremVerdict:
     agreement: bool
     limits: LimitConditionReport = field(repr=False)
 
-    def summary(self):
-        out = self.__dict__.copy()
-        del out["limits"]
-        return out
-
 
 def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
                        probes=None, idx: HolderIndex | None = None,
@@ -349,29 +326,23 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     idx = idx or fam.idx
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
-    inst0 = instantiate(fam, 0.0, N)
-    cm = characteristic_matrix(
-        inst0.B, fundamental_matrix(build_companion(inst0)).X)
-    cond0 = check_condition_zero(cm)
+    cond0 = check_condition_zero(instantiate(fam, 0.0, N))
     lim = limit_conditions_report(fam, eps_sequence, probes, idx, N, M,
                                   final_factor=criterion_final_factor)
-    criterion = bool(cond0["satisfied"] and lim.verdicts["I"]
+    criterion = bool(cond0.satisfied and lim.verdicts["I"]
                      and lim.verdicts["II"])
-    solvable = True
+    # a solve of the eps = 0 problem runs this same gate first, so an
+    # unsatisfied gate is an unsolvable problem
+    solvable = cond0.satisfied
     errors_ok = False
-    if cond0["satisfied"]:
+    if cond0.satisfied:
         report = two_sided_sweep(fam, eps_sequence, idx, N, M)
         solvable = not any(r.failure for r in report.records)
         errors_ok = tends_to_zero([r.error for r in report.records])
-    else:
-        try:
-            solve_bvp_direct(inst0)
-        except (ConditionZeroViolated, SolveRejected):
-            solvable = False
     behavior = solvable and errors_ok
     return MainTheoremVerdict(
-        family=fam.name, cond0_margin=cond0["margin"],
-        cond0_ok=bool(cond0["satisfied"]), condI_ok=lim.verdicts["I"],
+        family=fam.name, cond0_margin=cond0.cm.margin,
+        cond0_ok=cond0.satisfied, condI_ok=lim.verdicts["I"],
         condII_ok=lim.verdicts["II"], criterion=criterion,
         solvable=solvable, errors_tend_to_zero=errors_ok,
         behavior=behavior, agreement=(criterion == behavior), limits=lim)
@@ -422,17 +393,6 @@ class Theorem2Report:
     S_tends_to_zero: bool
     P_tends_to_zero: bool
     joint: bool       # both tails decrease or both do not
-
-    def summary(self):
-        return {"c2": self.c2, "bound_holds": self.bound_holds,
-                "S_tends_to_zero": self.S_tends_to_zero,
-                "P_tends_to_zero": self.P_tends_to_zero,
-                "joint": self.joint}
-
-    def write_csv(self, path: str):
-        write_csv(path, ("eps", "S", "P"),
-                  ([e, s, p] for e, s, p in
-                   zip(self.eps_sequence, self.S, self.P)))
 
 
 def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,

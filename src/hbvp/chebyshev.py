@@ -22,14 +22,12 @@ def bary_weights(N: int) -> np.ndarray:
     return w
 
 
-def bary_matrix(nodes: np.ndarray, x: np.ndarray,
-                weights: np.ndarray | None = None) -> np.ndarray:
+def bary_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix E with (E @ values) = interpolant evaluated at x.
 
     Exact (a copy row) when an evaluation point coincides with a node.
     """
-    if weights is None:
-        weights = bary_weights(len(nodes) - 1)
+    weights = bary_weights(len(nodes) - 1)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diff = x[:, None] - nodes[None, :]
     exact_rows, exact_cols = np.nonzero(diff == 0)
@@ -41,12 +39,9 @@ def bary_matrix(nodes: np.ndarray, x: np.ndarray,
     return E
 
 
-def diff_matrix(nodes: np.ndarray,
-                weights: np.ndarray | None = None) -> np.ndarray:
+def diff_matrix(nodes: np.ndarray) -> np.ndarray:
     """Spectral differentiation matrix via the barycentric formula."""
-    n = len(nodes)
-    if weights is None:
-        weights = bary_weights(n - 1)
+    weights = bary_weights(len(nodes) - 1)
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     D = (weights[None, :] / weights[:, None]) / diff

@@ -22,9 +22,7 @@ from . import analysis as an
 from .expr import ParseError
 from .problem import (ConfigError, GALLERY_NAMES, gallery, instantiate,
                       load_problem)
-from .solver import (ConditionZeroViolated, SolveRejected,
-                     build_companion, characteristic_matrix,
-                     fundamental_matrix, solve_bvp_direct)
+from .solver import ConditionZeroViolated, SolveRejected, solve_bvp_direct
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -50,20 +48,24 @@ def _load_family(args):
 
 
 def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
+    """Sweep workers: --jobs when given, else HBVP_JOBS, else 1."""
+    if args.jobs is not None:
+        source, value = "--jobs", args.jobs
+    else:
+        source, value = "HBVP_JOBS", os.environ.get("HBVP_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("HBVP_JOBS", "1")))
+        jobs = int(value)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+    return jobs
 
 
 def cmd_solve(args) -> int:
     fam = _load_family(args)
     inst = instantiate(fam, args.eps, args.degree)
     res = solve_bvp_direct(inst)
-    cm = characteristic_matrix(
-        inst.B, fundamental_matrix(build_companion(inst)).X)
     out = args.out
     ts = np.linspace(fam.interval[0], fam.interval[1], 4 * res.N + 1)
     vals = res.y.eval_at(ts)
@@ -78,11 +80,11 @@ def cmd_solve(args) -> int:
         "family": fam.name, "eps": args.eps, "degree": res.N,
         "route": res.route, "residual": res.residual,
         "boundary_residual": res.boundary_residual,
-        "cond0_margin": cm.margin,
+        "cond0_margin": res.margin,
     })
     print(f"{fam.name}: solved at eps={an.fmt(args.eps)}, N={res.N}, "
           f"residual={an.fmt(res.residual)}, "
-          f"cond0 margin={an.fmt(cm.margin)}")
+          f"cond0 margin={an.fmt(res.margin)}")
     return EXIT_OK
 
 
@@ -215,15 +217,16 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except (SolveRejected, np.linalg.LinAlgError) as err:
+        # LinAlgError is a ValueError, so it is caught before config errors
+        print(f"error: solve rejected: {err}", file=sys.stderr)
+        return EXIT_CONDITION_ZERO
     except (ConfigError, ParseError, FileNotFoundError, KeyError,
             ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ConditionZeroViolated as err:
         print(f"error: Condition (0) violated: {err}", file=sys.stderr)
-        return EXIT_CONDITION_ZERO
-    except SolveRejected as err:
-        print(f"error: solve rejected: {err}", file=sys.stderr)
         return EXIT_CONDITION_ZERO
 
 

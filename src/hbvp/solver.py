@@ -63,12 +63,32 @@ class CharacteristicMatrix:
 
 
 @dataclass(frozen=True)
+class ConditionZero:
+    """The Condition (0) decision for one instance, with the companion
+    system, fundamental matrix and characteristic matrix it was read from."""
+    cs: CompanionSystem
+    fund: FundamentalMatrix
+    cm: CharacteristicMatrix
+    tol: float
+
+    @property
+    def satisfied(self) -> bool:
+        return self.cm.margin > self.tol
+
+    def require(self) -> "ConditionZero":
+        if not self.satisfied:
+            raise ConditionZeroViolated(self.cm.margin, self.tol)
+        return self
+
+
+@dataclass(frozen=True)
 class SolveResult:
     y: GridFunction   # (m, 1)
     residual: float
     boundary_residual: float
     N: int
     route: str
+    margin: float     # Condition (0) margin of the gate the solve passed
 
 
 def build_companion(instance: ProblemInstance) -> CompanionSystem:
@@ -127,9 +147,9 @@ def _solve_first_order(A: GridFunction, rhs_nodes: np.ndarray,
     return sol.reshape(s, Np1, k).transpose(0, 2, 1)
 
 
-def fundamental_matrix(cs: CompanionSystem, N: int | None = None) -> FundamentalMatrix:
+def fundamental_matrix(cs: CompanionSystem) -> FundamentalMatrix:
     """X with X' + A X = 0 and X(a) = I, by global collocation."""
-    A = cs.A if N is None or N == cs.A.N else cs.A.resample(N)
+    A = cs.A
     s = A.shape[0]
     Np1 = A.N + 1
     rhs = np.zeros((s, s, Np1), dtype=complex)
@@ -142,11 +162,9 @@ def fundamental_matrix(cs: CompanionSystem, N: int | None = None) -> Fundamental
     return FundamentalMatrix(X, residual, float(dets.min()))
 
 
-def particular_solution(cs: CompanionSystem, N: int | None = None) -> GridFunction:
+def particular_solution(cs: CompanionSystem) -> GridFunction:
     """x_p with x_p' + A x_p = g and x_p(a) = 0."""
     A, g = cs.A, cs.g
-    if N is not None and N != A.N:
-        A, g = A.resample(N), g.resample(N)
     s = A.shape[0]
     sol = _solve_first_order(A, g.values, np.zeros((s, 1), dtype=complex))
     return GridFunction(sol, A.interval)
@@ -165,10 +183,20 @@ def characteristic_matrix(B: BoundaryOperator, X: GridFunction) -> Characteristi
     return CharacteristicMatrix(M, float(sigma[-1] / max(sigma[0], 1e-300)))
 
 
-def check_condition_zero(cm: CharacteristicMatrix,
-                         tol: float = CONDITION_ZERO_RTOL):
-    """Thresholded well-posedness decision for the unperturbed problem."""
-    return {"satisfied": cm.margin > tol, "margin": cm.margin, "tol": tol}
+def check_condition_zero(instance: ProblemInstance) -> ConditionZero:
+    """Condition (0) at the instance's degree N: the characteristic matrix
+    of the companion fundamental matrix is nonsingular.
+
+    The margin must exceed max(CONDITION_ZERO_RTOL, 100 N^2 u), u the
+    float64 machine epsilon: the margin of a singular problem is roundoff
+    that grows like N^2 u (F3: 1.8e-13 at N = 32, 1.4e-10 at N = 512).
+    """
+    cs = build_companion(instance)
+    fund = fundamental_matrix(cs)
+    tol = max(CONDITION_ZERO_RTOL,
+              100 * instance.N ** 2 * float(np.finfo(float).eps))
+    return ConditionZero(cs, fund, characteristic_matrix(instance.B, fund.X),
+                         tol)
 
 
 def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
@@ -244,20 +272,19 @@ def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
 def solve_bvp_direct(instance: ProblemInstance,
                      rhs: GridFunction | None = None,
                      c: np.ndarray | None = None,
-                     _retry: bool = True) -> SolveResult:
-    """Square collocation of the r-th order system itself."""
+                     _margin: float | None = None) -> SolveResult:
+    """Square collocation of the r-th order system itself.
+
+    Condition (0) is decided once, at the requested degree; _margin
+    carries that decision's margin into the one retry at degree 2N.
+    """
+    margin = (check_condition_zero(instance).require().cm.margin
+              if _margin is None else _margin)
     r, m, N = instance.r, instance.m, instance.N
     custom_rhs, custom_c = rhs, c
     rhs_gf = instance.rhs if rhs is None else rhs.resample(N)
     cvec = instance.c if c is None else np.asarray(c, dtype=complex)
     mat = collocation_matrix(instance)
-    # singularity test on the row-equilibrated matrix: differentiation
-    # rows scale like N^(2r), so the raw ratio false-positives at large N
-    row_norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    sigma = np.linalg.svd(mat / row_norms, compute_uv=False)
-    if sigma[-1] <= CONDITION_ZERO_RTOL * sigma[0]:
-        raise ConditionZeroViolated(float(sigma[-1] / max(sigma[0], 1e-300)),
-                                    CONDITION_ZERO_RTOL)
     keep = _kept_rows(r, m, N)
     vec = np.concatenate([rhs_gf.values[:, 0, :].reshape(-1)[keep], cvec])
     sol = np.linalg.solve(mat, vec)
@@ -265,12 +292,12 @@ def solve_bvp_direct(instance: ProblemInstance,
     residual, bres = _residuals(instance, y, rhs_gf, cvec)
     rhs_scale = float(np.max(np.abs(rhs_gf.values)))
     if not _accept(residual, rhs_scale):
-        if _retry:
+        if _margin is None:
             finer = _resampled(instance, 2 * N)
             return solve_bvp_direct(finer, rhs=custom_rhs, c=custom_c,
-                                    _retry=False)
+                                    _margin=margin)
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
-    return SolveResult(y, residual, bres, N, "direct")
+    return SolveResult(y, residual, bres, N, "direct", margin)
 
 
 def solve_bvp(instance: ProblemInstance,
@@ -284,16 +311,12 @@ def solve_bvp(instance: ProblemInstance,
     rhs_gf = instance.rhs if rhs is None else rhs.resample(N)
     cvec = instance.c if c is None else np.asarray(c, dtype=complex)
     work = instance if rhs is None else _resampled(instance, N, rhs_gf)
-    cs = build_companion(work)
-    fund = fundamental_matrix(cs)
-    cm = characteristic_matrix(instance.B, fund.X)
-    check = check_condition_zero(cm)
-    if not check["satisfied"]:
-        raise ConditionZeroViolated(cm.margin, check["tol"])
+    gate = check_condition_zero(work).require()
+    cs = gate.cs
     xp = particular_solution(cs)
     xp_top = GridFunction(xp.values[:m], instance.interval)
-    v = np.linalg.solve(cm.M, cvec - apply_B(instance.B, xp_top)[:, 0])
-    x = np.einsum("ijt,j->it", fund.X.values, v) + xp.values[:, 0, :]
+    v = np.linalg.solve(gate.cm.M, cvec - apply_B(instance.B, xp_top)[:, 0])
+    x = np.einsum("ijt,j->it", gate.fund.X.values, v) + xp.values[:, 0, :]
     y = GridFunction(x[:m].reshape(m, 1, N + 1), instance.interval)
     # backward error of the first-order system this route discretized,
     # at its collocation nodes (node 0 carries the initial condition)
@@ -309,18 +332,14 @@ def solve_bvp(instance: ProblemInstance,
             finer = _resampled(instance, 2 * N)
             return solve_bvp(finer, rhs=custom_rhs, c=custom_c, _retry=False)
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
-    return SolveResult(y, residual, bres, N, "companion")
+    return SolveResult(y, residual, bres, N, "companion", gate.cm.margin)
 
 
 def solve_matrix_bvp(instance: ProblemInstance) -> GridFunction:
     """Y (m x rm) with L Y = 0 and [B Y] = I, via X M^{-1}."""
-    cs = build_companion(instance)
-    fund = fundamental_matrix(cs)
-    cm = characteristic_matrix(instance.B, fund.X)
-    check = check_condition_zero(cm)
-    if not check["satisfied"]:
-        raise ConditionZeroViolated(cm.margin, check["tol"])
-    vals = np.einsum("ikt,kj->ijt", fund.X.values, np.linalg.inv(cm.M))
+    gate = check_condition_zero(instance).require()
+    vals = np.einsum("ikt,kj->ijt", gate.fund.X.values,
+                     np.linalg.inv(gate.cm.M))
     return GridFunction(vals[:instance.m], instance.interval)
 
 

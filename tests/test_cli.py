@@ -1,7 +1,9 @@
 """Command-line front end: exit codes, artifacts, determinism."""
+import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from hbvp import cli
@@ -39,6 +41,43 @@ def test_solve_f3_exit_two(capsys):
     code = run(["solve", "--gallery", "F3_cond0_violated"])
     assert code == 2
     assert "Condition (0)" in capsys.readouterr().err
+
+
+def test_linalg_error_is_a_rejected_solve(monkeypatch, capsys):
+    def singular(inst):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "solve_bvp_direct", singular)
+    assert run(["solve", "--gallery", "F1_smooth_perturb"]) == 2
+    assert "solve rejected: Singular matrix" in capsys.readouterr().err
+
+
+def test_jobs_flag_wins_over_environment(monkeypatch):
+    monkeypatch.setenv("HBVP_JOBS", "4")
+    assert cli._jobs(argparse.Namespace(jobs=1)) == 1
+    assert cli._jobs(argparse.Namespace(jobs=None)) == 4
+    monkeypatch.delenv("HBVP_JOBS")
+    assert cli._jobs(argparse.Namespace(jobs=None)) == 1
+
+
+@pytest.mark.parametrize("flag, env, source", [
+    ("0", "4", "--jobs"), ("-2", None, "--jobs"),
+    (None, "0", "HBVP_JOBS"), (None, "two", "HBVP_JOBS"),
+    (None, "2.5", "HBVP_JOBS")])
+def test_invalid_jobs_exit_one(flag, env, source, tmp_path, monkeypatch,
+                               capsys):
+    if env is None:
+        monkeypatch.delenv("HBVP_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("HBVP_JOBS", env)
+    args = ["sweep", "--gallery", "F1_smooth_perturb", "--count", "2",
+            "--degree", "16", "--samples", "64", "--out", str(tmp_path)]
+    if flag is not None:
+        args += ["--jobs", flag]
+    assert run(args) == 1
+    assert f"error: {source} must be an integer >= 1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_malformed_config_exit_one(tmp_path, capsys):

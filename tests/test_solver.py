@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hbvp import solver as solver_mod
 from hbvp.grid import GridFunction, interpolate
 from hbvp.problem import apply_B, family_from_config, gallery, instantiate
-from hbvp.solver import (CompanionSystem, ConditionZeroViolated, apply_L,
+from hbvp.solver import (CompanionSystem, ConditionZeroViolated,
+                         SolveRejected, apply_L,
                          build_companion, characteristic_matrix,
                          check_condition_zero, collocation_matrix,
                          fredholm_nullity, fundamental_matrix, lift,
@@ -159,14 +161,14 @@ def test_characteristic_matrix_examples():
         inst.B, fundamental_matrix(build_companion(inst)).X)
     assert np.allclose(cm.M, [[1, 0], [1, 1]], atol=1e-12)
     assert cm.margin > 0.1
-    assert check_condition_zero(cm)["satisfied"]
+    assert check_condition_zero(inst).satisfied
 
     inst3 = instantiate(gallery("F3_cond0_violated"), 0.0, 16)
     cm3 = characteristic_matrix(
         inst3.B, fundamental_matrix(build_companion(inst3)).X)
     assert np.allclose(cm3.M, [[0, 1], [0, 0]], atol=1e-12)
     assert cm3.margin < 1e-10
-    assert not check_condition_zero(cm3)["satisfied"]
+    assert not check_condition_zero(inst3).satisfied
 
 
 def test_characteristic_matrix_initial_conditions_identity():
@@ -211,6 +213,65 @@ def test_solve_refuses_singular_problem():
         solve_bvp(inst)
     with pytest.raises(ConditionZeroViolated):
         solve_bvp_direct(inst)
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_both_routes_refuse_singular_problem_at_high_degree(N):
+    # F3's margin is roundoff that grows like N^2 u (1.4e-10 at N = 512):
+    # a fixed 1e-10 tolerance let the companion route accept it
+    inst = instantiate(gallery("F3_cond0_violated"), 0.0, N)
+    for solver in (solve_bvp, solve_bvp_direct):
+        with pytest.raises(ConditionZeroViolated):
+            solver(inst)
+
+
+def _margin(inst):
+    return characteristic_matrix(
+        inst.B, fundamental_matrix(build_companion(inst)).X).margin
+
+
+def test_solve_result_margin_is_the_characteristic_margin():
+    for name in ("F1_smooth_perturb", "F5_multipoint_integral"):
+        inst = instantiate(gallery(name), 0.2, 32)
+        for solver in (solve_bvp, solve_bvp_direct):
+            assert solver(inst).margin == _margin(inst)
+
+
+def _count_fundamental_matrices(monkeypatch):
+    degrees = []
+    real = solver_mod.fundamental_matrix
+
+    def counting(cs):
+        degrees.append(cs.A.N)
+        return real(cs)
+
+    monkeypatch.setattr(solver_mod, "fundamental_matrix", counting)
+    return degrees
+
+
+def test_direct_retry_keeps_the_requested_degree_margin(monkeypatch):
+    inst = instantiate(gallery("F1_smooth_perturb"), 0.2, 32)
+    want = _margin(inst)
+    verdicts = iter([False, True])   # reject at N = 32, accept at 64
+    monkeypatch.setattr(solver_mod, "_accept", lambda *a: next(verdicts))
+    degrees = _count_fundamental_matrices(monkeypatch)
+    res = solve_bvp_direct(inst)
+    assert res.N == 64
+    assert res.margin == want
+    assert degrees == [32]
+
+
+def test_direct_route_decides_condition_zero_once(monkeypatch):
+    # F6 at N = 512 sits at the residual gate's roundoff level (rejected
+    # after its retry at N = 1024 on one BLAS thread, accepted at N = 512
+    # on two), so the gate is made to reject; Condition (0) is decided at
+    # N = 512 only, not again for the 2050-row companion matrix at 1024
+    monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
+    degrees = _count_fundamental_matrices(monkeypatch)
+    with pytest.raises(SolveRejected) as err:
+        solve_bvp_direct(instantiate(gallery("F6_holder_rough"), 0.2, 512))
+    assert err.value.N == 1024
+    assert degrees == [512]
 
 
 def test_solve_superposition():
