@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from hbvp.grid import (GridFunction, HolderIndex, ShapeError,
-                       algebra_constant, holder_norm, holder_seminorm,
-                       interpolate, product, sup_norm)
+from hbvp.grid import (GridFunction, HolderIndex, ShapeError, _pair_max,
+                       _sample_points, algebra_constant, holder_norm,
+                       holder_seminorm, interpolate, product, sup_norm)
 
 
 def _from_values(vals, interval=(0.0, 1.0)):
@@ -95,6 +95,75 @@ def test_seminorm_refinement_flag():
                                      check_refinement=True)
     assert converged
     assert abs(val - 3.0) < 1e-2
+
+
+def _all_pairs_max(vals, ts, alpha):
+    """Reference seminorm scan: every ordered pair, one P x P block."""
+    dv = np.abs(vals[:, None] - vals[None, :])
+    dt = np.abs(ts[:, None] - ts[None, :])
+    mask = dt > 0
+    np.power(dt, alpha, out=dt, where=mask)
+    return float(np.divide(dv, dt, out=np.zeros_like(dv), where=mask).max())
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("M", [64, 256, 512])
+def test_pair_max_equals_all_pairs_scan(M, alpha):
+    rng = np.random.default_rng(M)
+    g = interpolate("powabs(t-0.3, 0.5)", (0.0, 1.0), 24)
+    ts = _sample_points(g, M, include_nodes=True)
+    P, m = len(ts), len(ts) // 3
+    cases = {
+        "random real": rng.standard_normal(P) + 0j,
+        "random complex": rng.standard_normal(P) + 1j * rng.standard_normal(P),
+        "smooth": np.exp(2j * ts) + np.sin(5 * ts),
+        "constant": np.full(P, 2.0 + 1.0j),
+        "ramp": ts + 0j,
+        "complex ramp": (1 + 2j) * ts,
+        # slopes +1 up to ts[m], -1 after: equal maximal slopes
+        "tent": np.where(np.arange(P) <= m, ts, 2 * ts[m] - ts) + 0j,
+        "powabs cusp": g.eval_at(ts)[0, 0],
+    }
+    for name, vals in cases.items():
+        assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha), name
+    # random, unevenly spaced points
+    ts = np.sort(rng.uniform(-1.0, 2.0, P))
+    vals = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha)
+
+
+def test_pair_max_one_ulp_gap_beside_steepest_gap():
+    # the lag-2 chord over [0, t1 + ulp] rounds one ulp above the steepest
+    # adjacent slope, on [0, t1]; only the weight of the one-ulp neighbour
+    # gap keeps alpha = 1 from stopping at lag 1
+    t1 = 1.3577481395725988
+    ts = np.array([-1.0, 0.0, t1, np.nextafter(t1, 2.0), 3.0])
+    v1 = 0.9236090362782893 + 0.601959232063568j
+    vals = np.array([0, 0, v1, 0.9236090362782893 + 0.6019592320635682j, v1])
+    steepest = np.max(np.abs(np.diff(vals)) / np.diff(ts))
+    assert _all_pairs_max(vals, ts, 1.0) > steepest
+    assert _pair_max(vals, ts, 1.0) == _all_pairs_max(vals, ts, 1.0)
+
+
+def test_pair_max_nan_sample_gives_nan():
+    ts = np.linspace(0, 1, 2000)
+    vals = ts + 0j
+    assert _pair_max(vals, ts, 1.0) == pytest.approx(1.0)
+    vals[1500] = np.inf
+    assert _pair_max(vals, ts, 1.0) == np.inf
+    vals[1500] = np.nan
+    assert np.isnan(_pair_max(vals, ts, 1.0))
+    assert np.isnan(_pair_max(vals, ts, 0.5))
+
+
+@pytest.mark.parametrize("N, M, interval", [
+    (8, 64, (0.0, 1.0)), (24, 512, (0.0, 1.0)), (32, 1024, (-1.0, 2.0)),
+    (100, 128, (0.0, 1e-3)), (512, 4096, (-5.0, 10.0))])
+def test_seminorm_samples_strictly_increase(N, M, interval):
+    # the lag scan's pruning bound and the alpha = 1 lag-one certificate
+    # hold only on sorted, distinct points
+    g = interpolate("t", interval, N)
+    assert np.all(np.diff(_sample_points(g, M, include_nodes=True)) > 0)
 
 
 def test_holder_norm_examples():
