@@ -306,54 +306,6 @@ def _centers(e: Expr, eps, out):
             _centers(child, eps, out)
 
 
-# --- printing ------------------------------------------------------------
-
-def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def _fmt_const(v: complex) -> str:
-    if v.imag == 0:
-        s = _fmt_real(v.real)
-        return f"neg({_fmt_real(-v.real)})" if v.real < 0 else s
-    re_s = _fmt_real(v.real)
-    im = v.imag
-    op = "+" if im >= 0 else "-"
-    mag = abs(im)
-    im_s = "i" if mag == 1 else f"{_fmt_real(mag)}*i"
-    return f"({re_s}{op}{im_s})"
-
-
-def to_string(e: Expr, _prec: int = 0) -> str:
-    """Render to source text; parsing the result reproduces the AST."""
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        s = f"{to_string(e.a, 1)}{op}{to_string(e.b, 2)}"
-        return f"({s})" if _prec > 1 else s
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        s = f"{to_string(e.a, 2)}{op}{to_string(e.b, 3)}"
-        return f"({s})" if _prec > 2 else s
-    if isinstance(e, Pow):
-        exp = str(e.exponent) if e.exponent >= 0 else f"-{-e.exponent}"
-        return f"{to_string(e.base, 4)}^{exp}"
-    if isinstance(e, Neg):
-        return f"neg({to_string(e.a)})"
-    if isinstance(e, Fun):
-        return f"{e.name}({to_string(e.a)})"
-    if isinstance(e, PowAbs):
-        b = e.beta
-        beta_s = _fmt_real(b) if b >= 0 else f"-{_fmt_real(-b)}"
-        return f"powabs({to_string(e.arg)}, {beta_s})"
-    raise ExprError(f"unknown node {e!r}")
-
-
 # --- parsing -------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import chebyshev as cheb
 from . import expr as ex
-from .grid import GridFunction, HolderIndex, ShapeError, interpolate
+from .grid import (GridFunction, HolderIndex, ShapeError, _grid_data,
+                   interpolate)
 
 
 class ConfigError(ValueError):
@@ -249,10 +250,9 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
     component p at node i.  Shape (rm, m*(N+1)).
     """
     a, b = B.interval
-    nodes = cheb.lobatto_nodes(N, a, b)
-    D = cheb.diff_matrix(nodes)
+    nodes, D = _grid_data(N, float(a), float(b))
     w = cheb.clenshaw_curtis_weights(N, a, b)
-    powers = {0: np.eye(N + 1)}
+    powers = {0: np.eye(N + 1), 1: D}
 
     def Dq(q):
         if q not in powers:

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import chebyshev as cheb
 from .grid import GridFunction, product
-from .problem import (BoundaryOperator, IntegralTerm, ProblemInstance,
-                      apply_B, boundary_matrix)
+from .problem import (BoundaryOperator, ProblemInstance, apply_B,
+                      boundary_matrix)
 
 RESIDUAL_RTOL = 1e-6
 CONDITION_ZERO_RTOL = 1e-10
@@ -32,7 +32,7 @@ class ConditionZeroViolated(RuntimeError):
 
 
 class SolveRejected(RuntimeError):
-    """Residual acceptance failed even after one degree doubling."""
+    """Residual acceptance failed at the requested degree."""
 
     def __init__(self, residual: float, threshold: float, N: int):
         super().__init__(f"residual {residual:.3e} exceeds {threshold:.3e} "
@@ -107,12 +107,6 @@ def build_companion(instance: ProblemInstance) -> CompanionSystem:
     g[(r - 1) * m:] = instance.rhs.values
     return CompanionSystem(GridFunction(A, instance.interval),
                            GridFunction(g, instance.interval), r, m)
-
-
-def lift(y: GridFunction, r: int) -> GridFunction:
-    """Stack y and its first r-1 derivatives into an (rm, k) function."""
-    blocks = [y.derivative(j).values for j in range(r)]
-    return GridFunction(np.concatenate(blocks, axis=0), y.interval)
 
 
 def _first_order_matrix(A: GridFunction) -> np.ndarray:
@@ -207,17 +201,6 @@ def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
     return out
 
 
-def _resampled(inst: ProblemInstance, N: int,
-               rhs: GridFunction | None = None) -> ProblemInstance:
-    """The instance re-interpolated at degree N, optionally with its
-    right-hand side replaced by rhs."""
-    integrals = tuple(IntegralTerm(t.order, t.density.resample(N))
-                      for t in inst.B.integral_terms)
-    return replace(inst, coeffs=tuple(c.resample(N) for c in inst.coeffs),
-                   rhs=(inst.rhs if rhs is None else rhs).resample(N),
-                   B=replace(inst.B, integral_terms=integrals), N=N)
-
-
 def _residuals(instance: ProblemInstance, y: GridFunction,
                rhs: GridFunction, c: np.ndarray):
     """Sup residual of L y against the discretized right-hand side.
@@ -249,8 +232,8 @@ def collocation_matrix(instance: ProblemInstance) -> np.ndarray:
     """
     r, m, N = instance.r, instance.m, instance.N
     D = instance.coeffs[0].diffmat
-    powers = [np.eye(N + 1)]
-    for _ in range(r):
+    powers = [np.eye(N + 1), D]
+    for _ in range(r - 1):
         powers.append(D @ powers[-1])
     big = np.kron(np.eye(m), powers[r]).astype(complex)
     big = big.reshape(m, N + 1, m, N + 1)
@@ -271,17 +254,11 @@ def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
 
 def solve_bvp_direct(instance: ProblemInstance,
                      rhs: GridFunction | None = None,
-                     c: np.ndarray | None = None,
-                     _margin: float | None = None) -> SolveResult:
-    """Square collocation of the r-th order system itself.
-
-    Condition (0) is decided once, at the requested degree; _margin
-    carries that decision's margin into the one retry at degree 2N.
-    """
-    margin = (check_condition_zero(instance).require().cm.margin
-              if _margin is None else _margin)
+                     c: np.ndarray | None = None) -> SolveResult:
+    """Square collocation of the r-th order system itself, at the
+    instance's degree, after the Condition (0) gate."""
+    margin = check_condition_zero(instance).require().cm.margin
     r, m, N = instance.r, instance.m, instance.N
-    custom_rhs, custom_c = rhs, c
     rhs_gf = instance.rhs if rhs is None else rhs.resample(N)
     cvec = instance.c if c is None else np.asarray(c, dtype=complex)
     mat = collocation_matrix(instance)
@@ -292,26 +269,19 @@ def solve_bvp_direct(instance: ProblemInstance,
     residual, bres = _residuals(instance, y, rhs_gf, cvec)
     rhs_scale = float(np.max(np.abs(rhs_gf.values)))
     if not _accept(residual, rhs_scale):
-        if _margin is None:
-            finer = _resampled(instance, 2 * N)
-            return solve_bvp_direct(finer, rhs=custom_rhs, c=custom_c,
-                                    _margin=margin)
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
     return SolveResult(y, residual, bres, N, "direct", margin)
 
 
 def solve_bvp(instance: ProblemInstance,
               rhs: GridFunction | None = None,
-              c: np.ndarray | None = None,
-              _retry: bool = True) -> SolveResult:
+              c: np.ndarray | None = None) -> SolveResult:
     """Companion route: y is the top block of X v + x_p with M v
     closing the boundary conditions."""
     m, N = instance.m, instance.N
-    custom_rhs, custom_c = rhs, c
     rhs_gf = instance.rhs if rhs is None else rhs.resample(N)
     cvec = instance.c if c is None else np.asarray(c, dtype=complex)
-    work = instance if rhs is None else _resampled(instance, N, rhs_gf)
-    gate = check_condition_zero(work).require()
+    gate = check_condition_zero(replace(instance, rhs=rhs_gf)).require()
     cs = gate.cs
     xp = particular_solution(cs)
     xp_top = GridFunction(xp.values[:m], instance.interval)
@@ -328,9 +298,6 @@ def solve_bvp(instance: ProblemInstance,
     bres = float(np.linalg.norm(apply_B(instance.B, y)[:, 0] - cvec))
     rhs_scale = float(np.max(np.abs(rhs_gf.values)))
     if not _accept(residual, rhs_scale):
-        if _retry:
-            finer = _resampled(instance, 2 * N)
-            return solve_bvp(finer, rhs=custom_rhs, c=custom_c, _retry=False)
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
     return SolveResult(y, residual, bres, N, "companion", gate.cm.margin)
 

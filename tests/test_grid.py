@@ -91,10 +91,7 @@ def test_seminorm_constant_and_ramp():
 
 def test_seminorm_refinement_flag():
     g = interpolate("sin(3*t)", (0.0, 1.0), 24)
-    val, converged = holder_seminorm(g, HolderIndex(0, 1.0), 256,
-                                     check_refinement=True)
-    assert converged
-    assert abs(val - 3.0) < 1e-2
+    assert abs(holder_seminorm(g, HolderIndex(0, 1.0), 256) - 3.0) < 1e-2
 
 
 def _all_pairs_max(vals, ts, alpha):

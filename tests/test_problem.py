@@ -6,8 +6,9 @@ import pytest
 
 from hbvp.grid import HolderIndex, holder_norm, interpolate
 from hbvp.problem import (ConfigError, GALLERY_NAMES, apply_B,
-                          boundedness_certificate, family_from_config,
-                          gallery, instantiate, load_problem)
+                          boundary_matrix, boundedness_certificate,
+                          family_from_config, gallery, instantiate,
+                          load_problem)
 
 
 def test_gallery_names_and_unknown():
@@ -109,6 +110,20 @@ def test_apply_B_quadrature_warning():
     y = interpolate("sin(t)", (0.0, 1.0), 32)
     with pytest.warns(UserWarning):
         apply_B(B, y, Q=16)
+
+
+@pytest.mark.parametrize("name", ["F2_boundary_perturb",
+                                  "F5_multipoint_integral"])
+def test_boundary_matrix_matches_apply_B(name):
+    # F2 has an order-1 point term, F5 an off-node point and an integral
+    # term; y has degree N - 1 with N even, so the order-N Clenshaw-Curtis
+    # rule of the matrix integrates the degree-N integrand exactly
+    N = 24
+    inst = instantiate(gallery(name), 0.3, N)
+    y = interpolate("(t-0.3)^23 - 2*t^6 + t - 0.5", (0.0, 1.0), N)
+    By = apply_B(inst.B, y)[:, 0]
+    got = boundary_matrix(inst.B, N) @ y.values[0, 0]
+    assert np.max(np.abs(got - By)) <= 1e-12 * np.max(np.abs(By))
 
 
 def test_boundedness_certificate():

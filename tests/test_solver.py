@@ -10,7 +10,7 @@ from hbvp.solver import (CompanionSystem, ConditionZeroViolated,
                          SolveRejected, apply_L,
                          build_companion, characteristic_matrix,
                          check_condition_zero, collocation_matrix,
-                         fredholm_nullity, fundamental_matrix, lift,
+                         fredholm_nullity, fundamental_matrix,
                          liouville_defect, particular_solution,
                          recover_coefficients, solve_bvp, solve_bvp_direct,
                          solve_matrix_bvp)
@@ -75,17 +75,6 @@ def test_companion_layout_r3_m2_structure():
     for j in range(3):
         expect[4:6, 2 * j:2 * j + 2] = (j + 1) * np.eye(2)
     assert np.allclose(A, expect)
-
-
-def test_lift():
-    y = interpolate("t", (0.0, 1.0), 16)
-    x = lift(y, 2)
-    assert x.shape == (2, 1)
-    ts = np.linspace(0, 1, 11)
-    assert np.allclose(x.eval_at(ts)[0, 0], ts)
-    assert np.allclose(x.eval_at(ts)[1, 0], 1.0)
-    s = lift(interpolate("sin(t)", (0.0, 1.0), 16), 2)
-    assert np.allclose(s.eval_at(ts)[1, 0], np.cos(ts), atol=1e-12)
 
 
 def test_fundamental_scalar_exponential():
@@ -249,29 +238,26 @@ def _count_fundamental_matrices(monkeypatch):
     return degrees
 
 
-def test_direct_retry_keeps_the_requested_degree_margin(monkeypatch):
-    inst = instantiate(gallery("F1_smooth_perturb"), 0.2, 32)
-    want = _margin(inst)
-    verdicts = iter([False, True])   # reject at N = 32, accept at 64
-    monkeypatch.setattr(solver_mod, "_accept", lambda *a: next(verdicts))
-    degrees = _count_fundamental_matrices(monkeypatch)
-    res = solve_bvp_direct(inst)
-    assert res.N == 64
-    assert res.margin == want
-    assert degrees == [32]
-
-
 def test_direct_route_decides_condition_zero_once(monkeypatch):
-    # F6 at N = 512 sits at the residual gate's roundoff level (rejected
-    # after its retry at N = 1024 on one BLAS thread, accepted at N = 512
-    # on two), so the gate is made to reject; Condition (0) is decided at
-    # N = 512 only, not again for the 2050-row companion matrix at 1024
+    # F6 at N = 512 sits at the residual gate's roundoff level (rejected on
+    # one BLAS thread, accepted on two), so the gate is made to reject; the
+    # solve is rejected at the requested degree after one Condition (0)
+    # decision, with no retry at a higher degree
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
     degrees = _count_fundamental_matrices(monkeypatch)
     with pytest.raises(SolveRejected) as err:
         solve_bvp_direct(instantiate(gallery("F6_holder_rough"), 0.2, 512))
-    assert err.value.N == 1024
+    assert err.value.N == 512
     assert degrees == [512]
+
+
+def test_companion_route_rejects_at_the_requested_degree(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
+    degrees = _count_fundamental_matrices(monkeypatch)
+    with pytest.raises(SolveRejected) as err:
+        solve_bvp(instantiate(gallery("F1_smooth_perturb"), 0.2, 32))
+    assert err.value.N == 32
+    assert degrees == [32]
 
 
 def test_solve_superposition():
