@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .grid import (GridFunction, HolderIndex, algebra_constant, holder_norm,
-                   product)
+                   interpolate, product)
 from .problem import ProblemFamily, apply_B, instantiate
 from .solver import (ConditionZeroViolated, SolveRejected, apply_L,
                      check_condition_zero, solve_bvp_direct)
@@ -55,18 +55,12 @@ def default_probes(fam: ProblemFamily, N: int = 32):
 
     {t^p e_q : p <= r+2} plus {sin(t) e_q, cos(t) e_q}.
     """
-    m = fam.m
-    probes = []
     sources = [f"t^{p}" if p > 1 else ("t" if p == 1 else "1")
                for p in range(fam.r + 3)]
     sources += ["sin(t)", "cos(t)"]
-    for src in sources:
-        for q in range(m):
-            entries = np.empty((m, 1), dtype=object)
-            for i in range(m):
-                entries[i, 0] = ex.parse_expression(src if i == q else "0")
-            probes.append(GridFunction.from_exprs(entries, fam.interval, N))
-    return probes
+    return [interpolate([[src if i == q else "0"] for i in range(fam.m)],
+                        fam.interval, N)
+            for src in sources for q in range(fam.m)]
 
 
 def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray, fam: ProblemFamily,
@@ -351,7 +345,6 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
 # --- operator convergence (monomial extraction + equivalences) -----------------
 
 def extract_coefficients_monomials(fam: ProblemFamily, eps: float,
-                                   idx: HolderIndex | None = None,
                                    N: int = 32):
     """Recover A_0..A_{r-1} from the action of L(eps) on t^p I_m.
 
@@ -377,10 +370,8 @@ def extract_coefficients_monomials(fam: ProblemFamily, eps: float,
 
 def _monomial_matrix(fam: ProblemFamily, p: int, m: int, N: int) -> GridFunction:
     src = "1" if p == 0 else ("t" if p == 1 else f"t^{p}")
-    entries = np.empty((m, m), dtype=object)
-    for i, j in np.ndindex(m, m):
-        entries[i, j] = ex.parse_expression(src if i == j else "0")
-    return GridFunction.from_exprs(entries, fam.interval, N)
+    return interpolate([[src if i == j else "0" for j in range(m)]
+                        for i in range(m)], fam.interval, N)
 
 
 @dataclass

@@ -103,8 +103,8 @@ def cmd_sweep(args) -> int:
                  ("eps", "error", "discrepancy", "ratio"),
                  ([r.eps, r.error, r.discrepancy, r.ratio]
                   for r in report.records))
-    an.write_json(os.path.join(out, "sweep_summary.json"), report.summary())
     s = report.summary()
+    an.write_json(os.path.join(out, "sweep_summary.json"), s)
     print(f"{fam.name}: {s['count']} parameter values, ratio band "
           f"[{an.fmt(s['kappa_hat_low'])}, {an.fmt(s['kappa_hat_high'])}], "
           f"errors tend to zero: {s['errors_tend_to_zero']}")

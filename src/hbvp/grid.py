@@ -101,8 +101,8 @@ class GridFunction:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_exprs(cls, exprs, interval, N: int, eps: float = 0.0,
-                   shape=None) -> "GridFunction":
+    def from_exprs(cls, exprs, interval, N: int,
+                   eps: float = 0.0) -> "GridFunction":
         if N < 8:
             raise ValueError(f"degree must be >= 8, got {N}")
         srcs = np.asarray(exprs, dtype=object)
@@ -110,8 +110,6 @@ class GridFunction:
             srcs = srcs.reshape(1, 1)
         elif srcs.ndim == 1:
             srcs = srcs.reshape(-1, 1)
-        if shape is not None and srcs.shape != tuple(shape):
-            raise ShapeError(f"expected shape {shape}, got {srcs.shape}")
         a, b = float(interval[0]), float(interval[1])
         nodes, _ = _grid_data(N, a, b)
         values = _eval_exprs(srcs, nodes, eps, a, b)
@@ -138,9 +136,6 @@ class GridFunction:
             return _eval_exprs(self.sources, ts, self.eps, self.a, self.b)
         E = cheb.bary_matrix(self.nodes, ts)
         return self.values @ E.T
-
-    def __call__(self, t):
-        return self.eval_at([t])[..., 0]
 
     def resample(self, N: int) -> "GridFunction":
         if N == self.N:
@@ -193,9 +188,6 @@ class GridFunction:
     def __sub__(self, other):
         return self._binary(other, np.subtract, ex.sub)
 
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def scale(self, c) -> "GridFunction":
         sources = None
         if self.sources is not None:
@@ -206,19 +198,21 @@ class GridFunction:
                             sources=sources, eps=self.eps)
 
 
-def interpolate(e, interval, N: int, shape=None, eps: float = 0.0) -> GridFunction:
-    """Build a GridFunction from expressions, strings, or sample values."""
+def interpolate(e, interval, N: int) -> GridFunction:
+    """Build a GridFunction at eps = 0 from an expression or string, a
+    nested list or array of them, or node values of shape (N+1,) or
+    (rows, cols, N+1)."""
     if isinstance(e, str):
         e = ex.parse_expression(e)
     if isinstance(e, ex.Expr):
-        return GridFunction.from_exprs(e, interval, N, eps=eps, shape=shape)
+        return GridFunction.from_exprs(e, interval, N)
     arr = np.asarray(e)
     if arr.dtype == object or (arr.size and isinstance(arr.flat[0], (str, ex.Expr))):
         parsed = np.empty(arr.shape, dtype=object)
         for idx in np.ndindex(arr.shape):
             v = arr[idx]
             parsed[idx] = ex.parse_expression(v) if isinstance(v, str) else v
-        return GridFunction.from_exprs(parsed, interval, N, eps=eps, shape=shape)
+        return GridFunction.from_exprs(parsed, interval, N)
     values = np.asarray(e, dtype=complex)
     if values.ndim == 1:
         values = values.reshape(1, 1, -1)

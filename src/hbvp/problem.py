@@ -9,15 +9,13 @@ provides six named test families.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import chebyshev as cheb
 from . import expr as ex
-from .grid import (GridFunction, HolderIndex, ShapeError, _grid_data,
-                   interpolate)
+from .grid import GridFunction, HolderIndex, ShapeError, _grid_data
 
 
 class ConfigError(ValueError):
@@ -136,11 +134,7 @@ class ProblemFamily:
         return self.rhs
 
     def target_vector(self, eps: float) -> np.ndarray:
-        out = np.empty(self.r * self.m, dtype=complex)
-        for i in range(self.r * self.m):
-            out[i] = complex(np.asarray(
-                ex.evaluate(self.target[i, 0], 0.0, eps)))
-        return out
+        return _eval_eps_matrix(self.target, eps)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,6 @@ class ProblemInstance:
     """One eps-slice of a family, ready for the solver."""
     r: int
     m: int
-    idx: HolderIndex
     interval: tuple
     coeffs: tuple            # r GridFunctions (m, m)
     rhs: GridFunction        # (m, 1)
@@ -205,40 +198,30 @@ def instantiate(fam: ProblemFamily, eps: float, N: int) -> ProblemInstance:
         for t in fam.boundary.integral_terms)
     B = BoundaryOperator(points, integrals, fam.r * fam.m, fam.m,
                          fam.interval)
-    return ProblemInstance(fam.r, fam.m, fam.idx, fam.interval, coeffs,
-                           rhs, B, fam.target_vector(eps), eps, N)
+    return ProblemInstance(fam.r, fam.m, fam.interval, coeffs, rhs, B,
+                           fam.target_vector(eps), eps, N)
 
 
-def apply_B(B: BoundaryOperator, y: GridFunction, Q: int | None = None) -> np.ndarray:
+def apply_B(B: BoundaryOperator, y: GridFunction) -> np.ndarray:
     """Apply a boundary operator to an (m, k) GridFunction; returns (rm, k).
 
-    Integral terms use Clenshaw-Curtis quadrature of order Q.
+    Integral terms use Clenshaw-Curtis quadrature of order max(2N, 32),
+    N the degree of y.
     """
     if y.shape[0] != B.m:
         raise ShapeError(f"expected {B.m} rows, got {y.shape[0]}")
-    if Q is None:
-        Q = max(2 * y.N, 32)
-    if Q < y.N:
-        warnings.warn(f"quadrature order {Q} below interpolant degree {y.N}")
-    k = y.shape[1]
-    out = np.zeros((B.size, k), dtype=complex)
-    derivs = {}
-
-    def dy(q):
-        if q not in derivs:
-            derivs[q] = y.derivative(q)
-        return derivs[q]
-
+    Q = max(2 * y.N, 32)
+    out = np.zeros((B.size, y.shape[1]), dtype=complex)
     for term in B.point_terms:
-        vals = dy(term.order).eval_at([term.point])[..., 0]   # (m, k)
+        vals = y.derivative(term.order).eval_at([term.point])[..., 0]  # (m, k)
         out += term.coeff @ vals
     if B.integral_terms:
         a, b = B.interval
         tq = cheb.lobatto_nodes(Q, a, b)
         wq = cheb.clenshaw_curtis_weights(Q, a, b)
         for term in B.integral_terms:
-            dens = term.density.eval_at(tq)            # (rm, m, Q+1)
-            yv = dy(term.order).eval_at(tq)            # (m, k, Q+1)
+            dens = term.density.eval_at(tq)               # (rm, m, Q+1)
+            yv = y.derivative(term.order).eval_at(tq)     # (m, k, Q+1)
             out += np.einsum("q,smq,mkq->sk", wq, dens, yv)
     return out
 
@@ -287,52 +270,59 @@ def boundedness_certificate(B: BoundaryOperator) -> float:
 
 # --- configuration files ----------------------------------------------------
 
-def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
-    def need(key, path=""):
-        if key not in cfg:
-            raise ConfigError(f"missing key {key!r}", path or key)
-        return cfg[key]
+def _at(obj, key, convert=lambda v: v, at=""):
+    """convert(obj[key]); a missing key or a malformed value is a
+    ConfigError at the key path at + key."""
+    try:
+        return convert(obj[key])
+    except KeyError as err:
+        raise ConfigError(f"missing key {key!r}", at + key) from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err), at + key) from err
 
-    r = int(need("r"))
-    m = int(need("m"))
-    n = int(need("n"))
-    alpha = float(need("alpha"))
-    interval = need("interval")
-    if (not isinstance(interval, (list, tuple)) or len(interval) != 2
-            or not interval[0] < interval[1]):
+
+def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
+    r, m, n = (_at(cfg, key, int) for key in "rmn")
+    alpha = _at(cfg, "alpha", float)
+    interval = _at(cfg, "interval", lambda v: tuple(map(float, v)))
+    if len(interval) != 2 or not interval[0] < interval[1]:
         raise ConfigError("interval must be [a, b] with a < b", "interval")
-    coeffs = need("coeffs")
-    if len(coeffs) != r:
-        raise ConfigError(f"expected {r} matrices, got {len(coeffs)}",
-                          "coeffs")
-    coeff_arrays = tuple(_expr_matrix(coeffs[j], m, m, f"coeffs[{j}]")
-                         for j in range(r))
-    coeffs0 = None
-    if "coeffs_at_zero" in cfg:
-        coeffs0 = tuple(_expr_matrix(cfg["coeffs_at_zero"][j], m, m,
-                                     f"coeffs_at_zero[{j}]")
-                        for j in range(r))
-    rhs = _expr_vector(need("rhs"), m, "rhs")
-    rhs0 = (_expr_vector(cfg["rhs_at_zero"], m, "rhs_at_zero")
+
+    def matrices(key):
+        mats = _at(cfg, key, list)
+        if len(mats) != r:
+            raise ConfigError(f"expected {r} matrices, got {len(mats)}", key)
+        return tuple(_expr_matrix(mats[j], m, m, f"{key}[{j}]")
+                     for j in range(r))
+
+    coeff_arrays = matrices("coeffs")
+    coeffs0 = matrices("coeffs_at_zero") if "coeffs_at_zero" in cfg else None
+    rhs = _expr_vector(_at(cfg, "rhs", list), m, "rhs")
+    rhs0 = (_expr_vector(_at(cfg, "rhs_at_zero", list), m, "rhs_at_zero")
             if "rhs_at_zero" in cfg else None)
-    bnd = need("boundary")
+    bnd = _at(cfg, "boundary",
+              lambda b: {"point_terms": [], "integral_terms": [], **b})
+
+    def terms(kind):
+        return [(p, f"boundary.{kind}[{i}].")
+                for i, p in enumerate(_at(bnd, kind, list, "boundary."))]
+
     points = tuple(
-        PointTermFamily(int(p["order"]), float(p["point"]),
-                        _expr_matrix(p["coeff"], r * m, m,
-                                     f"boundary.point_terms[{i}].coeff"))
-        for i, p in enumerate(bnd.get("point_terms", [])))
+        PointTermFamily(_at(p, "order", int, at), _at(p, "point", float, at),
+                        _expr_matrix(_at(p, "coeff", at=at), r * m, m,
+                                     at + "coeff"))
+        for p, at in terms("point_terms"))
     integrals = tuple(
-        IntegralTermFamily(int(p["order"]),
-                           _expr_matrix(p["density"], r * m, m,
-                                        f"boundary.integral_terms[{i}].density"))
-        for i, p in enumerate(bnd.get("integral_terms", [])))
-    target = _expr_vector(need("target"), r * m, "target")
+        IntegralTermFamily(_at(p, "order", int, at),
+                           _expr_matrix(_at(p, "density", at=at), r * m, m,
+                                        at + "density"))
+        for p, at in terms("integral_terms"))
+    target = _expr_vector(_at(cfg, "target", list), r * m, "target")
     return ProblemFamily(
-        r=r, m=m, idx=HolderIndex(n, alpha),
-        interval=(float(interval[0]), float(interval[1])),
+        r=r, m=m, idx=HolderIndex(n, alpha), interval=interval,
         coeffs=coeff_arrays, rhs=rhs,
         boundary=BoundaryOperatorFamily(points, integrals),
-        target=target, eps0=float(need("eps0")), name=name or "config",
+        target=target, eps0=_at(cfg, "eps0", float), name=name or "config",
         coeffs_at_zero=coeffs0, rhs_at_zero=rhs0)
 
 

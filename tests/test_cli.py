@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from hbvp import cli
+from hbvp.analysis import two_sided_sweep
+from hbvp.problem import _gallery_config, gallery
+from hbvp.solver import SolveRejected, solve_bvp_direct
 
 
 def run(argv):
@@ -88,6 +91,45 @@ def test_malformed_config_exit_one(tmp_path, capsys):
     assert "n" in capsys.readouterr().err  # cites the missing key
 
 
+def _set(key, value):
+    return lambda cfg: cfg.update({key: value})
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_set("r", "two"), "r"),
+    (_set("eps0", "big"), "eps0"),
+    (_set("alpha", [1]), "alpha"),
+    (_set("interval", ["a", 1]), "interval"),
+    (_set("interval", 5), "interval"),
+    (_set("coeffs", 5), "coeffs"),
+    (_set("rhs", 5), "rhs"),
+    (_set("target", 3), "target"),
+    (_set("boundary", []), "boundary"),
+    (_set("boundary", "x"), "boundary"),
+    (lambda cfg: cfg["boundary"].update(point_terms=3),
+     "boundary.point_terms"),
+    (lambda cfg: cfg["boundary"].update(point_terms=[3, 4]),
+     "boundary.point_terms[0].order"),
+    (lambda cfg: cfg["boundary"]["point_terms"][0].pop("order"),
+     "boundary.point_terms[0].order"),
+    (lambda cfg: cfg["boundary"]["point_terms"][0].update(point="left"),
+     "boundary.point_terms[0].point"),
+    (lambda cfg: cfg.update(coeffs_at_zero=cfg["coeffs"][:1]),
+     "coeffs_at_zero"),
+], ids=["r", "eps0", "alpha", "interval-names", "interval-number", "coeffs",
+        "rhs", "target", "boundary-list", "boundary-string",
+        "point_terms-number", "point_terms-numbers", "order-missing",
+        "point-name", "coeffs_at_zero-short"])
+def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
+    cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
+    mutate(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run(["solve", "--config", str(bad),
+                "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_invalid_json_exit_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
@@ -161,3 +203,26 @@ def test_verify_absurd_tolerance_exit_three():
                 "--degree", "24", "--samples", "256",
                 "--zero-tol", "1e-30"])
     assert code == 3
+
+
+def test_sweep_records_a_rejected_solve(tmp_path, monkeypatch):
+    def reject_quarter(instance, **kwargs):
+        if instance.eps == 0.25:
+            raise SolveRejected(1.0, 0.5, instance.N)
+        return solve_bvp_direct(instance, **kwargs)
+
+    monkeypatch.setattr("hbvp.analysis.solve_bvp_direct", reject_quarter)
+    report = two_sided_sweep(gallery("F1_smooth_perturb"),
+                             [0.5, 0.25, 0.125], N=16, M=256)
+    rec = next(r for r in report.records if r.eps == 0.25)
+    assert rec.failure == "SolveRejected" and rec.error is None
+    assert report.summary()["failures"] == [0.25]
+    assert report.summary()["errors_tend_to_zero"] is False
+
+    out = tmp_path / "out"
+    assert run(["sweep", "--gallery", "F1_smooth_perturb", "--eps", "0.5",
+                "--eps", "0.25", "--degree", "16", "--samples", "256",
+                "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    (row,) = [r for r in rows if r.startswith("0.25,")]
+    assert row.endswith(",SolveRejected")

@@ -104,14 +104,6 @@ def test_apply_B_linearity():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_apply_B_quadrature_warning():
-    fam = gallery("F5_multipoint_integral")
-    B = instantiate(fam, 0.0, 32).B
-    y = interpolate("sin(t)", (0.0, 1.0), 32)
-    with pytest.warns(UserWarning):
-        apply_B(B, y, Q=16)
-
-
 @pytest.mark.parametrize("name", ["F2_boundary_perturb",
                                   "F5_multipoint_integral"])
 def test_boundary_matrix_matches_apply_B(name):
