@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,8 +132,8 @@ def _discrepancy_norm(resid: GridFunction, bvec: np.ndarray,
 
 
 def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
-                idx: HolderIndex | None = None, N: int = 32,
-                M: int = DEFAULT_M, direct: bool = False) -> float:
+                N: int = 32, M: int = DEFAULT_M,
+                direct: bool = False) -> float:
     """||L(eps) y0 - f(., eps)||_{n,alpha} + |B(eps) y0 - c(eps)|.
 
     By default y0 is treated as the exact solution of the unperturbed
@@ -142,14 +142,13 @@ def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
     discrepancies free of the base solve's truncation noise.  Pass
     direct=True for the literal definition.
     """
-    idx = idx or fam.idx
     inst = instantiate(fam, eps, N)
     if direct:
         resid = apply_L(inst, y0) - inst.rhs.resample(2 * N)
         bvec = apply_B(inst.B, y0)[:, 0] - inst.c
     else:
         resid, bvec = _perturbation(fam, inst, instantiate(fam, 0.0, N), y0)
-    return _discrepancy_norm(resid, bvec, idx, M)
+    return _discrepancy_norm(resid, bvec, fam.idx, M)
 
 
 @dataclass
@@ -195,18 +194,14 @@ class SweepReport:
         }
 
 
-def two_sided_sweep(fam: ProblemFamily, eps_sequence=None,
-                    idx: HolderIndex | None = None, N: int = 32,
-                    M: int = DEFAULT_M, jobs: int = 1) -> SweepReport:
-    """Error-vs-discrepancy ratios along an eps sweep.
+def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
+                    M: int = DEFAULT_M) -> SweepReport:
+    """Error-vs-discrepancy ratios along an eps sweep, in decreasing eps.
 
     Raises ConditionZeroViolated when the unperturbed problem is
     ill-posed; solve failures at individual eps are recorded as data.
-    jobs > 1 runs the per-eps work on a thread pool (output order is
-    unchanged).
     """
-    idx = idx or fam.idx
-    err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
+    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
     inst0 = instantiate(fam, 0.0, N)
@@ -219,9 +214,10 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None,
             # delta = y(eps) - y(0) from the exactly-cancelled perturbation
             # data, avoiding loss of significance at tiny eps
             resid, c_delta = _perturbation(fam, inst, inst0, y0)
-            delta = solve_bvp_direct(inst, rhs=resid.scale(-1.0), c=c_delta)
+            delta = solve_bvp_direct(replace(
+                inst, rhs=resid.scale(-1.0).resample(inst.N), c=c_delta))
             error = holder_norm(delta.y, err_idx, M).total
-            d = _discrepancy_norm(resid, c_delta, idx, M)
+            d = _discrepancy_norm(resid, c_delta, fam.idx, M)
             ratio = error / d if d > 0 else None
             return SweepRecord(eps, error, d, ratio, delta.margin,
                                delta.residual)
@@ -229,13 +225,7 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None,
             return SweepRecord(eps, None, None, None, None, None,
                                failure=type(err).__name__)
 
-    ordered = sorted(eps_sequence, reverse=True)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(one, ordered))
-    else:
-        records = [one(eps) for eps in ordered]
+    records = [one(eps) for eps in sorted(eps_sequence, reverse=True)]
     ratios = [r.ratio for r in records if r.ratio is not None]
     lo = min(ratios) if ratios else None
     hi = max(ratios) if ratios else None
@@ -256,12 +246,11 @@ class LimitConditionReport:
 
 
 def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
-                            probes=None, idx: HolderIndex | None = None,
-                            N: int = 32, M: int = DEFAULT_M,
+                            probes=None, N: int = 32, M: int = DEFAULT_M,
                             final_factor: float = ZERO_FINAL_FACTOR
                             ) -> LimitConditionReport:
     """Measure Conditions (I)-(IV) along the sweep and grade their tails."""
-    idx = idx or fam.idx
+    idx = fam.idx
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
     eps_sequence = sorted(eps_sequence, reverse=True)
@@ -311,17 +300,15 @@ class MainTheoremVerdict:
 
 
 def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
-                       probes=None, idx: HolderIndex | None = None,
-                       N: int = 32, M: int = DEFAULT_M,
+                       probes=None, N: int = 32, M: int = DEFAULT_M,
                        criterion_final_factor: float = ZERO_FINAL_FACTOR
                        ) -> MainTheoremVerdict:
     """Check that the criterion side (Condition (0) + Limit Conditions I
     and II) agrees with the observed solvability-and-convergence side."""
-    idx = idx or fam.idx
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
     cond0 = check_condition_zero(instantiate(fam, 0.0, N))
-    lim = limit_conditions_report(fam, eps_sequence, probes, idx, N, M,
+    lim = limit_conditions_report(fam, eps_sequence, probes, N, M,
                                   final_factor=criterion_final_factor)
     criterion = bool(cond0.satisfied and lim.verdicts["I"]
                      and lim.verdicts["II"])
@@ -330,7 +317,7 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     solvable = cond0.satisfied
     errors_ok = False
     if cond0.satisfied:
-        report = two_sided_sweep(fam, eps_sequence, idx, N, M)
+        report = two_sided_sweep(fam, eps_sequence, N, M)
         solvable = not any(r.failure for r in report.records)
         errors_ok = tends_to_zero([r.error for r in report.records])
     behavior = solvable and errors_ok
@@ -387,8 +374,7 @@ class Theorem2Report:
 
 
 def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
-                               probes=None, idx: HolderIndex | None = None,
-                               N: int = 32, M: int = DEFAULT_M,
+                               probes=None, N: int = 32, M: int = DEFAULT_M,
                                limits: LimitConditionReport | None = None
                                ) -> Theorem2Report:
     """Probe operator-norm lower bounds against the coefficient aggregate.
@@ -397,14 +383,14 @@ def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
     calibrated constant c2) the probe estimate P(eps) of the operator-norm
     distance, and the two vanish together.  S sums the Condition I norms
     of `limits`, a limit_conditions_report of fam with the same probes,
-    idx, N and M, whose eps sequence replaces eps_sequence; it is measured
+    N and M, whose eps sequence replaces eps_sequence; it is measured
     here when not given.
     """
-    idx = idx or fam.idx
+    idx = fam.idx
     err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
     probes = probes or default_probes(fam, N)
     limits = limits or limit_conditions_report(fam, eps_sequence, probes,
-                                               idx, N, M)
+                                               N, M)
     K = algebra_constant(idx)
     probe_norms = [holder_norm(y, err_idx, M).total for y in probes]
     deriv_sums = []
@@ -433,11 +419,9 @@ def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
 
 
 def boundedness_probe_B(fam: ProblemFamily, eps_sequence=None, probes=None,
-                        idx: HolderIndex | None = None, N: int = 32,
-                        M: int = DEFAULT_M, cap: float = 1e4):
+                        N: int = 32, M: int = DEFAULT_M, cap: float = 1e4):
     """Per-eps lower bounds of ||B(eps)|| from a probe set."""
-    idx = idx or fam.idx
-    err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
+    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
     eps_sequence = sorted(eps_sequence, reverse=True)

@@ -42,24 +42,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_family(args):
-    if getattr(args, "config", None):
+    if args.config:
         return load_problem(args.config)
     return gallery(args.gallery)
-
-
-def _jobs(args) -> int:
-    """Sweep workers: --jobs when given, else HBVP_JOBS, else 1."""
-    if args.jobs is not None:
-        source, value = "--jobs", args.jobs
-    else:
-        source, value = "HBVP_JOBS", os.environ.get("HBVP_JOBS", "1")
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
-    return jobs
 
 
 def cmd_solve(args) -> int:
@@ -95,8 +80,7 @@ def cmd_sweep(args) -> int:
     else:
         eps0 = args.eps0 if args.eps0 is not None else fam.eps0
         eps_seq = an.geometric_eps(eps0, args.factor, args.count)
-    report = an.two_sided_sweep(fam, eps_seq, N=args.degree,
-                                M=args.samples, jobs=_jobs(args))
+    report = an.two_sided_sweep(fam, eps_seq, N=args.degree, M=args.samples)
     out = args.out
     report.write_csv(os.path.join(out, "sweep.csv"))
     an.write_csv(os.path.join(out, "sweep_plot.csv"),
@@ -115,9 +99,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = GALLERY_NAMES if args.all else (args.gallery,)
-    families = [gallery(n) for n in names] if not args.config \
-        else [load_problem(args.config)]
+    families = ([gallery(n) for n in GALLERY_NAMES] if args.all
+                else [_load_family(args)])
     rows = []
     all_ok = True
     for fam in families:
@@ -188,8 +171,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--eps", type=float, action="append",
                          help="explicit parameter value (repeatable; "
                               "overrides the geometric sequence)")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="parallel workers (default HBVP_JOBS or 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify",
@@ -221,8 +202,7 @@ def main(argv=None) -> int:
         # LinAlgError is a ValueError, so it is caught before config errors
         print(f"error: solve rejected: {err}", file=sys.stderr)
         return EXIT_CONDITION_ZERO
-    except (ConfigError, ParseError, FileNotFoundError, KeyError,
-            ValueError) as err:
+    except (ConfigError, ParseError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ConditionZeroViolated as err:

@@ -37,7 +37,7 @@ def _expr_matrix(entries, rows, cols, path=""):
     except (IndexError, TypeError) as err:
         raise ConfigError(f"expected a {rows}x{cols} matrix of expressions",
                           path) from err
-    except ex.ParseError as err:
+    except ex.ExprError as err:
         raise ConfigError(str(err), f"{path}[{i}][{j}]") from err
     return arr
 
@@ -333,6 +333,8 @@ def load_problem(path: str) -> ProblemFamily:
             cfg = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON: {err}", path) from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(str(err), path) from err
     if not isinstance(cfg, dict):
         raise ConfigError("top-level value must be an object", path)
     return family_from_config(cfg, name=path)

@@ -197,22 +197,20 @@ def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
     return out
 
 
-def _residuals(instance: ProblemInstance, y: GridFunction,
-               rhs: GridFunction, c: np.ndarray):
-    """Sup residual of L y against the discretized right-hand side.
+def _residuals(instance: ProblemInstance, y: GridFunction):
+    """Sup residual of L y against the instance's right-hand side.
 
     Measured at the collocation nodes the discretization enforced, against
-    the interpolant of the data (the system actually solved): a backward
+    the node values of the data (the system actually solved): a backward
     error of the discrete problem.  Rough data is thereby judged at its
     own resolution; inter-node discretization error is reported separately
     by the norm-level diagnostics, not here.
     """
-    Ly = apply_L(instance, y)
-    rhs_interp = GridFunction(rhs.values, rhs.interval)
-    nodes = instance.rhs.nodes[_kept_rows(instance.r, 1, instance.N)]
-    diff = Ly.eval_at(nodes) - rhs_interp.eval_at(nodes)
+    keep = _kept_rows(instance.r, 1, instance.N)
+    diff = (apply_L(instance, y).eval_at(instance.rhs.nodes[keep])
+            - instance.rhs.values[..., keep])
     residual = float(np.max(np.abs(diff)))
-    bres = float(np.linalg.norm(apply_B(instance.B, y)[:, 0] - c))
+    bres = float(np.linalg.norm(apply_B(instance.B, y)[:, 0] - instance.c))
     return residual, bres
 
 
@@ -248,22 +246,19 @@ def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
     return np.concatenate([p * (N + 1) + node_keep for p in range(m)])
 
 
-def solve_bvp_direct(instance: ProblemInstance,
-                     rhs: GridFunction | None = None,
-                     c: np.ndarray | None = None) -> SolveResult:
+def solve_bvp_direct(instance: ProblemInstance) -> SolveResult:
     """Square collocation of the r-th order system itself, at the
     instance's degree, after the Condition (0) gate."""
     margin = check_condition_zero(instance).require().cm.margin
     r, m, N = instance.r, instance.m, instance.N
-    rhs_gf = instance.rhs if rhs is None else rhs.resample(N)
-    cvec = instance.c if c is None else np.asarray(c, dtype=complex)
     mat = collocation_matrix(instance)
     keep = _kept_rows(r, m, N)
-    vec = np.concatenate([rhs_gf.values[:, 0, :].reshape(-1)[keep], cvec])
+    vec = np.concatenate([instance.rhs.values[:, 0, :].reshape(-1)[keep],
+                          instance.c])
     sol = np.linalg.solve(mat, vec)
     y = GridFunction(sol.reshape(m, 1, N + 1), instance.interval)
-    residual, bres = _residuals(instance, y, rhs_gf, cvec)
-    rhs_scale = float(np.max(np.abs(rhs_gf.values)))
+    residual, bres = _residuals(instance, y)
+    rhs_scale = float(np.max(np.abs(instance.rhs.values)))
     if not _accept(residual, rhs_scale):
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
     return SolveResult(y, residual, bres, N, "direct", margin)

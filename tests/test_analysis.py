@@ -105,17 +105,6 @@ def test_two_sided_sweep_degenerate_eps_zero():
     assert rec.ratio is None  # skipped, not fabricated
 
 
-def test_two_sided_sweep_parallel_matches_serial():
-    seq = an.geometric_eps(1.0, 0.5, 6)
-    a = an.two_sided_sweep(gallery("F2_boundary_perturb"), seq, N=16, M=256)
-    b = an.two_sided_sweep(gallery("F2_boundary_perturb"), seq, N=16, M=256,
-                           jobs=4)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.eps == rb.eps
-        assert ra.error == rb.error
-        assert ra.discrepancy == rb.discrepancy
-
-
 def test_discrepancy_triangle_control_invariant():
     """d <= C_hat * error with C_hat = 1 + K*sum||A_j|| + C_B."""
     from hbvp.grid import algebra_constant

@@ -1,5 +1,4 @@
 """Command-line front end: exit codes, artifacts, determinism."""
-import argparse
 import csv
 import json
 
@@ -55,34 +54,6 @@ def test_linalg_error_is_a_rejected_solve(monkeypatch, capsys):
     assert "solve rejected: Singular matrix" in capsys.readouterr().err
 
 
-def test_jobs_flag_wins_over_environment(monkeypatch):
-    monkeypatch.setenv("HBVP_JOBS", "4")
-    assert cli._jobs(argparse.Namespace(jobs=1)) == 1
-    assert cli._jobs(argparse.Namespace(jobs=None)) == 4
-    monkeypatch.delenv("HBVP_JOBS")
-    assert cli._jobs(argparse.Namespace(jobs=None)) == 1
-
-
-@pytest.mark.parametrize("flag, env, source", [
-    ("0", "4", "--jobs"), ("-2", None, "--jobs"),
-    (None, "0", "HBVP_JOBS"), (None, "two", "HBVP_JOBS"),
-    (None, "2.5", "HBVP_JOBS")])
-def test_invalid_jobs_exit_one(flag, env, source, tmp_path, monkeypatch,
-                               capsys):
-    if env is None:
-        monkeypatch.delenv("HBVP_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("HBVP_JOBS", env)
-    args = ["sweep", "--gallery", "F1_smooth_perturb", "--count", "2",
-            "--degree", "16", "--samples", "64", "--out", str(tmp_path)]
-    if flag is not None:
-        args += ["--jobs", flag]
-    assert run(args) == 1
-    assert f"error: {source} must be an integer >= 1" in \
-        capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
-
-
 def test_malformed_config_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"r": 2, "m": 1}))
@@ -116,10 +87,14 @@ def _set(key, value):
      "boundary.point_terms[0].point"),
     (lambda cfg: cfg.update(coeffs_at_zero=cfg["coeffs"][:1]),
      "coeffs_at_zero"),
+    (lambda cfg: cfg["coeffs"][0][0].__setitem__(0, "1/0"),
+     "coeffs[0][0][0]"),
+    (lambda cfg: cfg["rhs"].__setitem__(0, "0^-1"), "rhs[0][0]"),
 ], ids=["r", "eps0", "alpha", "interval-names", "interval-number", "coeffs",
         "rhs", "target", "boundary-list", "boundary-string",
         "point_terms-number", "point_terms-numbers", "order-missing",
-        "point-name", "coeffs_at_zero-short"])
+        "point-name", "coeffs_at_zero-short", "constant-division",
+        "constant-negative-power"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
     mutate(cfg)
@@ -134,6 +109,20 @@ def test_invalid_json_exit_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
     assert run(["solve", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_cites_path(kind, tmp_path, capsys):
+    path = tmp_path / "cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    assert run(["solve", "--config", str(path),
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_one():
@@ -178,16 +167,6 @@ def test_sweep_byte_identical(tmp_path):
         (d2 / "sweep_summary.json").read_bytes()
 
 
-def test_sweep_parallel_identical(tmp_path, monkeypatch):
-    args = ["sweep", "--gallery", "F2_boundary_perturb", "--count", "6",
-            "--degree", "16", "--samples", "256"]
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    assert run(args + ["--out", str(d1)]) == 0
-    monkeypatch.setenv("HBVP_JOBS", "4")
-    assert run(args + ["--out", str(d2)]) == 0
-    assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
-
-
 def test_verify_single_family_agreement(tmp_path):
     out = tmp_path / "v"
     code = run(["verify", "--gallery", "F4_limitI_violated",
@@ -198,6 +177,23 @@ def test_verify_single_family_agreement(tmp_path):
     assert lines[1].startswith("F4_limitI_violated,")
 
 
+def test_verify_config_matches_gallery(tmp_path):
+    cfg = tmp_path / "f1.json"
+    cfg.write_text(json.dumps(_gallery_config("F1_smooth_perturb")))
+    common = ["--degree", "24", "--samples", "256"]
+    rows = []
+    for source, out in (["--config", str(cfg)], "c"), \
+            (["--gallery", "F1_smooth_perturb"], "g"):
+        assert run(["verify"] + source + common
+                   + ["--out", str(tmp_path / out)]) == 0
+        with open(tmp_path / out / "verify.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        rows.append(row)
+    assert rows[0].pop("family") == str(cfg)
+    assert rows[1].pop("family") == "F1_smooth_perturb"
+    assert rows[0] == rows[1]
+
+
 def test_verify_absurd_tolerance_exit_three():
     code = run(["verify", "--gallery", "F1_smooth_perturb",
                 "--degree", "24", "--samples", "256",
@@ -206,10 +202,10 @@ def test_verify_absurd_tolerance_exit_three():
 
 
 def test_sweep_records_a_rejected_solve(tmp_path, monkeypatch):
-    def reject_quarter(instance, **kwargs):
+    def reject_quarter(instance):
         if instance.eps == 0.25:
             raise SolveRejected(1.0, 0.5, instance.N)
-        return solve_bvp_direct(instance, **kwargs)
+        return solve_bvp_direct(instance)
 
     monkeypatch.setattr("hbvp.analysis.solve_bvp_direct", reject_quarter)
     report = two_sided_sweep(gallery("F1_smooth_perturb"),

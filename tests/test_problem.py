@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hbvp.grid import HolderIndex, holder_norm, interpolate
-from hbvp.problem import (ConfigError, GALLERY_NAMES, apply_B,
-                          boundary_matrix, boundedness_certificate,
+from hbvp.problem import (ConfigError, GALLERY_NAMES, _gallery_config,
+                          apply_B, boundary_matrix, boundedness_certificate,
                           family_from_config, gallery, instantiate,
                           load_problem)
 
@@ -104,14 +104,26 @@ def test_apply_B_linearity():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["F2_boundary_perturb",
-                                  "F5_multipoint_integral"])
-def test_boundary_matrix_matches_apply_B(name):
+def _f5_higher_orders():
+    """F5 with its point term at order 2 (t = 0.4), its integral at order 1."""
+    cfg = _gallery_config("F5_multipoint_integral")
+    cfg["boundary"]["point_terms"][0].update(order=2, point=0.4)
+    cfg["boundary"]["integral_terms"][0]["order"] = 1
+    return family_from_config(cfg)
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(lambda: gallery("F2_boundary_perturb"),
+                 id="F2_boundary_perturb"),
+    pytest.param(lambda: gallery("F5_multipoint_integral"),
+                 id="F5_multipoint_integral"),
+    pytest.param(_f5_higher_orders, id="F5-point-order2-integral-order1")])
+def test_boundary_matrix_matches_apply_B(family):
     # F2 has an order-1 point term, F5 an off-node point and an integral
     # term; y has degree N - 1 with N even, so the order-N Clenshaw-Curtis
     # rule of the matrix integrates the degree-N integrand exactly
     N = 24
-    inst = instantiate(gallery(name), 0.3, N)
+    inst = instantiate(family(), 0.3, N)
     y = interpolate("(t-0.3)^23 - 2*t^6 + t - 0.5", (0.0, 1.0), N)
     By = apply_B(inst.B, y)[:, 0]
     got = boundary_matrix(inst.B, N) @ y.values[0, 0]

@@ -1,4 +1,6 @@
 """Companion reduction, fundamental matrices, and boundary-value solves."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -268,10 +270,10 @@ def test_solve_superposition():
     c1 = rng.standard_normal(2)
     c2 = rng.standard_normal(2)
     a, b = 1.3, -0.7
-    ya = solve_bvp_direct(inst, rhs=f1, c=c1).y
-    yb = solve_bvp_direct(inst, rhs=f2, c=c2).y
+    ya = solve_bvp_direct(replace(inst, rhs=f1, c=c1)).y
+    yb = solve_bvp_direct(replace(inst, rhs=f2, c=c2)).y
     rhs = f1.scale(a) + f2.scale(b)
-    yab = solve_bvp_direct(inst, rhs=rhs, c=a * c1 + b * c2).y
+    yab = solve_bvp_direct(replace(inst, rhs=rhs, c=a * c1 + b * c2)).y
     ts = np.linspace(0, 1, 64)
     combo = a * ya.eval_at(ts) + b * yb.eval_at(ts)
     assert np.max(np.abs(yab.eval_at(ts) - combo)) < 1e-10
