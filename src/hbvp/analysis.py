@@ -40,8 +40,9 @@ def tends_to_zero(values, final_factor: float = ZERO_FINAL_FACTOR) -> bool:
     is below final_factor*(first value + 1); an identically tiny sequence
     also passes.
     """
+    values = list(values)
     vals = [v for v in values if v is not None and not math.isnan(v)]
-    if len(vals) != len(list(values)) or not vals:
+    if len(vals) != len(values) or not vals:
         return False
     tail = vals[-ZERO_TAIL_LEN:]
     if all(v < 1e-12 for v in tail):

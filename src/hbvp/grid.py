@@ -54,6 +54,7 @@ class NormValue:
 def _grid_data(N: int, a: float, b: float):
     nodes = cheb.lobatto_nodes(N, a, b)
     D = cheb.diff_matrix(nodes)
+    nodes.flags.writeable = D.flags.writeable = False
     return nodes, D
 
 
@@ -246,23 +247,41 @@ def product(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(vals, f.interval)
 
 
-def _sample_points(g: GridFunction, M: int, include_nodes: bool = False):
-    ts = g.a + (g.b - g.a) * np.arange(M + 1) / M
+@lru_cache(maxsize=16)
+def _sample_grid(N: int, a: float, b: float, M: int, include_nodes: bool):
+    """M+1 uniform points on [a, b], merged with the degree-N nodes when
+    include_nodes, and the matrix evaluating a degree-N interpolant there.
+
+    Each entry holds a (P, N+1) matrix, hence the smaller bound than
+    _grid_data's.
+    """
+    nodes = _grid_data(N, a, b)[0]
+    ts = a + (b - a) * np.arange(M + 1) / M
     if include_nodes:
-        ts = np.unique(np.concatenate([ts, g.nodes]))
+        ts = np.unique(np.concatenate([ts, nodes]))
         # drop near-coincident points: pairs separated by ~eps_machine
         # turn interpolation roundoff into spurious difference quotients
-        gap = 1e-9 * (g.b - g.a)
+        gap = 1e-9 * (b - a)
         keep = np.concatenate([[True], np.diff(ts) > gap])
         ts = ts[keep]
-    return ts
+    E = cheb.bary_matrix(nodes, ts)
+    ts.flags.writeable = E.flags.writeable = False
+    return ts, E
+
+
+def _sample(g: GridFunction, M: int, include_nodes: bool = False):
+    """The points of _sample_grid and g's values there (as eval_at)."""
+    ts, E = _sample_grid(g.N, g.a, g.b, M, include_nodes)
+    if g.sources is not None:
+        return ts, _eval_exprs(g.sources, ts, g.eps, g.a, g.b)
+    return ts, g.values @ E.T
 
 
 def sup_norm(g: GridFunction, M: int = 1024) -> float:
     """Entrywise-sum of max absolute values over M+1 uniform samples."""
     if M < g.N + 1:
         raise ValueError(f"sampling count {M} below degree {g.N}")
-    vals = g.eval_at(_sample_points(g, M))
+    vals = _sample(g, M)[1]
     return float(np.sum(np.max(np.abs(vals), axis=-1)))
 
 
@@ -323,9 +342,7 @@ def holder_seminorm(g: GridFunction, idx: HolderIndex,
     """
     if M < 64:
         raise ValueError(f"sampling count {M} below 64")
-    gn = g.derivative(idx.n)
-    ts = _sample_points(g, M, include_nodes=True)
-    vals = gn.eval_at(ts)
+    ts, vals = _sample(g.derivative(idx.n), M, include_nodes=True)
     total = 0.0
     for i, j in np.ndindex(g.shape):
         total += _pair_max(vals[i, j], ts, idx.alpha)

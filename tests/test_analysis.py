@@ -20,6 +20,14 @@ def test_tends_to_zero_semantics():
     assert not an.tends_to_zero([1.0, None, 0.1])     # failures poison the verdict
 
 
+@pytest.mark.parametrize("seq, verdict", [
+    ([1, .5, .25, .1, .01, 1e-4, 1e-6], True),
+    ([1.0, 0.5, 0.6, 0.4, 0.3, 0.35], False)])
+@pytest.mark.parametrize("kind", [list, tuple, iter])
+def test_tends_to_zero_reads_any_iterable_once(seq, verdict, kind):
+    assert an.tends_to_zero(kind(seq)) is verdict
+
+
 def test_geometric_eps():
     seq = an.geometric_eps(1.0, 0.5, 3)
     assert seq == [0.5, 0.25, 0.125]

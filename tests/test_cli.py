@@ -7,6 +7,7 @@ import pytest
 
 from hbvp import cli
 from hbvp.analysis import two_sided_sweep
+from hbvp.grid import _sample_grid
 from hbvp.problem import _gallery_config, gallery
 from hbvp.solver import SolveRejected, solve_bvp_direct
 
@@ -165,6 +166,28 @@ def test_sweep_byte_identical(tmp_path):
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
     assert (d1 / "sweep_summary.json").read_bytes() == \
         (d2 / "sweep_summary.json").read_bytes()
+
+
+def test_sweep_identical_with_cold_and_warm_sample_grids(tmp_path):
+    args = ["sweep", "--gallery", "F6_holder_rough", "--count", "4"]
+    _sample_grid.cache_clear()
+    assert run(args + ["--out", str(tmp_path / "cold")]) == 0
+    hits = _sample_grid.cache_info().hits
+    assert run(args + ["--out", str(tmp_path / "warm")]) == 0
+    assert _sample_grid.cache_info().hits > hits
+    for name in ("sweep.csv", "sweep_plot.csv", "sweep_summary.json"):
+        assert (tmp_path / "cold" / name).read_bytes() == \
+            (tmp_path / "warm" / name).read_bytes()
+
+
+def test_verify_all_builds_each_sample_grid_once(tmp_path):
+    # all families share the interval [0, 1], the degree N = 24 and
+    # M = 512; norms see degrees N and 2N (products), each with one
+    # sup-norm grid and one seminorm grid
+    _sample_grid.cache_clear()
+    assert run(["verify", "--all", "--out", str(tmp_path)]) == 0
+    info = _sample_grid.cache_info()
+    assert info.misses == info.currsize <= 4 < info.hits
 
 
 def test_verify_single_family_agreement(tmp_path):

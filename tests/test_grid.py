@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from hbvp.chebyshev import bary_matrix
 from hbvp.grid import (GridFunction, HolderIndex, ShapeError, _pair_max,
-                       _sample_points, algebra_constant, holder_norm,
+                       _sample_grid, algebra_constant, holder_norm,
                        holder_seminorm, interpolate, product, sup_norm)
 
 
@@ -108,7 +109,7 @@ def _all_pairs_max(vals, ts, alpha):
 def test_pair_max_equals_all_pairs_scan(M, alpha):
     rng = np.random.default_rng(M)
     g = interpolate("powabs(t-0.3, 0.5)", (0.0, 1.0), 24)
-    ts = _sample_points(g, M, include_nodes=True)
+    ts = _sample_grid(g.N, g.a, g.b, M, True)[0]
     P, m = len(ts), len(ts) // 3
     cases = {
         "random real": rng.standard_normal(P) + 0j,
@@ -160,7 +161,45 @@ def test_seminorm_samples_strictly_increase(N, M, interval):
     # the lag scan's pruning bound and the alpha = 1 lag-one certificate
     # hold only on sorted, distinct points
     g = interpolate("t", interval, N)
-    assert np.all(np.diff(_sample_points(g, M, include_nodes=True)) > 0)
+    assert np.all(np.diff(_sample_grid(g.N, g.a, g.b, M, True)[0]) > 0)
+
+
+@pytest.mark.parametrize("symbolic", [True, False])
+def test_norms_equal_a_direct_evaluation_at_the_sample_points(symbolic):
+    # the cached evaluation matrix must give the same floats as building
+    # it afresh (values only) or evaluating the expressions (symbolic)
+    g = interpolate([["sin(3*t)"], ["powabs(t-0.3, 1.5)"]], (0.0, 2.0), 24)
+    if not symbolic:
+        g = GridFunction(g.values, g.interval)
+    M = 256
+
+    def direct(f, ts):
+        if symbolic:
+            return f.eval_at(ts)
+        return f.values @ bary_matrix(f.nodes, ts).T
+
+    ts = _sample_grid(g.N, g.a, g.b, M, False)[0]
+    assert np.array_equal(ts, g.a + (g.b - g.a) * np.arange(M + 1) / M)
+    want = float(np.sum(np.max(np.abs(direct(g, ts)), axis=-1)))
+    assert sup_norm(g, M) == want
+    ts = _sample_grid(g.N, g.a, g.b, M, True)[0]
+    for n, alpha in ((0, 0.5), (1, 1.0)):
+        vals = direct(g.derivative(n), ts)
+        want = sum(_pair_max(v, ts, alpha) for v in vals[:, 0])
+        assert holder_seminorm(g, HolderIndex(n, alpha), M) == want
+
+
+def test_shared_grid_arrays_are_read_only():
+    g = interpolate("t", (0, 1), 8)
+    with pytest.raises(ValueError):
+        g.nodes[0] = 1.0
+    with pytest.raises(ValueError):
+        g.diffmat[0, 0] = 1.0
+    ts, E = _sample_grid(8, 0.0, 1.0, 64, True)
+    with pytest.raises(ValueError):
+        ts[0] = 1.0
+    with pytest.raises(ValueError):
+        E[0, 0] = 1.0
 
 
 def test_holder_norm_examples():

@@ -247,7 +247,8 @@ def test_direct_route_decides_condition_zero_once(monkeypatch):
     # decision, with no retry at a higher degree
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
     degrees = _count_fundamental_matrices(monkeypatch)
-    with pytest.raises(SolveRejected) as err:
+    with pytest.raises(SolveRejected) as err, \
+            pytest.warns(UserWarning, match="capped at 512"):
         solve_bvp_direct(instantiate(gallery("F6_holder_rough"), 0.2, 512))
     assert err.value.N == 512
     assert degrees == [512]
