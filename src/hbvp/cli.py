@@ -74,6 +74,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.count < 1:
+        raise _UsageError(f"argument --count: must be >= 1, got {args.count}")
     fam = _load_family(args)
     if args.eps is not None:
         eps_seq = args.eps
@@ -167,7 +169,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--factor", type=float, default=0.5,
                          help="geometric factor (default 0.5)")
     p_sweep.add_argument("--count", type=int, default=20,
-                         help="number of parameter values (default 20)")
+                         help="number of parameter values, >= 1 (default 20)")
     p_sweep.add_argument("--eps", type=float, action="append",
                          help="explicit parameter value (repeatable; "
                               "overrides the geometric sequence)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,6 +203,16 @@ def instantiate(fam: ProblemFamily, eps: float, N: int) -> ProblemInstance:
                            fam.target_vector(eps), eps, N)
 
 
+@lru_cache(maxsize=16)
+def _quadrature(Q: int, a: float, b: float):
+    """Degree-Q nodes on [a, b] and Clenshaw-Curtis weights, read-only (not
+    _grid_data's nodes, which come with an unused differentiation matrix)."""
+    t = cheb.lobatto_nodes(Q, a, b)
+    w = cheb.clenshaw_curtis_weights(Q, a, b)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def apply_B(B: BoundaryOperator, y: GridFunction) -> np.ndarray:
     """Apply a boundary operator to an (m, k) GridFunction; returns (rm, k).
 
@@ -216,9 +227,7 @@ def apply_B(B: BoundaryOperator, y: GridFunction) -> np.ndarray:
         vals = y.derivative(term.order).eval_at([term.point])[..., 0]  # (m, k)
         out += term.coeff @ vals
     if B.integral_terms:
-        a, b = B.interval
-        tq = cheb.lobatto_nodes(Q, a, b)
-        wq = cheb.clenshaw_curtis_weights(Q, a, b)
+        tq, wq = _quadrature(Q, *B.interval)
         for term in B.integral_terms:
             dens = term.density.eval_at(tq)               # (rm, m, Q+1)
             yv = y.derivative(term.order).eval_at(tq)     # (m, k, Q+1)
@@ -234,7 +243,7 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
     """
     a, b = B.interval
     nodes, D = _grid_data(N, float(a), float(b))
-    w = cheb.clenshaw_curtis_weights(N, a, b)
+    w = _quadrature(N, a, b)[1]
     powers = {0: np.eye(N + 1), 1: D}
 
     def Dq(q):
@@ -258,11 +267,9 @@ def boundedness_certificate(B: BoundaryOperator) -> float:
     total = 0.0
     for term in B.point_terms:
         total += float(np.max(np.sum(np.abs(term.coeff), axis=0)))
-    a, b = B.interval
     for term in B.integral_terms:
         Q = max(2 * term.density.N, 64)
-        tq = cheb.lobatto_nodes(Q, a, b)
-        wq = cheb.clenshaw_curtis_weights(Q, a, b)
+        tq, wq = _quadrature(Q, *B.interval)
         dens = np.abs(term.density.eval_at(tq))
         total += float(np.max(np.sum(dens @ wq, axis=0)))
     return total

@@ -131,6 +131,18 @@ def test_usage_error_exit_one():
     assert run(["frobnicate"]) == 1     # unknown subcommand
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sweep_empty_count_exit_one(count, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["sweep", "--gallery", "F1_smooth_perturb", "--count", count,
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: argument --count: must be >= 1, got {count}\n")
+    assert not out.exists()
+
+
 def test_sweep_artifacts(tmp_path):
     out = tmp_path / "out"
     code = run(["sweep", "--gallery", "F1_smooth_perturb",

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from hbvp import cli, grid
 from hbvp.chebyshev import bary_matrix
-from hbvp.grid import (GridFunction, HolderIndex, ShapeError, _pair_max,
-                       _sample_grid, algebra_constant, holder_norm,
+from hbvp.grid import (_PAIR_BLOCK, GridFunction, HolderIndex, ShapeError,
+                       _pair_max, _sample_grid, algebra_constant, holder_norm,
                        holder_seminorm, interpolate, product, sup_norm)
 
 
@@ -143,15 +144,64 @@ def test_pair_max_one_ulp_gap_beside_steepest_gap():
     assert _pair_max(vals, ts, 1.0) == _all_pairs_max(vals, ts, 1.0)
 
 
+@pytest.mark.parametrize("chunk", [grid._PAIR_CHUNK, 1])
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+def test_pair_max_block_edges(alpha, chunk, monkeypatch):
+    # shapes around the block size, then unevenly spaced points whose
+    # maximum (for alpha < 1) is a chord of lag 8 through a dense cluster,
+    # inside one block or across a block seam; a chunk of one block pair
+    # leaves every pruning decision to the bound alone
+    monkeypatch.setattr(grid, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    B = _PAIR_BLOCK
+    for P in (1, 2, 3, B - 1, B + 1, 4 * B - 1, 4 * B + 1):
+        ts = np.sort(rng.uniform(-1.0, 2.0, P))
+        for vals in (rng.standard_normal(P) + 1j * rng.standard_normal(P),
+                     np.exp(3j * ts), ts + 0j):
+            got = _pair_max(vals, ts, alpha)
+            assert got == _all_pairs_max(vals, ts, alpha), (P, got)
+    n = np.arange(40 * B)
+    for start in (B + 4, 2 * B - 4):
+        ts = np.cumsum(np.where(np.abs(n - start - 4) <= 6, 1e-3, 1.0))
+        vals = np.clip(n - start, 0, 8) + 1e-3 * rng.standard_normal(len(n))
+        vals = vals + 0j
+        assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pair_max_nan_sample_gives_nan():
     ts = np.linspace(0, 1, 2000)
     vals = ts + 0j
     assert _pair_max(vals, ts, 1.0) == pytest.approx(1.0)
     vals[1500] = np.inf
     assert _pair_max(vals, ts, 1.0) == np.inf
+    vals[1500] = -np.inf
+    assert _pair_max(vals, ts, 0.5) == np.inf
     vals[1500] = np.nan
     assert np.isnan(_pair_max(vals, ts, 1.0))
     assert np.isnan(_pair_max(vals, ts, 0.5))
+    # the last block is padded with copies of the last sample
+    ts = np.linspace(0, 1, 2 * _PAIR_BLOCK + 1)
+    vals = ts + 0j
+    vals[-1] = np.inf
+    assert _pair_max(vals, ts, 0.5) == np.inf
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gallery", "F6_holder_rough", "--count", "4"],
+    ["verify", "--gallery", "F6_holder_rough"]])
+def test_pair_max_is_exact_on_the_f6_workload(argv, tmp_path, monkeypatch):
+    calls = []
+
+    def recording(vals, ts, alpha):
+        calls.append((vals, ts, alpha, _pair_max(vals, ts, alpha)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(grid, "_pair_max", recording)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert any(alpha < 1.0 for _, _, alpha, _ in calls)
+    for vals, ts, alpha, got in calls:
+        assert got == _all_pairs_max(vals, ts, alpha)
 
 
 @pytest.mark.parametrize("N, M, interval", [

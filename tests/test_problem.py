@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from hbvp import chebyshev, cli
 from hbvp.grid import HolderIndex, holder_norm, interpolate
 from hbvp.problem import (ConfigError, GALLERY_NAMES, _gallery_config,
-                          apply_B, boundary_matrix, boundedness_certificate,
-                          family_from_config, gallery, instantiate,
-                          load_problem)
+                          _quadrature, apply_B, boundary_matrix,
+                          boundedness_certificate, family_from_config,
+                          gallery, instantiate, load_problem)
 
 
 def test_gallery_names_and_unknown():
@@ -143,6 +144,23 @@ def test_boundedness_certificate():
             lhs = float(np.linalg.norm(apply_B(B, y)[:, 0], ord=1))
             rhs = cb * holder_norm(y, idx, 512).total
             assert lhs <= rhs + 1e-10
+
+
+def test_quadrature_weights_built_once_per_degree(tmp_path, monkeypatch):
+    built = []
+    weights = chebyshev.clenshaw_curtis_weights
+
+    def recording(*args):
+        built.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(chebyshev, "clenshaw_curtis_weights", recording)
+    _quadrature.cache_clear()
+    argv = ["verify", "--gallery", "F5_multipoint_integral"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert built and len(built) == len(set(built))
+    t, w = _quadrature(*built[0])
+    assert not t.flags.writeable and not w.flags.writeable
 
 
 def test_f3_constants_in_kernel():
