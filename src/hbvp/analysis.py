@@ -323,7 +323,7 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
         errors_ok = tends_to_zero([r.error for r in report.records])
     behavior = solvable and errors_ok
     return MainTheoremVerdict(
-        family=fam.name, cond0_margin=cond0.cm.margin,
+        family=fam.name, cond0_margin=cond0.margin,
         cond0_ok=cond0.satisfied, condI_ok=lim.verdicts["I"],
         condII_ok=lim.verdicts["II"], criterion=criterion,
         solvable=solvable, errors_tend_to_zero=errors_ok,

@@ -1,9 +1,10 @@
 """Collocation solver for problem instances.
 
 Two independent routes are provided: a direct square collocation of the
-r-th order system with boundary bordering, and the companion route via
-the fundamental matrix of the equivalent first-order system.  Both
-consume the same instantiated data, so they cross-validate each other.
+r-th order system with boundary bordering, whose one factorization also
+decides Condition (0), and the companion route via the fundamental matrix
+of the equivalent first-order system.  Both consume the same instantiated
+data, so they cross-validate each other.
 """
 from __future__ import annotations
 
@@ -63,20 +64,18 @@ class CharacteristicMatrix:
 
 @dataclass(frozen=True)
 class ConditionZero:
-    """The Condition (0) decision for one instance, with the companion
-    system, fundamental matrix and characteristic matrix it was read from."""
-    cs: CompanionSystem
-    fund: FundamentalMatrix
-    cm: CharacteristicMatrix
+    """The Condition (0) decision: the characteristic-matrix margin and
+    the tolerance it must exceed."""
+    margin: float
     tol: float
 
     @property
     def satisfied(self) -> bool:
-        return self.cm.margin > self.tol
+        return self.margin > self.tol
 
     def require(self) -> "ConditionZero":
         if not self.satisfied:
-            raise ConditionZeroViolated(self.cm.margin, self.tol)
+            raise ConditionZeroViolated(self.margin, self.tol)
         return self
 
 
@@ -161,32 +160,33 @@ def particular_solution(cs: CompanionSystem) -> GridFunction:
 
 
 def characteristic_matrix(B: BoundaryOperator, X: GridFunction) -> CharacteristicMatrix:
-    """Boundary operator applied to the y-part of each column of X.
-
-    The margin sigma_min(M) / ||M||_2 is the one Condition (0) margin that
-    every solver, suite and artifact reads.
-    """
+    """Boundary operator applied to the y-part of each column of X, with
+    the margin the companion route decides Condition (0) on."""
     m = B.m
     Ytop = GridFunction(X.values[:m, :], X.interval)
     M = apply_B(B, Ytop)
+    return CharacteristicMatrix(M, _margin(M))
+
+
+def _margin(M: np.ndarray) -> float:
+    """sigma_min(M) / sigma_max(M), which M^{-1} shares with M."""
     sigma = np.linalg.svd(M, compute_uv=False)
-    return CharacteristicMatrix(M, float(sigma[-1] / max(sigma[0], 1e-300)))
+    return float(sigma[-1] / max(sigma[0], 1e-300))
+
+
+def _condition_zero(margin: float, N: int) -> ConditionZero:
+    """The margin must exceed max(CONDITION_ZERO_RTOL, 100 N^2 u), u the
+    float64 machine epsilon: the margin of a singular problem is roundoff
+    that grows like N^2 u (F3, direct route: 5.7e-13 at N = 32, 7.0e-10
+    at N = 512)."""
+    return ConditionZero(margin, max(CONDITION_ZERO_RTOL,
+                                     100 * N ** 2 * float(np.finfo(float).eps)))
 
 
 def check_condition_zero(instance: ProblemInstance) -> ConditionZero:
-    """Condition (0) at the instance's degree N: the characteristic matrix
-    of the companion fundamental matrix is nonsingular.
-
-    The margin must exceed max(CONDITION_ZERO_RTOL, 100 N^2 u), u the
-    float64 machine epsilon: the margin of a singular problem is roundoff
-    that grows like N^2 u (F3: 1.8e-13 at N = 32, 1.4e-10 at N = 512).
-    """
-    cs = build_companion(instance)
-    fund = fundamental_matrix(cs)
-    tol = max(CONDITION_ZERO_RTOL,
-              100 * instance.N ** 2 * float(np.finfo(float).eps))
-    return ConditionZero(cs, fund, characteristic_matrix(instance.B, fund.X),
-                         tol)
+    """Condition (0) at the instance's degree N, from the direct solve's
+    factorization."""
+    return _bordered_solve(instance)[0]
 
 
 def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
@@ -197,7 +197,7 @@ def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
     return out
 
 
-def _residuals(instance: ProblemInstance, y: GridFunction):
+def _residual(instance: ProblemInstance, y: GridFunction):
     """Sup residual of L y against the instance's right-hand side.
 
     Measured at the collocation nodes the discretization enforced, against
@@ -209,13 +209,22 @@ def _residuals(instance: ProblemInstance, y: GridFunction):
     keep = _kept_rows(instance.r, 1, instance.N)
     diff = (apply_L(instance, y).eval_at(instance.rhs.nodes[keep])
             - instance.rhs.values[..., keep])
-    residual = float(np.max(np.abs(diff)))
-    bres = float(np.linalg.norm(apply_B(instance.B, y)[:, 0] - instance.c))
-    return residual, bres
+    return float(np.max(np.abs(diff)))
 
 
 def _accept(residual: float, rhs_scale: float) -> bool:
     return residual <= RESIDUAL_RTOL * (1.0 + rhs_scale)
+
+
+def _result(instance: ProblemInstance, y: GridFunction, residual: float,
+            route: str, margin: float) -> SolveResult:
+    """Accept y by its residual, or reject it at the instance's degree."""
+    rhs_scale = float(np.max(np.abs(instance.rhs.values)))
+    if not _accept(residual, rhs_scale):
+        raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale),
+                            instance.N)
+    bres = float(np.linalg.norm(apply_B(instance.B, y)[:, 0] - instance.c))
+    return SolveResult(y, residual, bres, instance.N, route, margin)
 
 
 def collocation_matrix(instance: ProblemInstance) -> np.ndarray:
@@ -246,35 +255,53 @@ def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
     return np.concatenate([p * (N + 1) + node_keep for p in range(m)])
 
 
-def solve_bvp_direct(instance: ProblemInstance) -> SolveResult:
-    """Square collocation of the r-th order system itself, at the
-    instance's degree, after the Condition (0) gate."""
-    margin = check_condition_zero(instance).require().cm.margin
+def _bordered_solve(instance: ProblemInstance):
+    """The Condition (0) gate and the columns (m, N+1, 1 + rm) of one
+    factorization of [K; Bmat] solved for [f; c] and [0; I_rm].
+
+    Column 0 is y.  The rest, Z, has K Z = 0 and Bmat Z = I, so its initial
+    rows E Z (y^(k)(a), k < r) are M^{-1}.  A singular matrix has margin 0.
+    """
     r, m, N = instance.r, instance.m, instance.N
     mat = collocation_matrix(instance)
-    keep = _kept_rows(r, m, N)
-    vec = np.concatenate([instance.rhs.values[:, 0, :].reshape(-1)[keep],
-                          instance.c])
-    sol = np.linalg.solve(mat, vec)
-    y = GridFunction(sol.reshape(m, 1, N + 1), instance.interval)
-    residual, bres = _residuals(instance, y)
-    rhs_scale = float(np.max(np.abs(instance.rhs.values)))
-    if not _accept(residual, rhs_scale):
-        raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
-    return SolveResult(y, residual, bres, N, "direct", margin)
+    f = instance.rhs.values[:, 0, :].reshape(-1)[_kept_rows(r, m, N)]
+    rhs = np.zeros((mat.shape[0], 1 + r * m), dtype=complex)
+    rhs[:, 0] = np.concatenate([f, instance.c])
+    rhs[-r * m:, 1:] = np.eye(r * m)
+    try:
+        cols = np.linalg.solve(mat, rhs).reshape(m, N + 1, 1 + r * m)
+    except np.linalg.LinAlgError:
+        return _condition_zero(0.0, N), None
+    row = np.eye(1, N + 1)[0]   # node 0 is t = a
+    EZ = []
+    for _ in range(r):
+        EZ.append(row @ cols[:, :, 1:])
+        row = row @ instance.coeffs[0].diffmat
+    return _condition_zero(_margin(np.concatenate(EZ)), N), cols
+
+
+def solve_bvp_direct(instance: ProblemInstance) -> SolveResult:
+    """Square collocation of the r-th order system itself, at the
+    instance's degree, gated by Condition (0) from the same factorization."""
+    gate, cols = _bordered_solve(instance)
+    gate.require()
+    y = GridFunction(cols[:, None, :, 0].copy(), instance.interval)
+    return _result(instance, y, _residual(instance, y), "direct",
+                   gate.margin)
 
 
 def solve_bvp(instance: ProblemInstance) -> SolveResult:
     """Companion route: y is the top block of X v + x_p with M v
     closing the boundary conditions."""
     m, N = instance.m, instance.N
-    gate = check_condition_zero(instance).require()
-    cs = gate.cs
+    cs = build_companion(instance)
+    X = fundamental_matrix(cs).X
+    cm = characteristic_matrix(instance.B, X)
+    _condition_zero(cm.margin, N).require()
     xp = particular_solution(cs)
     xp_top = GridFunction(xp.values[:m], instance.interval)
-    v = np.linalg.solve(gate.cm.M,
-                        instance.c - apply_B(instance.B, xp_top)[:, 0])
-    x = np.einsum("ijt,j->it", gate.fund.X.values, v) + xp.values[:, 0, :]
+    v = np.linalg.solve(cm.M, instance.c - apply_B(instance.B, xp_top)[:, 0])
+    x = np.einsum("ijt,j->it", X.values, v) + xp.values[:, 0, :]
     y = GridFunction(x[:m].reshape(m, 1, N + 1), instance.interval)
     # backward error of the first-order system this route discretized,
     # at its collocation nodes (node 0 carries the initial condition)
@@ -282,20 +309,17 @@ def solve_bvp(instance: ProblemInstance) -> SolveResult:
     fo = (xg.derivative().values[:, 0, 1:]
           + np.einsum("ikt,kt->it", cs.A.values, x)[:, 1:]
           - cs.g.values[:, 0, 1:])
-    residual = float(np.max(np.abs(fo)))
-    bres = float(np.linalg.norm(apply_B(instance.B, y)[:, 0] - instance.c))
-    rhs_scale = float(np.max(np.abs(instance.rhs.values)))
-    if not _accept(residual, rhs_scale):
-        raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale), N)
-    return SolveResult(y, residual, bres, N, "companion", gate.cm.margin)
+    return _result(instance, y, float(np.max(np.abs(fo))), "companion",
+                   cm.margin)
 
 
 def solve_matrix_bvp(instance: ProblemInstance) -> GridFunction:
-    """Y (m x rm) with L Y = 0 and [B Y] = I, via X M^{-1}."""
-    gate = check_condition_zero(instance).require()
-    vals = np.einsum("ikt,kj->ijt", gate.fund.X.values,
-                     np.linalg.inv(gate.cm.M))
-    return GridFunction(vals[:instance.m], instance.interval)
+    """Y (m x rm) with L Y = 0 and [B Y] = I: the block Z of the direct
+    solve's factorization."""
+    gate, cols = _bordered_solve(instance)
+    gate.require()
+    return GridFunction(cols[:, :, 1:].transpose(0, 2, 1).copy(),
+                        instance.interval)
 
 
 def recover_coefficients(X: GridFunction) -> GridFunction:

@@ -46,6 +46,17 @@ def test_solve_f3_exit_two(capsys):
     assert "Condition (0)" in capsys.readouterr().err
 
 
+def test_exactly_singular_collocation_is_condition_zero(tmp_path, capsys):
+    # F3's bordered collocation matrix is exactly singular at N = 16: the
+    # failed factorization is a Condition (0) violation, not a rejected solve
+    code = run(["solve", "--gallery", "F3_cond0_violated", "--degree", "16",
+                "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Condition (0) violated" in err
+    assert "solve rejected" not in err
+
+
 def test_linalg_error_is_a_rejected_solve(monkeypatch, capsys):
     def singular(inst):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -206,12 +206,15 @@ def test_solve_refuses_singular_problem():
         solve_bvp_direct(inst)
 
 
-@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("N", [256, 512, 768, 1024])
 def test_both_routes_refuse_singular_problem_at_high_degree(N):
-    # F3's margin is roundoff that grows like N^2 u (1.4e-10 at N = 512):
-    # a fixed 1e-10 tolerance let the companion route accept it
+    # F3's margin is roundoff that grows like N^2 u (7.0e-10 at N = 512):
+    # a fixed 1e-10 tolerance let the companion route accept it.  Above
+    # N = 512 only the direct route is run; its dense LU is m(N+1) square,
+    # the companion route's rm(N+1)
     inst = instantiate(gallery("F3_cond0_violated"), 0.0, N)
-    for solver in (solve_bvp, solve_bvp_direct):
+    routes = (solve_bvp, solve_bvp_direct) if N <= 512 else (solve_bvp_direct,)
+    for solver in routes:
         with pytest.raises(ConditionZeroViolated):
             solver(inst)
 
@@ -222,36 +225,83 @@ def _margin(inst):
 
 
 def test_solve_result_margin_is_the_characteristic_margin():
+    # each route reports the margin its own gate decided on: the direct
+    # route reads M^{-1} from its factorization, the companion route M from
+    # its fundamental matrix; the two discretizations agree closely
     for name in ("F1_smooth_perturb", "F5_multipoint_integral"):
         inst = instantiate(gallery(name), 0.2, 32)
-        for solver in (solve_bvp, solve_bvp_direct):
-            assert solver(inst).margin == _margin(inst)
+        direct = solve_bvp_direct(inst).margin
+        companion = solve_bvp(inst).margin
+        assert direct == check_condition_zero(inst).margin
+        assert companion == _margin(inst)
+        assert abs(direct - companion) <= 1e-8 * companion
+
+
+R3_M2_CFG = {
+    "r": 3, "m": 2, "n": 0, "alpha": 1.0, "interval": [-1.0, 2.0],
+    "eps0": 1.0,
+    "coeffs": [[["1", "t"], ["0", "2"]],
+               [["0", "1"], ["sin(t)", "0"]],
+               [["t", "0"], ["0", "cos(t)"]]],
+    "rhs": ["1", "t"],
+    "boundary": {"point_terms": [
+        {"order": q, "point": point,
+         "coeff": [["1" if i == 2 * q + k else "0" for k in range(2)]
+                   for i in range(6)]}
+        for q, point in enumerate((-1.0, 2.0, 0.5))]},
+    "target": ["1", "0", "0", "1", "0", "0"],
+}
+
+
+@pytest.mark.parametrize("cfg", [
+    _simple_cfg([[["2", "t"], ["1", "0"]]], ["1", "0"], {"point_terms": [
+        {"order": 0, "point": 0.0, "coeff": [["1", "0"], ["0", "0"]]},
+        {"order": 0, "point": 1.0, "coeff": [["0", "0"], ["1", "1"]]}]},
+        ["0", "1"], r=1, m=2),
+    "F5_multipoint_integral",
+    R3_M2_CFG,
+], ids=["r1_m2", "F5", "r3_m2"])
+def test_direct_gate_margin_matches_companion_characteristic_margin(cfg):
+    # E Z = M^{-1}, with Z the fundamental block of the bordered solve and
+    # E its initial rows, holds for any r and m and for integral terms
+    fam = gallery(cfg) if isinstance(cfg, str) else _family(cfg)
+    inst = instantiate(fam, 0.0, 32)
+    gate = check_condition_zero(inst)
+    assert gate.satisfied
+    assert abs(gate.margin - _margin(inst)) <= 1e-6 * _margin(inst)
+
+
+def _count_calls(monkeypatch, name, degree):
+    degrees = []
+    real = getattr(solver_mod, name)
+
+    def counting(arg):
+        degrees.append(degree(arg))
+        return real(arg)
+
+    monkeypatch.setattr(solver_mod, name, counting)
+    return degrees
 
 
 def _count_fundamental_matrices(monkeypatch):
-    degrees = []
-    real = solver_mod.fundamental_matrix
-
-    def counting(cs):
-        degrees.append(cs.A.N)
-        return real(cs)
-
-    monkeypatch.setattr(solver_mod, "fundamental_matrix", counting)
-    return degrees
+    return _count_calls(monkeypatch, "fundamental_matrix", lambda cs: cs.A.N)
 
 
 def test_direct_route_decides_condition_zero_once(monkeypatch):
     # F6 at N = 512 sits at the residual gate's roundoff level (rejected on
     # one BLAS thread, accepted on two), so the gate is made to reject; the
-    # solve is rejected at the requested degree after one Condition (0)
-    # decision, with no retry at a higher degree
+    # solve is rejected at the requested degree after one factorization,
+    # which also decides Condition (0), with no retry at a higher degree
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
-    degrees = _count_fundamental_matrices(monkeypatch)
+    fundamentals = _count_fundamental_matrices(monkeypatch)
+    collocations = _count_calls(monkeypatch, "collocation_matrix",
+                                lambda inst: inst.N)
     with pytest.raises(SolveRejected) as err, \
             pytest.warns(UserWarning, match="capped at 512"):
         solve_bvp_direct(instantiate(gallery("F6_holder_rough"), 0.2, 512))
     assert err.value.N == 512
-    assert degrees == [512]
+    assert collocations == [512]
+    assert fundamentals == []
 
 
 def test_companion_route_rejects_at_the_requested_degree(monkeypatch):
