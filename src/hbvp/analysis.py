@@ -20,7 +20,7 @@ from .grid import (GridFunction, HolderIndex, algebra_constant, holder_norm,
                    interpolate, product)
 from .problem import ProblemFamily, apply_B, instantiate
 from .solver import (ConditionZeroViolated, SolveRejected, apply_L,
-                     check_condition_zero, solve_bvp_direct)
+                     solve_bvp_direct)
 
 ZERO_TAIL_LEN = 5
 ZERO_FINAL_FACTOR = 1e-3
@@ -170,6 +170,7 @@ class SweepReport:
     kappa_hat_low: float | None
     kappa_hat_high: float | None
     band_violation: bool
+    cond0_margin: float     # of the eps = 0 solve; no artifact writes it
 
     COLUMNS = ("eps", "error", "discrepancy", "ratio", "cond0_margin",
                "solve_residual", "failure")
@@ -231,7 +232,7 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
     lo = min(ratios) if ratios else None
     hi = max(ratios) if ratios else None
     violation = bool(ratios) and hi / lo > RATIO_BAND_CAP
-    return SweepReport(fam.name, records, lo, hi, violation)
+    return SweepReport(fam.name, records, lo, hi, violation, res0.margin)
 
 
 # --- limit conditions ---------------------------------------------------------
@@ -308,23 +309,24 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     and II) agrees with the observed solvability-and-convergence side."""
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
-    cond0 = check_condition_zero(instantiate(fam, 0.0, N))
     lim = limit_conditions_report(fam, eps_sequence, probes, N, M,
                                   final_factor=criterion_final_factor)
-    criterion = bool(cond0.satisfied and lim.verdicts["I"]
-                     and lim.verdicts["II"])
-    # a solve of the eps = 0 problem runs this same gate first, so an
-    # unsatisfied gate is an unsolvable problem
-    solvable = cond0.satisfied
-    errors_ok = False
-    if cond0.satisfied:
+    # the sweep's eps = 0 solve decides Condition (0) from its one
+    # factorization; an unsatisfied gate is an unsolvable problem
+    try:
         report = two_sided_sweep(fam, eps_sequence, N, M)
+    except ConditionZeroViolated as err:
+        margin, cond0_ok = err.margin, False
+        solvable = errors_ok = False
+    else:
+        margin, cond0_ok = report.cond0_margin, True
         solvable = not any(r.failure for r in report.records)
         errors_ok = tends_to_zero([r.error for r in report.records])
+    criterion = bool(cond0_ok and lim.verdicts["I"] and lim.verdicts["II"])
     behavior = solvable and errors_ok
     return MainTheoremVerdict(
-        family=fam.name, cond0_margin=cond0.margin,
-        cond0_ok=cond0.satisfied, condI_ok=lim.verdicts["I"],
+        family=fam.name, cond0_margin=margin,
+        cond0_ok=cond0_ok, condI_ok=lim.verdicts["I"],
         condII_ok=lim.verdicts["II"], criterion=criterion,
         solvable=solvable, errors_tend_to_zero=errors_ok,
         behavior=behavior, agreement=(criterion == behavior), limits=lim)

@@ -76,6 +76,11 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     if args.count < 1:
         raise _UsageError(f"argument --count: must be >= 1, got {args.count}")
+    if not 0.0 < args.factor < 1.0:
+        raise _UsageError(
+            f"argument --factor: must lie in (0, 1), got {args.factor}")
+    if args.eps0 is not None and not args.eps0 > 0.0:
+        raise _UsageError(f"argument --eps0: must be > 0, got {args.eps0}")
     fam = _load_family(args)
     if args.eps is not None:
         eps_seq = args.eps
@@ -165,9 +170,10 @@ def build_parser() -> _Parser:
                              help="error/discrepancy parameter sweep")
     common(p_sweep)
     p_sweep.add_argument("--eps0", type=float, default=None,
-                         help="sweep starting scale (default: family eps0)")
+                         help="sweep starting scale, > 0 "
+                              "(default: family eps0)")
     p_sweep.add_argument("--factor", type=float, default=0.5,
-                         help="geometric factor (default 0.5)")
+                         help="geometric factor in (0, 1) (default 0.5)")
     p_sweep.add_argument("--count", type=int, default=20,
                          help="number of parameter values, >= 1 (default 20)")
     p_sweep.add_argument("--eps", type=float, action="append",

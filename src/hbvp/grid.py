@@ -58,6 +58,15 @@ def _grid_data(N: int, a: float, b: float):
     return nodes, D
 
 
+@lru_cache(maxsize=64)
+def _point_row(N: int, a: float, b: float, t: float) -> np.ndarray:
+    """The (1, N+1) matrix evaluating a degree-N interpolant at t, read-only:
+    boundary-point terms evaluate the same few points over and over."""
+    row = cheb.bary_matrix(_grid_data(N, a, b)[0], [t])
+    row.flags.writeable = False
+    return row
+
+
 def _nudge(ts: np.ndarray, centers, a: float, b: float) -> np.ndarray:
     """Shift sample points off powabs singularities by 1e-12*(b-a)."""
     if not centers:
@@ -135,7 +144,10 @@ class GridFunction:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self.sources is not None:
             return _eval_exprs(self.sources, ts, self.eps, self.a, self.b)
-        E = cheb.bary_matrix(self.nodes, ts)
+        if len(ts) == 1:
+            E = _point_row(self.N, self.a, self.b, float(ts[0]))
+        else:
+            E = cheb.bary_matrix(self.nodes, ts)
         return self.values @ E.T
 
     def resample(self, N: int) -> "GridFunction":
@@ -250,10 +262,12 @@ def product(f: GridFunction, g: GridFunction) -> GridFunction:
 @lru_cache(maxsize=16)
 def _sample_grid(N: int, a: float, b: float, M: int, include_nodes: bool):
     """M+1 uniform points on [a, b], merged with the degree-N nodes when
-    include_nodes, and the matrix evaluating a degree-N interpolant there.
+    include_nodes, and the transpose ET of the matrix evaluating a degree-N
+    interpolant there, so that values @ ET samples it.
 
-    Each entry holds a (P, N+1) matrix, hence the smaller bound than
-    _grid_data's.
+    ET is stored complex and C-ordered: the copy numpy would otherwise make
+    of a real E.T for every complex matmul, with the same bits.  Each entry
+    holds an (N+1, P) matrix, hence the smaller bound than _grid_data's.
     """
     nodes = _grid_data(N, a, b)[0]
     ts = a + (b - a) * np.arange(M + 1) / M
@@ -264,17 +278,17 @@ def _sample_grid(N: int, a: float, b: float, M: int, include_nodes: bool):
         gap = 1e-9 * (b - a)
         keep = np.concatenate([[True], np.diff(ts) > gap])
         ts = ts[keep]
-    E = cheb.bary_matrix(nodes, ts)
-    ts.flags.writeable = E.flags.writeable = False
-    return ts, E
+    ET = np.ascontiguousarray(cheb.bary_matrix(nodes, ts).T, dtype=complex)
+    ts.flags.writeable = ET.flags.writeable = False
+    return ts, ET
 
 
 def _sample(g: GridFunction, M: int, include_nodes: bool = False):
     """The points of _sample_grid and g's values there (as eval_at)."""
-    ts, E = _sample_grid(g.N, g.a, g.b, M, include_nodes)
+    ts, ET = _sample_grid(g.N, g.a, g.b, M, include_nodes)
     if g.sources is not None:
         return ts, _eval_exprs(g.sources, ts, g.eps, g.a, g.b)
-    return ts, g.values @ E.T
+    return ts, g.values @ ET
 
 
 def sup_norm(g: GridFunction, M: int = 1024) -> float:

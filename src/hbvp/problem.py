@@ -16,7 +16,8 @@ import numpy as np
 
 from . import chebyshev as cheb
 from . import expr as ex
-from .grid import GridFunction, HolderIndex, ShapeError, _grid_data
+from .grid import (GridFunction, HolderIndex, ShapeError, _grid_data,
+                   _point_row)
 
 
 class ConfigError(ValueError):
@@ -241,8 +242,8 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
     Acts on vec(y) with component-major layout: entry p*(N+1)+i holds
     component p at node i.  Shape (rm, m*(N+1)).
     """
-    a, b = B.interval
-    nodes, D = _grid_data(N, float(a), float(b))
+    a, b = map(float, B.interval)
+    nodes, D = _grid_data(N, a, b)
     w = _quadrature(N, a, b)[1]
     powers = {0: np.eye(N + 1), 1: D}
 
@@ -253,7 +254,7 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
 
     out = np.zeros((B.size, B.m * (N + 1)), dtype=complex)
     for term in B.point_terms:
-        row = cheb.bary_matrix(nodes, [term.point])[0] @ Dq(term.order)
+        row = _point_row(N, a, b, term.point)[0] @ Dq(term.order)
         out += np.einsum("sp,k->spk", term.coeff, row).reshape(B.size, -1)
     for term in B.integral_terms:
         dens = term.density.eval_at(nodes)    # (rm, m, N+1)

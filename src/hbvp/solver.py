@@ -295,13 +295,18 @@ def solve_bvp(instance: ProblemInstance) -> SolveResult:
     closing the boundary conditions."""
     m, N = instance.m, instance.N
     cs = build_companion(instance)
-    X = fundamental_matrix(cs).X
+    s = cs.A.shape[0]
+    # one factorization gives [X | x_p]: right-hand side [0 | g], x(a) = [I | 0]
+    rhs = np.zeros((s, s + 1, N + 1), dtype=complex)
+    rhs[:, s:] = cs.g.values
+    sol = _solve_first_order(cs.A, rhs, np.eye(s, s + 1, dtype=complex))
+    X = GridFunction(sol[:, :s], instance.interval)
+    xp = sol[:, s:].copy()   # contiguous: a strided x_p moves apply_B's bits
     cm = characteristic_matrix(instance.B, X)
     _condition_zero(cm.margin, N).require()
-    xp = particular_solution(cs)
-    xp_top = GridFunction(xp.values[:m], instance.interval)
+    xp_top = GridFunction(xp[:m], instance.interval)
     v = np.linalg.solve(cm.M, instance.c - apply_B(instance.B, xp_top)[:, 0])
-    x = np.einsum("ijt,j->it", X.values, v) + xp.values[:, 0, :]
+    x = np.einsum("ijt,j->it", X.values, v) + xp[:, 0, :]
     y = GridFunction(x[:m].reshape(m, 1, N + 1), instance.interval)
     # backward error of the first-order system this route discretized,
     # at its collocation nodes (node 0 carries the initial condition)

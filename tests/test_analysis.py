@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from hbvp import analysis as an
+from hbvp import solver as solver_mod
 from hbvp.grid import HolderIndex, holder_norm
 from hbvp.problem import (apply_B, boundedness_certificate,
                           family_from_config, gallery, instantiate)
-from hbvp.solver import solve_bvp_direct
+from hbvp.solver import check_condition_zero, solve_bvp_direct
 
 EPS_SHORT = an.geometric_eps(1.0, 0.5, 10)
 EPS_FULL = an.geometric_eps(1.0, 0.5, 20)
@@ -142,6 +143,33 @@ def test_main_theorem_suite_positive_and_negative():
     v3 = an.main_theorem_suite(gallery("F3_cond0_violated"),
                                an.geometric_eps(1.0, 0.5, 14), N=24, M=512)
     assert not v3.cond0_ok and not v3.solvable and v3.agreement
+
+
+def test_main_theorem_suite_factors_eps_zero_once(monkeypatch):
+    # Condition (0) is read from the sweep's eps = 0 solve, so the eps = 0
+    # bordered matrix is built once: 1 of 21 collocation matrices
+    fam = gallery("F1_smooth_perturb")
+    gate = check_condition_zero(instantiate(fam, 0.0, 24))
+    seen = []
+    real = solver_mod.collocation_matrix
+
+    def counting(inst):
+        seen.append(inst.eps)
+        return real(inst)
+
+    monkeypatch.setattr(solver_mod, "collocation_matrix", counting)
+    v = an.main_theorem_suite(fam, N=24, M=512)
+    assert v.cond0_ok and v.cond0_margin == gate.margin
+    assert seen.count(0.0) == 1 and len(seen) == 21
+
+
+def test_main_theorem_suite_condition_zero_violation_keeps_its_margin():
+    fam = gallery("F3_cond0_violated")
+    gate = check_condition_zero(instantiate(fam, 0.0, 24))
+    v = an.main_theorem_suite(fam, an.geometric_eps(1.0, 0.5, 6), N=24,
+                              M=256)
+    assert not gate.satisfied and not v.cond0_ok and not v.solvable
+    assert v.cond0_margin == gate.margin
 
 
 def test_extract_coefficients_constants():

@@ -154,6 +154,27 @@ def test_sweep_empty_count_exit_one(count, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--factor", "0", "must lie in (0, 1)"),
+    ("--factor", "1", "must lie in (0, 1)"),
+    ("--factor", "1.5", "must lie in (0, 1)"),
+    ("--factor", "-0.5", "must lie in (0, 1)"),
+    ("--eps0", "0", "must be > 0"),
+    ("--eps0", "-1", "must be > 0")])
+def test_sweep_degenerate_geometric_sequence_exit_one(flag, value, rule,
+                                                      tmp_path, capsys):
+    # rejected before the family is loaded: a missing config is not read
+    out = tmp_path / "out"
+    for source in (["--gallery", "F1_smooth_perturb"],
+                   ["--config", str(tmp_path / "missing.json")]):
+        assert run(["sweep", *source, flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: argument {flag}: {rule}, got {float(value)}\n")
+        assert not out.exists()
+
+
 def test_sweep_artifacts(tmp_path):
     out = tmp_path / "out"
     code = run(["sweep", "--gallery", "F1_smooth_perturb",

@@ -3,10 +3,14 @@ import numpy as np
 import pytest
 
 from hbvp import cli, grid
+from hbvp.analysis import two_sided_sweep
 from hbvp.chebyshev import bary_matrix
 from hbvp.grid import (_PAIR_BLOCK, GridFunction, HolderIndex, ShapeError,
-                       _pair_max, _sample_grid, algebra_constant, holder_norm,
-                       holder_seminorm, interpolate, product, sup_norm)
+                       _pair_max, _point_row, _sample_grid, algebra_constant,
+                       holder_norm, holder_seminorm, interpolate, product,
+                       sup_norm)
+from hbvp.problem import (_gallery_config, boundary_matrix,
+                          family_from_config, gallery, instantiate)
 
 
 def _from_values(vals, interval=(0.0, 1.0)):
@@ -245,11 +249,49 @@ def test_shared_grid_arrays_are_read_only():
         g.nodes[0] = 1.0
     with pytest.raises(ValueError):
         g.diffmat[0, 0] = 1.0
-    ts, E = _sample_grid(8, 0.0, 1.0, 64, True)
+    ts, ET = _sample_grid(8, 0.0, 1.0, 64, True)
+    # the sample operand is stored as the complex matmul uses it
+    assert ET.dtype == np.complex128 and ET.flags.c_contiguous
+    assert ET.shape == (9, len(ts))
     with pytest.raises(ValueError):
         ts[0] = 1.0
     with pytest.raises(ValueError):
-        E[0, 0] = 1.0
+        ET[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        _point_row(8, 0.0, 1.0, 0.3)[0, 0] = 1.0
+
+
+def test_point_rows_match_bary_matrix():
+    # single-point eval_at of a values-only function reads the cached row
+    # with the bits of a fresh barycentric matrix: at an endpoint, an
+    # interior node and an off-node point
+    rng = np.random.default_rng(3)
+    N = 24
+    g = GridFunction(rng.standard_normal((2, 1, N + 1))
+                     + 1j * rng.standard_normal((2, 1, N + 1)), (0.0, 1.0))
+    for t in (0.0, float(g.nodes[7]), 0.3):
+        assert np.array_equal(g.eval_at([t]),
+                              g.values @ bary_matrix(g.nodes, [t]).T)
+    # boundary_matrix's point rows: F5's point term at the off-node 0.25,
+    # of order 0 and in its order-1 and order-2 variants
+    for k in range(3):
+        cfg = _gallery_config("F5_multipoint_integral")
+        cfg["boundary"]["point_terms"][0]["order"] = k
+        inst = instantiate(family_from_config(cfg), 0.3, N)
+        D = g.diffmat
+        Dk = [np.eye(N + 1), D, D @ D][k]
+        want = bary_matrix(g.nodes, [0.25])[0] @ Dk
+        assert np.array_equal(boundary_matrix(inst.B, N)[0], want)
+
+
+def test_sweep_builds_each_point_row_once():
+    # a default F1 sweep evaluates its two boundary points at N = 32 in
+    # every boundary matrix and apply_B, but builds each (N, t) row once
+    grid._point_row.cache_clear()
+    two_sided_sweep(gallery("F1_smooth_perturb"))
+    info = grid._point_row.cache_info()
+    assert info.misses == info.currsize == 2
+    assert info.hits > 0
 
 
 def test_holder_norm_examples():

@@ -304,13 +304,25 @@ def test_direct_route_decides_condition_zero_once(monkeypatch):
     assert fundamentals == []
 
 
+def _count_first_order_matrices(monkeypatch):
+    return _count_calls(monkeypatch, "_first_order_matrix", lambda A: A.N)
+
+
 def test_companion_route_rejects_at_the_requested_degree(monkeypatch):
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
-    degrees = _count_fundamental_matrices(monkeypatch)
+    degrees = _count_first_order_matrices(monkeypatch)
     with pytest.raises(SolveRejected) as err:
         solve_bvp(instantiate(gallery("F1_smooth_perturb"), 0.2, 32))
     assert err.value.N == 32
     assert degrees == [32]
+
+
+def test_companion_route_factors_once(monkeypatch):
+    # one first-order factorization solves for X and x_p together
+    degrees = _count_first_order_matrices(monkeypatch)
+    for name in ("F1_smooth_perturb", "F5_multipoint_integral"):
+        solve_bvp(instantiate(gallery(name), 0.2, 32))
+    assert degrees == [32, 32]
 
 
 def test_solve_superposition():
