@@ -2,8 +2,8 @@
 
 Implements the limit-condition measurements, the discrepancy and the
 two-sided error/discrepancy sweep, the criterion-vs-behavior agreement
-suite, operator-convergence equivalences with monomial coefficient
-extraction, and boundary-operator boundedness probes.
+suite, and operator-convergence equivalences with monomial coefficient
+extraction.
 """
 from __future__ import annotations
 
@@ -242,23 +242,22 @@ class LimitConditionReport:
     eps_sequence: list
     condI_norms: list       # per eps: list of r Holder norms
     condII_probe: list      # per eps: max probe deviation of B
-    condIII_norm: list
-    condIV: list
-    verdicts: dict = field(default_factory=dict)
+    verdicts: dict
 
 
 def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
                             probes=None, N: int = 32, M: int = DEFAULT_M,
                             final_factor: float = ZERO_FINAL_FACTOR
                             ) -> LimitConditionReport:
-    """Measure Conditions (I)-(IV) along the sweep and grade their tails."""
+    """Measure Conditions (I)-(II) along the sweep and grade their tails."""
     idx = fam.idx
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
     eps_sequence = sorted(eps_sequence, reverse=True)
     probes = probes or default_probes(fam, N)
     inst0 = instantiate(fam, 0.0, N)
-    condI, condII, condIII, condIV = [], [], [], []
+    B0_probes = [apply_B(inst0.B, y)[:, 0] for y in probes]
+    condI, condII = [], []
     for eps in eps_sequence:
         inst = instantiate(fam, eps, N)
         row = [0.0] * fam.r
@@ -266,22 +265,14 @@ def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
             row[j] = holder_norm(dA, idx, M).total
         condI.append(row)
         dev = 0.0
-        for y in probes:
-            delta = apply_B(inst.B, y)[:, 0] - apply_B(inst0.B, y)[:, 0]
+        for y, B0y in zip(probes, B0_probes):
+            delta = apply_B(inst.B, y)[:, 0] - B0y
             dev = max(dev, float(np.linalg.norm(delta)))
         condII.append(dev)
-        condIII.append(holder_norm(_rhs_diff(fam, eps, N), idx, M).total)
-        condIV.append(float(np.linalg.norm(inst.c - inst0.c)))
-    report = LimitConditionReport(list(eps_sequence), condI, condII,
-                                  condIII, condIV)
-    report.verdicts = {
+    return LimitConditionReport(eps_sequence, condI, condII, {
         "I": all(tends_to_zero([row[j] for row in condI], final_factor)
                  for j in range(fam.r)),
-        "II": tends_to_zero(condII, final_factor),
-        "III": tends_to_zero(condIII, final_factor),
-        "IV": tends_to_zero(condIV, final_factor),
-    }
-    return report
+        "II": tends_to_zero(condII, final_factor)})
 
 
 # --- main theorem agreement ---------------------------------------------------
@@ -419,25 +410,6 @@ def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
     p_zero = tends_to_zero(P_vals)
     return Theorem2Report(list(limits.eps_sequence), S_vals, P_vals, c2,
                           holds, s_zero, p_zero, s_zero == p_zero)
-
-
-def boundedness_probe_B(fam: ProblemFamily, eps_sequence=None, probes=None,
-                        N: int = 32, M: int = DEFAULT_M, cap: float = 1e4):
-    """Per-eps lower bounds of ||B(eps)|| from a probe set."""
-    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
-    if eps_sequence is None:
-        eps_sequence = geometric_eps(fam.eps0)
-    eps_sequence = sorted(eps_sequence, reverse=True)
-    probes = probes or default_probes(fam, N)
-    probe_norms = [holder_norm(y, err_idx, M).total for y in probes]
-    estimates = []
-    for eps in eps_sequence:
-        inst = instantiate(fam, eps, N)
-        est = max(float(np.linalg.norm(apply_B(inst.B, y)[:, 0])) / pn
-                  for y, pn in zip(probes, probe_norms))
-        estimates.append(est)
-    return {"eps_sequence": list(eps_sequence), "estimates": estimates,
-            "verdict": "BOUNDED" if max(estimates) < cap else "UNBOUNDED"}
 
 
 # --- serialization -------------------------------------------------------------

@@ -83,10 +83,20 @@ def cmd_sweep(args) -> int:
         raise _UsageError(f"argument --eps0: must be > 0, got {args.eps0}")
     fam = _load_family(args)
     if args.eps is not None:
-        eps_seq = args.eps
+        flag, eps_seq = "--eps", args.eps
     else:
+        # started from the family's own eps0 the sequence stays in range
+        flag = "--eps0"
         eps0 = args.eps0 if args.eps0 is not None else fam.eps0
         eps_seq = an.geometric_eps(eps0, args.factor, args.count)
+        if eps_seq[-1] == 0.0:
+            raise _UsageError(
+                f"argument --factor: eps0 * factor^k underflows to 0 at "
+                f"k = {eps_seq.index(0.0) + 1}, got {args.factor}")
+    for eps in eps_seq:
+        if not 0.0 <= eps < fam.eps0:
+            raise _UsageError(f"argument {flag}: eps={eps} outside "
+                              f"[0, {fam.eps0})")
     report = an.two_sided_sweep(fam, eps_seq, N=args.degree, M=args.samples)
     out = args.out
     report.write_csv(os.path.join(out, "sweep.csv"))

@@ -46,8 +46,6 @@ class SolveRejected(RuntimeError):
 class CompanionSystem:
     A: GridFunction   # (rm, rm) block companion
     g: GridFunction   # (rm, 1), col(0, .., 0, f)
-    r: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def build_companion(instance: ProblemInstance) -> CompanionSystem:
     g = np.zeros((s, 1, N + 1), dtype=complex)
     g[(r - 1) * m:] = instance.rhs.values
     return CompanionSystem(GridFunction(A, instance.interval),
-                           GridFunction(g, instance.interval), r, m)
+                           GridFunction(g, instance.interval))
 
 
 def _first_order_matrix(A: GridFunction) -> np.ndarray:

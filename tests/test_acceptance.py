@@ -80,7 +80,7 @@ def test_acceptance_03_fundamental_round_trip():
     entries = [[str(A0[i, j]) for j in range(4)] for i in range(4)]
     A = interpolate(entries, (0.0, 1.0), 64)
     g = GridFunction(np.zeros((4, 1, 65), dtype=complex), (0.0, 1.0))
-    cs4 = CompanionSystem(A, g, 1, 4)
+    cs4 = CompanionSystem(A, g)
     fund4 = fundamental_matrix(cs4)
     gap_c = float(np.max(np.abs(recover_coefficients(fund4.X).values
                                 - A.values)))

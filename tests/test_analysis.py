@@ -80,7 +80,31 @@ def test_limit_conditions_eps_independent_family_all_zero():
     rep = an.limit_conditions_report(gallery("F3_cond0_violated"),
                                      EPS_SHORT, N=16, M=256)
     flat = [v for row in rep.condI_norms for v in row]
-    assert max(flat + rep.condII_probe + rep.condIII_norm + rep.condIV) < 1e-12
+    assert max(flat + rep.condII_probe) < 1e-12
+
+
+def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
+    # B(0) y is the same vector at every eps: 7 probes, 7 applications
+    fam = gallery("F1_smooth_perturb")
+    probes = an.default_probes(fam, 16)
+    zero_B, seen = [], []
+
+    def instantiating(fam, eps, N):
+        inst = instantiate(fam, eps, N)
+        if eps == 0.0:
+            zero_B.append(inst.B)
+        return inst
+
+    def counting(B, y):
+        seen.append(any(B is B0 for B0 in zero_B))
+        return apply_B(B, y)
+
+    monkeypatch.setattr(an, "instantiate", instantiating)
+    monkeypatch.setattr(an, "apply_B", counting)
+    rep = an.limit_conditions_report(fam, probes=probes, N=16, M=256)
+    assert len(probes) == 7 and len(rep.eps_sequence) == 20
+    assert len(zero_B) == 1
+    assert seen.count(True) == 7 and len(seen) == 7 + 20 * 7
 
 
 def test_two_sided_sweep_f1_band():
@@ -224,28 +248,6 @@ def test_theorem2_P_exactly_zero_for_eps_independent_coefficients():
     t2 = an.theorem2_equivalence_check(gallery("F2_boundary_perturb"),
                                        EPS_SHORT, N=16, M=256)
     assert t2.P == [0.0] * len(EPS_SHORT)
-
-
-def test_boundedness_probe():
-    b = an.boundedness_probe_B(gallery("F1_smooth_perturb"), EPS_SHORT, N=16,
-                               M=256)
-    assert b["verdict"] == "BOUNDED"
-    spread = max(b["estimates"]) - min(b["estimates"])
-    assert spread < 1e-12  # Dirichlet operator independent of eps
-
-    cfg = {  # artificial family with B(eps) = (1/eps) y(0) in one row
-        "r": 2, "m": 1, "n": 0, "alpha": 1.0, "interval": [0.0, 1.0],
-        "eps0": 1.0, "coeffs": [[["1"]], [["0"]]], "rhs": ["0"],
-        "boundary": {"point_terms": [
-            {"order": 0, "point": 0.0, "coeff": [["1/eps"], ["0"]]},
-            {"order": 0, "point": 1.0, "coeff": [["0"], ["1"]]}]},
-        "target": ["0", "0"],
-    }
-    fam = family_from_config(cfg)
-    b2 = an.boundedness_probe_B(fam, an.geometric_eps(1.0, 0.5, 10),
-                                N=16, M=256, cap=1e3)
-    assert b2["verdict"] == "UNBOUNDED"
-    assert b2["estimates"][-1] > b2["estimates"][0]
 
 
 def test_csv_formatting_round_trip():

@@ -175,6 +175,34 @@ def test_sweep_degenerate_geometric_sequence_exit_one(flag, value, rule,
         assert not out.exists()
 
 
+def test_sweep_underflowing_geometric_sequence_exit_one(tmp_path, capsys):
+    # eps0 * factor^2 = 1e-600 is 0.0 in double precision
+    out = tmp_path / "out"
+    assert run(["sweep", "--gallery", "F1_smooth_perturb", "--factor",
+                "1e-300", "--count", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: argument --factor: eps0 * factor^k "
+                            "underflows to 0 at k = 2, got 1e-300\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, eps", [
+    (["--eps0", "4"], "--eps0", 2.0),
+    (["--eps", "1.5"], "--eps", 1.5),
+    (["--eps", "0.5", "--eps", "-0.25"], "--eps", -0.25)])
+def test_sweep_eps_outside_family_range_names_its_flag(argv, flag, eps,
+                                                       tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["sweep", "--gallery", "F1_smooth_perturb", *argv,
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: argument {flag}: eps={eps} outside [0, 1.0)\n")
+    assert not out.exists()
+
+
 def test_sweep_artifacts(tmp_path):
     out = tmp_path / "out"
     code = run(["sweep", "--gallery", "F1_smooth_perturb",

@@ -83,7 +83,7 @@ def test_fundamental_scalar_exponential():
     lam = 1.7
     A = interpolate(str(lam), (0.0, 1.0), 32)
     g = interpolate("0", (0.0, 1.0), 32)
-    cs = CompanionSystem(A, g, 1, 1)
+    cs = CompanionSystem(A, g)
     fund = fundamental_matrix(cs)
     ts = np.linspace(0, 1, 100)
     err = np.max(np.abs(fund.X.eval_at(ts)[0, 0] - np.exp(-lam * ts)))
@@ -95,7 +95,7 @@ def test_fundamental_double_integrator():
     # y'' = 0 companion: A = [[0,-1],[0,0]], X = [[1, t-a],[0,1]]
     A = interpolate([["0", "neg(1)"], ["0", "0"]], (0.0, 1.0), 16)
     g = interpolate([["0"], ["0"]], (0.0, 1.0), 16)
-    fund = fundamental_matrix(CompanionSystem(A, g, 2, 1))
+    fund = fundamental_matrix(CompanionSystem(A, g))
     ts = np.linspace(0, 1, 50)
     X = fund.X.eval_at(ts)
     assert np.max(np.abs(X[0, 0] - 1.0)) < 1e-12
@@ -110,7 +110,7 @@ def test_fundamental_vs_matrix_exponential_oracle():
     entries = [[str(A0[i, j]) for j in range(4)] for i in range(4)]
     A = interpolate(entries, (0.0, 1.0), 32)
     g = GridFunction(np.zeros((4, 1, 33), dtype=complex), (0.0, 1.0))
-    fund = fundamental_matrix(CompanionSystem(A, g, 1, 4))
+    fund = fundamental_matrix(CompanionSystem(A, g))
     for t in (0.3, 0.75, 1.0):
         oracle = scipy.linalg.expm(-A0 * t)
         got = fund.X.eval_at([t])[..., 0]
@@ -122,9 +122,9 @@ def test_particular_solution_examples():
     zero = interpolate("0", (0.0, 1.0), 16)
     one = interpolate("1", (0.0, 1.0), 16)
     assert np.max(np.abs(particular_solution(
-        CompanionSystem(A, zero, 1, 1)).values)) < 1e-12
+        CompanionSystem(A, zero)).values)) < 1e-12
     ts = np.linspace(0, 1, 30)
-    xp = particular_solution(CompanionSystem(A, one, 1, 1))
+    xp = particular_solution(CompanionSystem(A, one))
     assert np.max(np.abs(xp.eval_at(ts)[0, 0] - ts)) < 1e-12
 
 
@@ -369,13 +369,13 @@ def test_recover_coefficients_hand_examples():
     lam = 0.9
     A = interpolate(str(lam), (0.0, 1.0), 24)
     g = interpolate("0", (0.0, 1.0), 24)
-    X = fundamental_matrix(CompanionSystem(A, g, 1, 1)).X
+    X = fundamental_matrix(CompanionSystem(A, g)).X
     rec = recover_coefficients(X)
     assert np.max(np.abs(rec.values - lam)) < 1e-9
 
     A2 = interpolate([["0", "neg(1)"], ["0", "0"]], (0.0, 1.0), 16)
     g2 = interpolate([["0"], ["0"]], (0.0, 1.0), 16)
-    X2 = fundamental_matrix(CompanionSystem(A2, g2, 2, 1)).X
+    X2 = fundamental_matrix(CompanionSystem(A2, g2)).X
     rec2 = recover_coefficients(X2)
     assert np.max(np.abs(rec2.values - A2.values)) < 1e-9
 
