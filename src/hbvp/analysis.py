@@ -111,20 +111,24 @@ def _coeff_diff_action(diffs: list, y: GridFunction,
 
 # --- discrepancy and the two-sided sweep -------------------------------------
 
-def _perturbation(fam: ProblemFamily, inst, inst0, y0: GridFunction):
-    """Residual of y0 in the eps problem with the eps = 0 problem's
-    residual cancelled exactly.
+def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
+    """The residual of y0 in an eps problem with the eps = 0 problem's
+    residual cancelled exactly, as a function of the eps instance.
 
-    Returns (L(eps) - L(0)) y0 - (f(eps) - f(0)) and the boundary data
+    It returns (L(eps) - L(0)) y0 - (f(eps) - f(0)) and the boundary data
     c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0.  Negated, the first is
     the right-hand side of delta = y(eps) - y(0), and c_delta its boundary
-    data; their norms make up the discrepancy.
+    data; their norms make up the discrepancy.  B(0) y0 is applied once.
     """
-    resid = _coeff_diff_action(_coeff_diffs(fam, inst.eps, inst.N), y0,
-                               _rhs_diff(fam, inst.eps, inst.N).scale(-1.0))
-    c_delta = (inst.c - inst0.c) - (apply_B(inst.B, y0)[:, 0]
-                                    - apply_B(inst0.B, y0)[:, 0])
-    return resid, c_delta
+    B0y0 = apply_B(inst0.B, y0)[:, 0]
+
+    def at(inst):
+        resid = _coeff_diff_action(
+            _coeff_diffs(fam, inst.eps, inst.N), y0,
+            _rhs_diff(fam, inst.eps, inst.N).scale(-1.0))
+        c_delta = (inst.c - inst0.c) - (apply_B(inst.B, y0)[:, 0] - B0y0)
+        return resid, c_delta
+    return at
 
 
 def _discrepancy_norm(resid: GridFunction, bvec: np.ndarray,
@@ -148,7 +152,7 @@ def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
         resid = apply_L(inst, y0) - inst.rhs.resample(2 * N)
         bvec = apply_B(inst.B, y0)[:, 0] - inst.c
     else:
-        resid, bvec = _perturbation(fam, inst, instantiate(fam, 0.0, N), y0)
+        resid, bvec = _perturbation(fam, instantiate(fam, 0.0, N), y0)(inst)
     return _discrepancy_norm(resid, bvec, fam.idx, M)
 
 
@@ -208,14 +212,14 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
         eps_sequence = geometric_eps(fam.eps0)
     inst0 = instantiate(fam, 0.0, N)
     res0 = solve_bvp_direct(inst0)
-    y0 = res0.y
+    perturbation = _perturbation(fam, inst0, res0.y)
 
     def one(eps):
         try:
             inst = instantiate(fam, eps, N)
             # delta = y(eps) - y(0) from the exactly-cancelled perturbation
             # data, avoiding loss of significance at tiny eps
-            resid, c_delta = _perturbation(fam, inst, inst0, y0)
+            resid, c_delta = perturbation(inst)
             delta = solve_bvp_direct(replace(
                 inst, rhs=resid.scale(-1.0).resample(inst.N), c=c_delta))
             error = holder_norm(delta.y, err_idx, M).total
@@ -240,13 +244,14 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
 @dataclass
 class LimitConditionReport:
     eps_sequence: list
+    probes: list            # default_probes(fam, N), for Condition II
     condI_norms: list       # per eps: list of r Holder norms
     condII_probe: list      # per eps: max probe deviation of B
     verdicts: dict
 
 
 def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
-                            probes=None, N: int = 32, M: int = DEFAULT_M,
+                            N: int = 32, M: int = DEFAULT_M,
                             final_factor: float = ZERO_FINAL_FACTOR
                             ) -> LimitConditionReport:
     """Measure Conditions (I)-(II) along the sweep and grade their tails."""
@@ -254,7 +259,7 @@ def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
     if eps_sequence is None:
         eps_sequence = geometric_eps(fam.eps0)
     eps_sequence = sorted(eps_sequence, reverse=True)
-    probes = probes or default_probes(fam, N)
+    probes = default_probes(fam, N)
     inst0 = instantiate(fam, 0.0, N)
     B0_probes = [apply_B(inst0.B, y)[:, 0] for y in probes]
     condI, condII = [], []
@@ -269,7 +274,7 @@ def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
             delta = apply_B(inst.B, y)[:, 0] - B0y
             dev = max(dev, float(np.linalg.norm(delta)))
         condII.append(dev)
-    return LimitConditionReport(eps_sequence, condI, condII, {
+    return LimitConditionReport(eps_sequence, probes, condI, condII, {
         "I": all(tends_to_zero([row[j] for row in condI], final_factor)
                  for j in range(fam.r)),
         "II": tends_to_zero(condII, final_factor)})
@@ -293,14 +298,12 @@ class MainTheoremVerdict:
 
 
 def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
-                       probes=None, N: int = 32, M: int = DEFAULT_M,
+                       N: int = 32, M: int = DEFAULT_M,
                        criterion_final_factor: float = ZERO_FINAL_FACTOR
                        ) -> MainTheoremVerdict:
     """Check that the criterion side (Condition (0) + Limit Conditions I
     and II) agrees with the observed solvability-and-convergence side."""
-    if eps_sequence is None:
-        eps_sequence = geometric_eps(fam.eps0)
-    lim = limit_conditions_report(fam, eps_sequence, probes, N, M,
+    lim = limit_conditions_report(fam, eps_sequence, N, M,
                                   final_factor=criterion_final_factor)
     # the sweep's eps = 0 solve decides Condition (0) from its one
     # factorization; an unsatisfied gate is an unsolvable problem
@@ -368,7 +371,7 @@ class Theorem2Report:
 
 
 def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
-                               probes=None, N: int = 32, M: int = DEFAULT_M,
+                               N: int = 32, M: int = DEFAULT_M,
                                limits: LimitConditionReport | None = None
                                ) -> Theorem2Report:
     """Probe operator-norm lower bounds against the coefficient aggregate.
@@ -376,15 +379,14 @@ def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
     S(eps) = sum_j ||A_j(eps)-A_j(0)||_{n,alpha} dominates (up to the
     calibrated constant c2) the probe estimate P(eps) of the operator-norm
     distance, and the two vanish together.  S sums the Condition I norms
-    of `limits`, a limit_conditions_report of fam with the same probes,
-    N and M, whose eps sequence replaces eps_sequence; it is measured
-    here when not given.
+    of `limits`, a limit_conditions_report of fam with the same N and M,
+    whose eps sequence and probes replace eps_sequence and this check's
+    own; it is measured here when not given.
     """
     idx = fam.idx
     err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
-    probes = probes or default_probes(fam, N)
-    limits = limits or limit_conditions_report(fam, eps_sequence, probes,
-                                               N, M)
+    limits = limits or limit_conditions_report(fam, eps_sequence, N, M)
+    probes = limits.probes
     K = algebra_constant(idx)
     probe_norms = [holder_norm(y, err_idx, M).total for y in probes]
     deriv_sums = []

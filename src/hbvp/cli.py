@@ -121,13 +121,10 @@ def cmd_verify(args) -> int:
     rows = []
     all_ok = True
     for fam in families:
-        kwargs = dict(N=args.degree, M=args.samples)
-        if args.zero_tol is not None:
-            kwargs["criterion_final_factor"] = args.zero_tol
-        probes = an.default_probes(fam, args.degree)
-        verdict = an.main_theorem_suite(fam, probes=probes, **kwargs)
-        t2 = an.theorem2_equivalence_check(fam, probes=probes, N=args.degree,
-                                           M=args.samples,
+        verdict = an.main_theorem_suite(
+            fam, N=args.degree, M=args.samples,
+            criterion_final_factor=args.zero_tol)
+        t2 = an.theorem2_equivalence_check(fam, N=args.degree, M=args.samples,
                                            limits=verdict.limits)
         ok = verdict.agreement and t2.joint and t2.bound_holds
         all_ok = all_ok and ok
@@ -166,8 +163,6 @@ def build_parser() -> _Parser:
                          help="built-in test family")
         p.add_argument("--degree", type=int, default=32, metavar="N",
                        help="interpolation degree (default 32)")
-        p.add_argument("--samples", type=int, default=1024, metavar="M",
-                       help="norm sampling resolution (default 1024)")
         p.add_argument("--out", default="out", help="output directory")
 
     p_solve = sub.add_parser("solve", help="solve at one parameter value")
@@ -179,6 +174,8 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep",
                              help="error/discrepancy parameter sweep")
     common(p_sweep)
+    p_sweep.add_argument("--samples", type=int, default=1024, metavar="M",
+                         help="norm sampling resolution (default 1024)")
     p_sweep.add_argument("--eps0", type=float, default=None,
                          help="sweep starting scale, > 0 "
                               "(default: family eps0)")
@@ -200,9 +197,11 @@ def build_parser() -> _Parser:
     tgt.add_argument("--config", help="JSON problem configuration")
     p_verify.add_argument("--degree", type=int, default=24, metavar="N")
     p_verify.add_argument("--samples", type=int, default=512, metavar="M")
-    p_verify.add_argument("--zero-tol", type=float, default=None,
+    p_verify.add_argument("--zero-tol", type=float,
+                          default=an.ZERO_FINAL_FACTOR,
                           help="decay threshold for the criterion-side "
-                               "'tends to zero' verdicts")
+                               "'tends to zero' verdicts "
+                               "(default %(default)s)")
     p_verify.add_argument("--out", default=None, help="output directory")
     p_verify.set_defaults(func=cmd_verify)
     return parser

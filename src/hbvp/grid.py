@@ -118,8 +118,6 @@ class GridFunction:
         srcs = np.asarray(exprs, dtype=object)
         if srcs.ndim == 0:
             srcs = srcs.reshape(1, 1)
-        elif srcs.ndim == 1:
-            srcs = srcs.reshape(-1, 1)
         a, b = float(interval[0]), float(interval[1])
         nodes, _ = _grid_data(N, a, b)
         values = _eval_exprs(srcs, nodes, eps, a, b)
@@ -212,24 +210,14 @@ class GridFunction:
 
 
 def interpolate(e, interval, N: int) -> GridFunction:
-    """Build a GridFunction at eps = 0 from an expression or string, a
-    nested list or array of them, or node values of shape (N+1,) or
-    (rows, cols, N+1)."""
-    if isinstance(e, str):
-        e = ex.parse_expression(e)
-    if isinstance(e, ex.Expr):
-        return GridFunction.from_exprs(e, interval, N)
-    arr = np.asarray(e)
-    if arr.dtype == object or (arr.size and isinstance(arr.flat[0], (str, ex.Expr))):
-        parsed = np.empty(arr.shape, dtype=object)
-        for idx in np.ndindex(arr.shape):
-            v = arr[idx]
-            parsed[idx] = ex.parse_expression(v) if isinstance(v, str) else v
-        return GridFunction.from_exprs(parsed, interval, N)
-    values = np.asarray(e, dtype=complex)
-    if values.ndim == 1:
-        values = values.reshape(1, 1, -1)
-    return GridFunction(values, interval)
+    """Build a GridFunction at eps = 0 from an expression or string, or a
+    (rows, cols) nested list or array of them."""
+    arr = np.asarray(e, dtype=object)
+    parsed = np.empty(arr.shape, dtype=object)
+    for idx in np.ndindex(arr.shape):
+        v = arr[idx]
+        parsed[idx] = ex.parse_expression(v) if isinstance(v, str) else v
+    return GridFunction.from_exprs(parsed, interval, N)
 
 
 def product(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -307,13 +295,11 @@ def _lag_one_is_max(slopes: np.ndarray, dt: np.ndarray) -> bool:
     it spans.  A chord over the gap m of slope L also spans a neighbouring
     gap, so L's weight is at most W = dt[m] / (dt[m] + smaller neighbouring
     dt), and every other slope is at most s2; the chord's slope is then at
-    most L - (1 - W)(L - s2).  The margin must beat roundoff by 64u, and
-    an infinite L certifies nothing.
+    most L - (1 - W)(L - s2).  The margin must beat roundoff by 64u; L is
+    finite, as _pair_max calls this only then.
     """
     m = int(np.argmax(slopes))
     L = slopes[m]
-    if not np.isfinite(L):
-        return False
     s2 = max(slopes[:m].max(initial=0.0), slopes[m + 1:].max(initial=0.0))
     h = min((dt[j] for j in (m - 1, m + 1) if 0 <= j < len(dt)),
             default=np.inf)

@@ -31,16 +31,19 @@ def _parse(src):
 
 
 def _expr_matrix(entries, rows, cols, path=""):
-    arr = np.empty((rows, cols), dtype=object)
-    try:
-        for i in range(rows):
-            for j in range(cols):
-                arr[i, j] = _parse(entries[i][j])
-    except (IndexError, TypeError) as err:
+    """A rows x cols object array of parsed expressions; a list of rows of
+    any other shape is a ConfigError at path."""
+    if not (isinstance(entries, list) and len(entries) == rows
+            and all(isinstance(row, list) and len(row) == cols
+                    for row in entries)):
         raise ConfigError(f"expected a {rows}x{cols} matrix of expressions",
-                          path) from err
-    except ex.ExprError as err:
-        raise ConfigError(str(err), f"{path}[{i}][{j}]") from err
+                          path)
+    arr = np.empty((rows, cols), dtype=object)
+    for i, j in np.ndindex(rows, cols):
+        try:
+            arr[i, j] = _parse(entries[i][j])
+        except ex.ExprError as err:
+            raise ConfigError(str(err), f"{path}[{i}][{j}]") from err
     return arr
 
 
@@ -86,10 +89,10 @@ class BoundaryOperatorFamily:
                 raise ConfigError(
                     f"coefficient shape {term.coeff_shape()} != {(r*m, m)}",
                     "boundary")
-        for term in self.point_terms:
+        for i, term in enumerate(self.point_terms):
             if not a <= term.point <= b:
                 raise ConfigError(f"point {term.point} outside [{a}, {b}]",
-                                  "boundary.point_terms")
+                                  f"boundary.point_terms[{i}].point")
 
 
 @dataclass(frozen=True)
@@ -289,8 +292,19 @@ def _at(obj, key, convert=lambda v: v, at=""):
         raise ConfigError(str(err), at + key) from err
 
 
+def _integer(v, least: int = 0) -> int:
+    """v as an int >= least; a bool or a number with a fractional part is
+    not an integer."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    if int(v) < least:
+        raise ValueError(f"must be >= {least}, got {v!r}")
+    return int(v)
+
+
 def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
-    r, m, n = (_at(cfg, key, int) for key in "rmn")
+    r, m = (_at(cfg, key, lambda v: _integer(v, 1)) for key in "rm")
+    n = _at(cfg, "n", _integer)
     alpha = _at(cfg, "alpha", float)
     interval = _at(cfg, "interval", lambda v: tuple(map(float, v)))
     if len(interval) != 2 or not interval[0] < interval[1]:
@@ -316,12 +330,13 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
                 for i, p in enumerate(_at(bnd, kind, list, "boundary."))]
 
     points = tuple(
-        PointTermFamily(_at(p, "order", int, at), _at(p, "point", float, at),
+        PointTermFamily(_at(p, "order", _integer, at),
+                        _at(p, "point", float, at),
                         _expr_matrix(_at(p, "coeff", at=at), r * m, m,
                                      at + "coeff"))
         for p, at in terms("point_terms"))
     integrals = tuple(
-        IntegralTermFamily(_at(p, "order", int, at),
+        IntegralTermFamily(_at(p, "order", _integer, at),
                            _expr_matrix(_at(p, "density", at=at), r * m, m,
                                         at + "density"))
         for p, at in terms("integral_terms"))

@@ -50,8 +50,8 @@ class CompanionSystem:
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
-    X: GridFunction   # (rm, rm), X(a) = I
-    min_abs_det: float
+    X: GridFunction   # (rm, rm), X' + A X = 0, X(a) = I
+    xp: np.ndarray    # (rm, 1, N+1) node values, x_p' + A x_p = g, x_p(a) = 0
 
 
 @dataclass(frozen=True)
@@ -123,38 +123,21 @@ def _first_order_matrix(A: GridFunction) -> np.ndarray:
     return big
 
 
-def _solve_first_order(A: GridFunction, rhs_nodes: np.ndarray,
-                       init: np.ndarray) -> np.ndarray:
-    """Solve x' + A x = rhs, x(a) = init, for one or many columns.
-
-    rhs_nodes: (s, k, N+1); init: (s, k).  Returns (s, k, N+1).
-    """
-    s, k, Np1 = rhs_nodes.shape
-    big = _first_order_matrix(A)
-    rhs = np.array(rhs_nodes.transpose(0, 2, 1).reshape(s * Np1, k))
-    rhs[::Np1] = init
-    sol = np.linalg.solve(big, rhs)
-    return sol.reshape(s, Np1, k).transpose(0, 2, 1)
-
-
 def fundamental_matrix(cs: CompanionSystem) -> FundamentalMatrix:
-    """X with X' + A X = 0 and X(a) = I, by global collocation."""
+    """X and x_p by global collocation, from one factorization: the
+    right-hand side is [0 | g] and the initial values x(a) = [I | 0]."""
     A = cs.A
     s = A.shape[0]
     Np1 = A.N + 1
-    rhs = np.zeros((s, s, Np1), dtype=complex)
-    sol = _solve_first_order(A, rhs, np.eye(s, dtype=complex))
-    X = GridFunction(sol, A.interval)
-    dets = np.abs(np.linalg.det(X.values.transpose(2, 0, 1)))
-    return FundamentalMatrix(X, float(dets.min()))
-
-
-def particular_solution(cs: CompanionSystem) -> GridFunction:
-    """x_p with x_p' + A x_p = g and x_p(a) = 0."""
-    A, g = cs.A, cs.g
-    s = A.shape[0]
-    sol = _solve_first_order(A, g.values, np.zeros((s, 1), dtype=complex))
-    return GridFunction(sol, A.interval)
+    rhs = np.zeros((s, Np1, s + 1), dtype=complex)
+    rhs[:, :, s] = cs.g.values[:, 0]
+    rhs[:, 0] = np.eye(s, s + 1)
+    sol = np.linalg.solve(_first_order_matrix(A),
+                          rhs.reshape(s * Np1, s + 1))
+    sol = sol.reshape(s, Np1, s + 1).transpose(0, 2, 1)
+    # contiguous: a strided x_p moves apply_B's bits
+    return FundamentalMatrix(GridFunction(sol[:, :s], A.interval),
+                             sol[:, s:].copy())
 
 
 def characteristic_matrix(B: BoundaryOperator, X: GridFunction) -> CharacteristicMatrix:
@@ -293,13 +276,8 @@ def solve_bvp(instance: ProblemInstance) -> SolveResult:
     closing the boundary conditions."""
     m, N = instance.m, instance.N
     cs = build_companion(instance)
-    s = cs.A.shape[0]
-    # one factorization gives [X | x_p]: right-hand side [0 | g], x(a) = [I | 0]
-    rhs = np.zeros((s, s + 1, N + 1), dtype=complex)
-    rhs[:, s:] = cs.g.values
-    sol = _solve_first_order(cs.A, rhs, np.eye(s, s + 1, dtype=complex))
-    X = GridFunction(sol[:, :s], instance.interval)
-    xp = sol[:, s:].copy()   # contiguous: a strided x_p moves apply_B's bits
+    fund = fundamental_matrix(cs)
+    X, xp = fund.X, fund.xp
     cm = characteristic_matrix(instance.B, X)
     _condition_zero(cm.margin, N).require()
     xp_top = GridFunction(xp[:m], instance.interval)

@@ -83,10 +83,9 @@ def test_limit_conditions_eps_independent_family_all_zero():
     assert max(flat + rep.condII_probe) < 1e-12
 
 
-def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
-    # B(0) y is the same vector at every eps: 7 probes, 7 applications
-    fam = gallery("F1_smooth_perturb")
-    probes = an.default_probes(fam, 16)
+def _count_B_applications(monkeypatch):
+    """Make analysis record the eps = 0 operators it builds (zero_B) and,
+    per apply_B call, whether that call applies one of them (seen)."""
     zero_B, seen = [], []
 
     def instantiating(fam, eps, N):
@@ -101,10 +100,26 @@ def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
 
     monkeypatch.setattr(an, "instantiate", instantiating)
     monkeypatch.setattr(an, "apply_B", counting)
-    rep = an.limit_conditions_report(fam, probes=probes, N=16, M=256)
-    assert len(probes) == 7 and len(rep.eps_sequence) == 20
+    return zero_B, seen
+
+
+def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
+    # B(0) y is the same vector at every eps: 7 probes, 7 applications
+    fam = gallery("F1_smooth_perturb")
+    zero_B, seen = _count_B_applications(monkeypatch)
+    rep = an.limit_conditions_report(fam, N=16, M=256)
+    assert len(rep.probes) == 7 and len(rep.eps_sequence) == 20
     assert len(zero_B) == 1
     assert seen.count(True) == 7 and len(seen) == 7 + 20 * 7
+
+
+def test_two_sided_sweep_applies_B0_once(monkeypatch):
+    # B(0) y0 is the same vector at every eps: one application per sweep
+    fam = gallery("F1_smooth_perturb")
+    zero_B, seen = _count_B_applications(monkeypatch)
+    rep = an.two_sided_sweep(fam, N=16, M=256)
+    assert len(rep.records) == 20 and len(zero_B) == 1
+    assert seen.count(True) == 1 and len(seen) == 1 + 20
 
 
 def test_two_sided_sweep_f1_band():

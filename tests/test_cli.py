@@ -31,9 +31,10 @@ def test_solve_f1_exit_zero_and_summary(tmp_path):
 
 def test_solve_and_sweep_report_the_same_cond0_margin(tmp_path):
     common = ["--gallery", "F1_smooth_perturb", "--eps", "0.25",
-              "--degree", "16", "--samples", "256"]
+              "--degree", "16"]
     assert run(["solve"] + common + ["--out", str(tmp_path / "s")]) == 0
-    assert run(["sweep"] + common + ["--out", str(tmp_path / "w")]) == 0
+    assert run(["sweep"] + common + ["--samples", "256",
+                                     "--out", str(tmp_path / "w")]) == 0
     summary = json.loads((tmp_path / "s" / "solve_summary.json").read_text())
     with open(tmp_path / "w" / "sweep.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
@@ -78,8 +79,28 @@ def _set(key, value):
     return lambda cfg: cfg.update({key: value})
 
 
+def _point_term(i, **changes):
+    return lambda cfg: cfg["boundary"]["point_terms"][i].update(changes)
+
+
+FILE = "<the config file>"   # a path that is the file's own
+
+
 @pytest.mark.parametrize("mutate, path", [
     (_set("r", "two"), "r"),
+    (_set("r", 2.7), "r"),
+    (_set("r", 0), "r"),
+    (_set("m", 0), "m"),
+    (_set("m", True), "m"),
+    (_set("n", 0.5), "n"),
+    (_set("n", -1), "n"),
+    (_set("eps0", 0), "eps0"),
+    (_set("eps0", -1), "eps0"),
+    (_point_term(0, order=0.9), "boundary.point_terms[0].order"),
+    (_point_term(1, order=False), "boundary.point_terms[1].order"),
+    (_point_term(1, point=1.5), "boundary.point_terms[1].point"),
+    (_set("boundary", {}), "boundary"),
+    (lambda cfg: [cfg], FILE),
     (_set("eps0", "big"), "eps0"),
     (_set("alpha", [1]), "alpha"),
     (_set("interval", ["a", 1]), "interval"),
@@ -102,19 +123,40 @@ def _set(key, value):
     (lambda cfg: cfg["coeffs"][0][0].__setitem__(0, "1/0"),
      "coeffs[0][0][0]"),
     (lambda cfg: cfg["rhs"].__setitem__(0, "0^-1"), "rhs[0][0]"),
-], ids=["r", "eps0", "alpha", "interval-names", "interval-number", "coeffs",
+    # a matrix or vector of the wrong size, too short or too long
+    (lambda cfg: cfg["coeffs"][0][0].append("99"), "coeffs[0]"),
+    (lambda cfg: cfg["coeffs"][1].append(["7"]), "coeffs[1]"),
+    (lambda cfg: cfg["coeffs"][1].clear(), "coeffs[1]"),
+    (lambda cfg: cfg["coeffs"][0][0].clear(), "coeffs[0]"),
+    (lambda cfg: cfg["rhs"].append("junk"), "rhs"),
+    (_set("rhs", []), "rhs"),
+    (lambda cfg: cfg["target"].append("0"), "target"),
+    (lambda cfg: cfg["target"].pop(), "target"),
+    (lambda cfg: cfg["boundary"]["point_terms"][0]["coeff"].append(["1"]),
+     "boundary.point_terms[0].coeff"),
+    (_point_term(0, coeff=[["1"]]), "boundary.point_terms[0].coeff"),
+    (_point_term(0, coeff=[["1", "0"], ["0", "1"]]),
+     "boundary.point_terms[0].coeff"),
+], ids=["r", "r-fraction", "r-zero", "m-zero", "m-bool", "n-fraction", "n-negative",
+        "eps0-zero", "eps0-negative", "order-fraction", "order-bool",
+        "point-outside", "boundary-no-term", "top-level-list", "eps0",
+        "alpha", "interval-names", "interval-number", "coeffs",
         "rhs", "target", "boundary-list", "boundary-string",
         "point_terms-number", "point_terms-numbers", "order-missing",
         "point-name", "coeffs_at_zero-short", "constant-division",
-        "constant-negative-power"])
+        "constant-negative-power", "coeffs-long-row", "coeffs-extra-row",
+        "coeffs-no-row", "coeffs-short-row", "rhs-long", "rhs-short",
+        "target-long", "target-short", "coeff-extra-row", "coeff-short",
+        "coeff-wide"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
-    mutate(cfg)
+    replaced = mutate(cfg)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(cfg))
+    bad.write_text(json.dumps(replaced if path == FILE else cfg))
     assert run(["solve", "--config", str(bad),
                 "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    cited = str(bad) if path == FILE else path
+    assert capsys.readouterr().err.startswith(f"error: {cited}: ")
 
 
 def test_invalid_json_exit_one(tmp_path):
@@ -140,6 +182,9 @@ def test_unreadable_config_cites_path(kind, tmp_path, capsys):
 def test_usage_error_exit_one():
     assert run(["solve"]) == 1          # missing --config/--gallery
     assert run(["frobnicate"]) == 1     # unknown subcommand
+    # solve samples no norm: --samples belongs to sweep and verify only
+    assert run(["solve", "--gallery", "F1_smooth_perturb",
+                "--samples", "256"]) == 1
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -287,6 +332,30 @@ def test_verify_config_matches_gallery(tmp_path):
     assert rows[0].pop("family") == str(cfg)
     assert rows[1].pop("family") == "F1_smooth_perturb"
     assert rows[0] == rows[1]
+
+
+def test_rhs_at_zero_is_the_rhs_at_eps_zero_only(tmp_path, capsys):
+    # f = exp(t) + sin(t/eps) has no eps -> 0 limit: without rhs_at_zero
+    # the eps = 0 slice divides by zero; with it eps = 0 solves F1's
+    # problem, and any eps > 0 still solves the config's own f
+    f1 = _gallery_config("F1_smooth_perturb")
+    rough = dict(f1, rhs=["exp(t)+sin(t/eps)"])
+    split = dict(rough, rhs_at_zero=["exp(t)"])
+
+    def solve(cfg, eps, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        code = run(["solve", "--config", str(path), "--eps", eps,
+                    "--out", str(out)])
+        return code, code == 0 and (out / "solution.csv").read_bytes()
+
+    assert solve(rough, "0", "rough0") == (1, False)
+    assert "division by zero" in capsys.readouterr().err
+    assert solve(split, "0", "split0") == solve(f1, "0", "f1_0")
+    split_quarter = solve(split, "0.25", "split1")
+    assert split_quarter == solve(rough, "0.25", "rough1")
+    assert split_quarter != solve(f1, "0.25", "f1_1")
 
 
 def test_verify_absurd_tolerance_exit_three():

@@ -13,7 +13,7 @@ from hbvp.solver import (CompanionSystem, ConditionZeroViolated,
                          build_companion, characteristic_matrix,
                          check_condition_zero, collocation_matrix,
                          fredholm_nullity, fundamental_matrix,
-                         liouville_defect, particular_solution,
+                         liouville_defect,
                          recover_coefficients, solve_bvp, solve_bvp_direct,
                          solve_matrix_bvp)
 
@@ -88,7 +88,8 @@ def test_fundamental_scalar_exponential():
     ts = np.linspace(0, 1, 100)
     err = np.max(np.abs(fund.X.eval_at(ts)[0, 0] - np.exp(-lam * ts)))
     assert err < 1e-10
-    assert fund.min_abs_det > 0.1
+    dets = np.linalg.det(fund.X.values.transpose(2, 0, 1))
+    assert np.min(np.abs(dets)) > 0.1
 
 
 def test_fundamental_double_integrator():
@@ -121,10 +122,11 @@ def test_particular_solution_examples():
     A = interpolate("0", (0.0, 1.0), 16)
     zero = interpolate("0", (0.0, 1.0), 16)
     one = interpolate("1", (0.0, 1.0), 16)
-    assert np.max(np.abs(particular_solution(
-        CompanionSystem(A, zero)).values)) < 1e-12
+    assert np.max(np.abs(fundamental_matrix(
+        CompanionSystem(A, zero)).xp)) < 1e-12
     ts = np.linspace(0, 1, 30)
-    xp = particular_solution(CompanionSystem(A, one))
+    xp = GridFunction(fundamental_matrix(CompanionSystem(A, one)).xp,
+                      (0.0, 1.0))
     assert np.max(np.abs(xp.eval_at(ts)[0, 0] - ts)) < 1e-12
 
 
@@ -134,10 +136,9 @@ def test_particular_solution_manufactured():
     xs = interpolate([["exp(t)"], ["t^2"]], (0.0, 1.0), 32)
     from hbvp.grid import product
     g = xs.derivative() + product(A, xs)
-    # manufactured x* has x*(0) = (1, 0), so solve with that init and shift
-    from hbvp.solver import _solve_first_order
-    sol = _solve_first_order(A.resample(g.N), g.values,
-                             np.array([[1.0], [0.0]], dtype=complex))
+    # manufactured x* has x*(0) = (1, 0): x* = X (1, 0) + x_p
+    fund = fundamental_matrix(CompanionSystem(A.resample(g.N), g))
+    sol = fund.X.values[:, :1] + fund.xp
     ts = np.linspace(0, 1, 60)
     got = GridFunction(sol, (0.0, 1.0)).eval_at(ts)
     want = xs.eval_at(ts)
