@@ -177,27 +177,22 @@ class GridFunction:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _binary(self, other: "GridFunction", op, sym):
+    def _binary(self, other: "GridFunction", op):
+        """op of the node values at the larger degree; the result keeps no
+        expression."""
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
         if (self.a, self.b) != (other.a, other.b):
             raise ValueError("interval mismatch")
         N = max(self.N, other.N)
         f, g = self.resample(N), other.resample(N)
-        sources = None
-        if (self.sources is not None and other.sources is not None
-                and self.eps == other.eps):
-            sources = np.empty(self.sources.shape, dtype=object)
-            for idx in np.ndindex(self.sources.shape):
-                sources[idx] = sym(self.sources[idx], other.sources[idx])
-        return GridFunction(op(f.values, g.values), self.interval,
-                            sources=sources, eps=self.eps)
+        return GridFunction(op(f.values, g.values), self.interval)
 
     def __add__(self, other):
-        return self._binary(other, np.add, ex.add)
+        return self._binary(other, np.add)
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract, ex.sub)
+        return self._binary(other, np.subtract)
 
     def scale(self, c) -> "GridFunction":
         sources = None

@@ -26,13 +26,10 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _parse(src):
-    return ex.parse_expression(src) if isinstance(src, str) else src
-
-
 def _expr_matrix(entries, rows, cols, path=""):
-    """A rows x cols object array of parsed expressions; a list of rows of
-    any other shape is a ConfigError at path."""
+    """A rows x cols object array of parsed expression strings; a list of
+    rows of any other shape is a ConfigError at path, and an entry that is
+    not a valid expression string one at its own path."""
     if not (isinstance(entries, list) and len(entries) == rows
             and all(isinstance(row, list) and len(row) == cols
                     for row in entries)):
@@ -40,10 +37,14 @@ def _expr_matrix(entries, rows, cols, path=""):
                           path)
     arr = np.empty((rows, cols), dtype=object)
     for i, j in np.ndindex(rows, cols):
+        src, at = entries[i][j], f"{path}[{i}][{j}]"
+        if not isinstance(src, str):
+            raise ConfigError(f"expected an expression string, got {src!r}",
+                              at)
         try:
-            arr[i, j] = _parse(entries[i][j])
+            arr[i, j] = ex.parse_expression(src)
         except ex.ExprError as err:
-            raise ConfigError(str(err), f"{path}[{i}][{j}]") from err
+            raise ConfigError(str(err), at) from err
     return arr
 
 
@@ -57,17 +58,11 @@ class PointTermFamily:
     point: float
     coeff: np.ndarray  # (rm, m) object array of Exprs in eps
 
-    def coeff_shape(self):
-        return self.coeff.shape
-
 
 @dataclass(frozen=True)
 class IntegralTermFamily:
     order: int
     density: np.ndarray  # (rm, m) object array of Exprs in (t, eps)
-
-    def coeff_shape(self):
-        return self.density.shape
 
 
 @dataclass(frozen=True)
@@ -75,28 +70,10 @@ class BoundaryOperatorFamily:
     point_terms: tuple
     integral_terms: tuple
 
-    def validate(self, r: int, m: int, n: int, interval):
-        if not self.point_terms and not self.integral_terms:
-            raise ConfigError("boundary operator needs at least one term",
-                              "boundary")
-        a, b = interval
-        for term in self.point_terms + self.integral_terms:
-            if not 0 <= term.order <= n + r:
-                raise ConfigError(
-                    f"derivative order {term.order} outside [0, {n + r}]",
-                    "boundary")
-            if term.coeff_shape() != (r * m, m):
-                raise ConfigError(
-                    f"coefficient shape {term.coeff_shape()} != {(r*m, m)}",
-                    "boundary")
-        for i, term in enumerate(self.point_terms):
-            if not a <= term.point <= b:
-                raise ConfigError(f"point {term.point} outside [{a}, {b}]",
-                                  f"boundary.point_terms[{i}].point")
-
 
 @dataclass(frozen=True)
 class ProblemFamily:
+    """Built and checked by family_from_config."""
     r: int
     m: int
     idx: HolderIndex
@@ -109,24 +86,6 @@ class ProblemFamily:
     name: str = ""
     coeffs_at_zero: tuple | None = None   # optional eps=0 slice override
     rhs_at_zero: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.r < 1 or self.m < 1:
-            raise ConfigError("r and m must be >= 1")
-        if self.eps0 <= 0:
-            raise ConfigError("eps0 must be positive", "eps0")
-        if len(self.coeffs) != self.r:
-            raise ConfigError(f"need {self.r} coefficient matrices, got "
-                              f"{len(self.coeffs)}", "coeffs")
-        for j, c in enumerate(self.coeffs):
-            if c.shape != (self.m, self.m):
-                raise ConfigError(f"coefficient {j} has shape {c.shape}",
-                                  f"coeffs[{j}]")
-        if self.rhs.shape != (self.m, 1):
-            raise ConfigError(f"rhs shape {self.rhs.shape}", "rhs")
-        if self.target.shape != (self.r * self.m, 1):
-            raise ConfigError(f"target shape {self.target.shape}", "target")
-        self.boundary.validate(self.r, self.m, self.idx.n, self.interval)
 
     def coeff_exprs(self, eps: float):
         if eps == 0.0 and self.coeffs_at_zero is not None:
@@ -305,10 +264,23 @@ def _integer(v, least: int = 0) -> int:
 def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
     r, m = (_at(cfg, key, lambda v: _integer(v, 1)) for key in "rm")
     n = _at(cfg, "n", _integer)
-    alpha = _at(cfg, "alpha", float)
+    idx = _at(cfg, "alpha", lambda v: HolderIndex(n, float(v)))
     interval = _at(cfg, "interval", lambda v: tuple(map(float, v)))
     if len(interval) != 2 or not interval[0] < interval[1]:
         raise ConfigError("interval must be [a, b] with a < b", "interval")
+    a, b = interval
+
+    def order(v):
+        k = _integer(v)
+        if k > n + r:
+            raise ValueError(f"derivative order {k} outside [0, {n + r}]")
+        return k
+
+    def point(v):
+        t = float(v)
+        if not a <= t <= b:
+            raise ValueError(f"point {t} outside [{a}, {b}]")
+        return t
 
     def matrices(key):
         mats = _at(cfg, key, list)
@@ -323,29 +295,34 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
     rhs0 = (_expr_vector(_at(cfg, "rhs_at_zero", list), m, "rhs_at_zero")
             if "rhs_at_zero" in cfg else None)
     bnd = _at(cfg, "boundary",
-              lambda b: {"point_terms": [], "integral_terms": [], **b})
+              lambda v: {"point_terms": [], "integral_terms": [], **v})
 
     def terms(kind):
         return [(p, f"boundary.{kind}[{i}].")
                 for i, p in enumerate(_at(bnd, kind, list, "boundary."))]
 
     points = tuple(
-        PointTermFamily(_at(p, "order", _integer, at),
-                        _at(p, "point", float, at),
+        PointTermFamily(_at(p, "order", order, at), _at(p, "point", point, at),
                         _expr_matrix(_at(p, "coeff", at=at), r * m, m,
                                      at + "coeff"))
         for p, at in terms("point_terms"))
     integrals = tuple(
-        IntegralTermFamily(_at(p, "order", _integer, at),
+        IntegralTermFamily(_at(p, "order", order, at),
                            _expr_matrix(_at(p, "density", at=at), r * m, m,
                                         at + "density"))
         for p, at in terms("integral_terms"))
+    if not points and not integrals:
+        raise ConfigError("boundary operator needs at least one term",
+                          "boundary")
     target = _expr_vector(_at(cfg, "target", list), r * m, "target")
+    eps0 = _at(cfg, "eps0", float)
+    if eps0 <= 0:
+        raise ConfigError("eps0 must be positive", "eps0")
     return ProblemFamily(
-        r=r, m=m, idx=HolderIndex(n, alpha), interval=interval,
+        r=r, m=m, idx=idx, interval=interval,
         coeffs=coeff_arrays, rhs=rhs,
         boundary=BoundaryOperatorFamily(points, integrals),
-        target=target, eps0=_at(cfg, "eps0", float), name=name or "config",
+        target=target, eps0=eps0, name=name or "config",
         coeffs_at_zero=coeffs0, rhs_at_zero=rhs0)
 
 

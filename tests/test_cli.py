@@ -137,6 +137,10 @@ FILE = "<the config file>"   # a path that is the file's own
     (_point_term(0, coeff=[["1"]]), "boundary.point_terms[0].coeff"),
     (_point_term(0, coeff=[["1", "0"], ["0", "1"]]),
      "boundary.point_terms[0].coeff"),
+    (_set("alpha", 2.0), "alpha"),
+    (_set("coeffs", [[[1]], [["0"]]]), "coeffs[0][0][0]"),
+    (_set("target", [0, "1"]), "target[0][0]"),
+    (_point_term(0, order=3), "boundary.point_terms[0].order"),
 ], ids=["r", "r-fraction", "r-zero", "m-zero", "m-bool", "n-fraction", "n-negative",
         "eps0-zero", "eps0-negative", "order-fraction", "order-bool",
         "point-outside", "boundary-no-term", "top-level-list", "eps0",
@@ -147,7 +151,8 @@ FILE = "<the config file>"   # a path that is the file's own
         "constant-negative-power", "coeffs-long-row", "coeffs-extra-row",
         "coeffs-no-row", "coeffs-short-row", "rhs-long", "rhs-short",
         "target-long", "target-short", "coeff-extra-row", "coeff-short",
-        "coeff-wide"])
+        "coeff-wide", "alpha-outside", "coeffs-number", "target-number",
+        "order-above-n-plus-r"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
     replaced = mutate(cfg)

@@ -1,4 +1,5 @@
 """Companion reduction, fundamental matrices, and boundary-value solves."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,14 +255,16 @@ R3_M2_CFG = {
 }
 
 
-@pytest.mark.parametrize("cfg", [
-    _simple_cfg([[["2", "t"], ["1", "0"]]], ["1", "0"], {"point_terms": [
+R1_M2_CFG = _simple_cfg(
+    [[["2", "t"], ["1", "0"]]], ["1", "0"], {"point_terms": [
         {"order": 0, "point": 0.0, "coeff": [["1", "0"], ["0", "0"]]},
         {"order": 0, "point": 1.0, "coeff": [["0", "0"], ["1", "1"]]}]},
-        ["0", "1"], r=1, m=2),
-    "F5_multipoint_integral",
-    R3_M2_CFG,
-], ids=["r1_m2", "F5", "r3_m2"])
+    ["0", "1"], r=1, m=2)
+
+
+@pytest.mark.parametrize("cfg", [
+    R1_M2_CFG, "F5_multipoint_integral", R3_M2_CFG],
+    ids=["r1_m2", "F5", "r3_m2"])
 def test_direct_gate_margin_matches_companion_characteristic_margin(cfg):
     # E Z = M^{-1}, with Z the fundamental block of the bordered solve and
     # E its initial rows, holds for any r and m and for integral terms
@@ -297,12 +300,39 @@ def test_direct_route_decides_condition_zero_once(monkeypatch):
     fundamentals = _count_fundamental_matrices(monkeypatch)
     collocations = _count_calls(monkeypatch, "collocation_matrix",
                                 lambda inst: inst.N)
-    with pytest.raises(SolveRejected) as err, \
-            pytest.warns(UserWarning, match="capped at 512"):
+    with pytest.raises(SolveRejected) as err:
         solve_bvp_direct(instantiate(gallery("F6_holder_rough"), 0.2, 512))
     assert err.value.N == 512
     assert collocations == [512]
     assert fundamentals == []
+
+
+@pytest.mark.parametrize("N", [32, 256])
+@pytest.mark.parametrize("cfg", [
+    "F1_smooth_perturb", "F5_multipoint_integral", "F6_holder_rough",
+    R3_M2_CFG, R1_M2_CFG], ids=["F1", "F5", "F6", "r3_m2", "r1_m2"])
+def test_direct_residual_is_L_at_the_collocation_nodes(cfg, N):
+    # below the product degree cap, the node-value residual has the bits of
+    # apply_L's function-level L y evaluated at the kept collocation nodes
+    if isinstance(cfg, str):
+        inst = instantiate(gallery(cfg), 0.2, N)
+    else:
+        inst = instantiate(_family(cfg), 0.0, N)
+    y = GridFunction(solver_mod._bordered_solve(inst)[1][:, None, :, 0].copy(),
+                     inst.interval)
+    keep = solver_mod._kept_rows(inst.r, 1, N)
+    gap = (apply_L(inst, y).eval_at(inst.rhs.nodes[keep])
+           - inst.rhs.values[..., keep])
+    assert solver_mod._residual(inst, y) == float(np.max(np.abs(gap)))
+
+
+@pytest.mark.parametrize("N", [384, 512])
+def test_direct_solve_warns_at_no_degree(N):
+    # the residual gate forms no product, so no degree cap is reached
+    inst = instantiate(gallery("F1_smooth_perturb"), 0.2, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_bvp_direct(inst).N == N
 
 
 def _count_first_order_matrices(monkeypatch):
