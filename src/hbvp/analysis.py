@@ -428,10 +428,17 @@ def fmt(value) -> str:
 
 
 def write_csv(path: str, columns, rows):
+    """A header and one CRLF-ended line per row.  A 2-D float array takes one
+    '%.17g' format of the whole body (`fmt`'s bytes); other rows, which may
+    hold None, str or bool, go through csv.writer and `fmt`."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             writer.writerow([fmt(v) for v in row])
 

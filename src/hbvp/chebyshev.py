@@ -26,16 +26,18 @@ def bary_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix E with (E @ values) = interpolant evaluated at x.
 
     Exact (a copy row) when an evaluation point coincides with a node.
+    One (len(x), N+1) buffer holds x - nodes, then the ratios, then E.
     """
     weights = bary_weights(len(nodes) - 1)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    diff = x[:, None] - nodes[None, :]
-    exact_rows, exact_cols = np.nonzero(diff == 0)
+    cols = np.minimum(np.searchsorted(nodes, x), len(nodes) - 1)
+    exact_rows = np.flatnonzero(nodes[cols] == x)
+    E = np.subtract.outer(x, nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = weights[None, :] / diff
-        E = ratios / np.sum(ratios, axis=1, keepdims=True)
+        np.divide(weights, E, out=E)
+        E /= np.sum(E, axis=1, keepdims=True)
     E[exact_rows, :] = 0.0
-    E[exact_rows, exact_cols] = 1.0
+    E[exact_rows, cols[exact_rows]] = 1.0
     return E
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration or parse error, 2 well-posedness
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import analysis as an
 from .expr import ParseError
+from .grid import MAX_PRODUCT_DEGREE
 from .problem import (ConfigError, GALLERY_NAMES, gallery, instantiate,
                       load_problem)
 from .solver import ConditionZeroViolated, SolveRejected, solve_bvp_direct
@@ -53,14 +55,11 @@ def cmd_solve(args) -> int:
     res = solve_bvp_direct(inst)
     out = args.out
     ts = np.linspace(fam.interval[0], fam.interval[1], 4 * res.N + 1)
-    vals = res.y.eval_at(ts)
-    cols = ["t"]
-    rows_data = [ts]
-    for p in range(fam.m):
-        cols += [f"re_y{p}", f"im_y{p}"]
-        rows_data += [vals[p, 0].real, vals[p, 0].imag]
-    an.write_csv(os.path.join(out, "solution.csv"), cols,
-                 (list(row) for row in zip(*rows_data)))
+    vals = res.y.eval_at(ts)[:, 0]
+    cols = ["t"] + [f"{part}_y{p}" for p in range(fam.m)
+                    for part in ("re", "im")]
+    an.write_csv(os.path.join(out, "solution.csv"), cols, np.column_stack(
+        [ts] + [part for y in vals for part in (y.real, y.imag)]))
     an.write_json(os.path.join(out, "solve_summary.json"), {
         "family": fam.name, "eps": args.eps, "degree": res.N,
         "route": res.route, "residual": res.residual,
@@ -73,6 +72,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _check_samples(args):
+    """Holder seminorms take M >= 64, and sup norms M above the degree of
+    the degree-N error and of products of degree min(2N, the cap)."""
+    least = 1 + max(63, args.degree, min(2 * args.degree, MAX_PRODUCT_DEGREE))
+    if args.samples < least:
+        raise _UsageError(f"argument --samples: must be >= {least} at "
+                          f"--degree {args.degree}, got {args.samples}")
+
+
 def cmd_sweep(args) -> int:
     if args.count < 1:
         raise _UsageError(f"argument --count: must be >= 1, got {args.count}")
@@ -81,6 +89,7 @@ def cmd_sweep(args) -> int:
             f"argument --factor: must lie in (0, 1), got {args.factor}")
     if args.eps0 is not None and not args.eps0 > 0.0:
         raise _UsageError(f"argument --eps0: must be > 0, got {args.eps0}")
+    _check_samples(args)
     fam = _load_family(args)
     if args.eps is not None:
         flag, eps_seq = "--eps", args.eps
@@ -116,6 +125,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_samples(args)
     families = ([gallery(n) for n in GALLERY_NAMES] if args.all
                 else [_load_family(args)])
     rows = []
@@ -151,12 +161,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_DISAGREEMENT
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """Built once per process; `sweep --eps` appends to a list per call."""
     parser = _Parser(prog="hbvp",
                      description="Holder-space boundary-value laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps_flags=False):
+    def common(p):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", help="JSON problem configuration")
         src.add_argument("--gallery", choices=GALLERY_NAMES,
@@ -169,7 +181,6 @@ def build_parser() -> _Parser:
     common(p_solve)
     p_solve.add_argument("--eps", type=float, default=0.0,
                          help="parameter value (default 0)")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep",
                              help="error/discrepancy parameter sweep")
@@ -186,7 +197,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--eps", type=float, action="append",
                          help="explicit parameter value (repeatable; "
                               "overrides the geometric sequence)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify",
                               help="criterion-vs-behavior agreement suites")
@@ -203,7 +213,6 @@ def build_parser() -> _Parser:
                                "'tends to zero' verdicts "
                                "(default %(default)s)")
     p_verify.add_argument("--out", default=None, help="output directory")
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -211,7 +220,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up per call (the cached parser holds no command function)
+        cmd = {"solve": cmd_solve, "sweep": cmd_sweep, "verify": cmd_verify}
+        return cmd[args.command](args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

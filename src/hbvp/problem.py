@@ -144,14 +144,37 @@ def _eval_eps_matrix(exprs: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def _slice(exprs: np.ndarray, fam: ProblemFamily, key: str, N: int,
+           eps: float) -> GridFunction:
+    """exprs at eps on the degree-N grid.  An entry with no value there, as
+    sin(t/eps) at eps = 0, is a ConfigError at its key path: key[i] for an
+    rhs key, key[i][k] for a coefficient matrix key[j]."""
+    try:
+        return GridFunction.from_exprs(exprs, fam.interval, N, eps=eps)
+    except ex.EvalError as err:
+        for idx in np.ndindex(exprs.shape):
+            try:
+                GridFunction.from_exprs(exprs[idx], fam.interval, N, eps=eps)
+            except ex.EvalError:
+                break
+        name = key.split("[")[0]
+        at = key + "".join(f"[{i}]" for i in idx[:2 - name.startswith("rhs")])
+        hint = ("" if eps or name.endswith("_at_zero") else
+                f"; if it has no eps -> 0 limit, give {name}_at_zero")
+        raise ConfigError(f"{err} at eps={eps}{hint}", at) from err
+
+
 def instantiate(fam: ProblemFamily, eps: float, N: int) -> ProblemInstance:
     """Freeze a family at one parameter value and interpolation degree."""
     if not 0.0 <= eps < fam.eps0:
         raise ValueError(f"eps={eps} outside [0, {fam.eps0})")
-    coeffs = tuple(
-        GridFunction.from_exprs(c, fam.interval, N, eps=eps)
-        for c in fam.coeff_exprs(eps))
-    rhs = GridFunction.from_exprs(fam.rhs_exprs(eps), fam.interval, N, eps=eps)
+    zero = eps == 0.0
+    ckey = "coeffs_at_zero" if zero and fam.coeffs_at_zero is not None \
+        else "coeffs"
+    rkey = "rhs_at_zero" if zero and fam.rhs_at_zero is not None else "rhs"
+    coeffs = tuple(_slice(c, fam, f"{ckey}[{j}]", N, eps)
+                   for j, c in enumerate(fam.coeff_exprs(eps)))
+    rhs = _slice(fam.rhs_exprs(eps), fam, rkey, N, eps)
     points = tuple(
         PointTerm(t.order, t.point, _eval_eps_matrix(t.coeff, eps))
         for t in fam.boundary.point_terms)

@@ -272,6 +272,27 @@ def test_csv_formatting_round_trip():
     assert an.fmt(True) == "true"
 
 
+def test_array_rows_write_the_bytes_of_csv_writer_and_fmt(tmp_path):
+    # a float table takes the one-format path; the same rows as lists take
+    # csv.writer + fmt, and both end every line in CRLF
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-300, 300,
+                                                                (40, 5))
+    table[0] = [-0.0, np.inf, -np.inf, np.nan, 5e-324]
+    table[1] = [1e308, 0.0, -1e308, 0.1, -2.5e-310]
+    cols = ("t", "re_y0", "im_y0", "re_y1", "im_y1")
+    an.write_csv(str(tmp_path / "array.csv"), cols, table)
+    an.write_csv(str(tmp_path / "lists.csv"), cols,
+                 (list(row) for row in table))
+    got = (tmp_path / "array.csv").read_bytes()
+    assert got == (tmp_path / "lists.csv").read_bytes()
+    assert got.count(b"\n") == got.count(b"\r\n") == 41
+    assert got.endswith(b"\r\n")
+    lines = got.split(b"\r\n")
+    assert lines[1] == b"-0,inf,-inf,nan,4.9406564584124654e-324"
+    assert lines[2].startswith(b"1e+308,0,-1e+308,0.10000000000000001,")
+
+
 def test_sweep_report_serialization(tmp_path):
     rep = an.two_sided_sweep(gallery("F1_smooth_perturb"),
                              an.geometric_eps(1.0, 0.5, 4), N=16, M=256)

@@ -356,11 +356,66 @@ def test_rhs_at_zero_is_the_rhs_at_eps_zero_only(tmp_path, capsys):
         return code, code == 0 and (out / "solution.csv").read_bytes()
 
     assert solve(rough, "0", "rough0") == (1, False)
-    assert "division by zero" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rhs[0]: division by zero" in err and "rhs_at_zero" in err
     assert solve(split, "0", "split0") == solve(f1, "0", "f1_0")
     split_quarter = solve(split, "0.25", "split1")
     assert split_quarter == solve(rough, "0.25", "rough1")
     assert split_quarter != solve(f1, "0.25", "f1_1")
+
+
+@pytest.mark.parametrize("command", [["solve", "--eps", "0"],
+                                     ["sweep", "--count", "2"], ["verify"]])
+def test_an_entry_with_no_value_at_eps_zero_cites_its_key(command, tmp_path,
+                                                            capsys):
+    # sin(t/eps) has no value at eps = 0: every command names the entry and
+    # the _at_zero key that would give its limit, or the _at_zero entry
+    # itself when that is what fails
+    f1 = _gallery_config("F1_smooth_perturb")
+    hint = "; if it has no eps -> 0 limit, give "
+    for cfg, want in (
+            (dict(f1, coeffs=[[["1+sin(t/eps)"]], [["0"]]]),
+             "coeffs[0][0][0]: division by zero at eps=0.0" + hint
+             + "coeffs_at_zero"),
+            (dict(f1, rhs=["sin(t/eps)"]),
+             "rhs[0]: division by zero at eps=0.0" + hint + "rhs_at_zero"),
+            (dict(f1, coeffs_at_zero=[[["1/eps"]], [["0"]]]),
+             "coeffs_at_zero[0][0][0]: division by zero at eps=0.0")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command + ["--config", str(path),
+                              "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("command, degree, samples", [
+    ("sweep", 256, 512), ("sweep", 600, 512), ("sweep", 8, 16),
+    ("sweep", 8, 63), ("verify", 256, None), ("verify", 24, 48)])
+def test_too_few_samples_is_a_usage_error_before_any_solve(
+        command, degree, samples, tmp_path, capsys, monkeypatch):
+    # the norms need M above min(2N, 512) and above N, and M >= 64
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the usage check")
+
+    monkeypatch.setattr("hbvp.analysis.solve_bvp_direct", no_solve)
+    argv = [command, "--gallery", "F1_smooth_perturb", "--degree",
+            str(degree), "--out", str(tmp_path)]
+    assert run(argv + (["--samples", str(samples)] if samples else [])) == 1
+    captured = capsys.readouterr()
+    assert "argument --samples: must be >= " in captured.err
+    assert captured.out == ""
+
+
+def test_main_calls_share_the_parser_but_not_eps_lists(monkeypatch,
+                                                       tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.eps))
+    base = ["sweep", "--gallery", "F1_smooth_perturb", "--out", str(tmp_path)]
+    run(base + ["--eps", "0.5", "--eps", "0.25"])
+    run(base + ["--eps", "0.125"])
+    run(base)
+    assert seen == [[0.5, 0.25], [0.125], None]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_absurd_tolerance_exit_three():

@@ -261,6 +261,42 @@ def test_shared_grid_arrays_are_read_only():
         _point_row(8, 0.0, 1.0, 0.3)[0, 0] = 1.0
 
 
+def _bary_oracle(nodes, x):
+    """bary_matrix as first written: full-size difference, ratio and mask
+    arrays, exact node hits found by diff == 0."""
+    weights = (-1.0) ** np.arange(len(nodes))
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    diff = x[:, None] - nodes[None, :]
+    exact_rows, exact_cols = np.nonzero(diff == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = weights[None, :] / diff
+        E = ratios / np.sum(ratios, axis=1, keepdims=True)
+    E[exact_rows, :] = 0.0
+    E[exact_rows, exact_cols] = 1.0
+    return E
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.0)])
+@pytest.mark.parametrize("N", [8, 32, 384, 512])
+def test_bary_matrix_has_the_bits_of_the_full_size_formula(N, interval):
+    a, b = interval
+    nodes = grid._grid_data(N, a, b)[0]
+    points = [
+        np.linspace(a, b, 4 * N + 1),        # cmd_solve's output grid
+        np.concatenate([nodes[[0, 1, N // 2, N]], [a - 0.25, b + 0.5],
+                        [0.5 * (nodes[2] + nodes[3])], nodes[::-1][:3]]),
+        a + 0.3 * (b - a),                    # a single point
+        nodes[-1],                            # an endpoint on its own
+    ]
+    for x in points:
+        got, want = bary_matrix(nodes, x), _bary_oracle(nodes, x)
+        assert got.shape == want.shape
+        # equal bit patterns, so signed zeros and NaNs compare too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_point_rows_match_bary_matrix():
     # single-point eval_at of a values-only function reads the cached row
     # with the bits of a fresh barycentric matrix: at an endpoint, an
