@@ -64,13 +64,18 @@ def default_probes(fam: ProblemFamily, N: int = 32):
             for src in sources for q in range(fam.m)]
 
 
-def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray, fam: ProblemFamily,
-              eps: float, N: int) -> GridFunction:
-    """e(., eps) - e(., 0) with an exact symbolic source."""
+def _diff_exprs(e_eps: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
     diff = np.empty(e_eps.shape, dtype=object)
     for idx in np.ndindex(e_eps.shape):
         diff[idx] = ex.sub(e_eps[idx], ex.substitute_eps(e_zero[idx], 0.0))
-    return GridFunction.from_exprs(diff, fam.interval, N, eps=eps)
+    return diff
+
+
+def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray, fam: ProblemFamily,
+              eps: float, N: int) -> GridFunction:
+    """e(., eps) - e(., 0) with an exact symbolic source."""
+    return GridFunction.from_exprs(_diff_exprs(e_eps, e_zero), fam.interval,
+                                   N, eps=eps)
 
 
 def _coeff_diff(fam: ProblemFamily, j: int, eps: float, N: int) -> GridFunction:
@@ -97,6 +102,17 @@ def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
     """
     diffs = ((j, _coeff_diff(fam, j, eps, N)) for j in range(fam.r))
     return [(j, d) for j, d in diffs if not _all_zero(d.sources)]
+
+
+def coeffs_vary(fam: ProblemFamily, eps_sequence) -> bool:
+    """Whether `_coeff_diffs` is non-empty at some eps of eps_sequence, so
+    that the sweep and verify norms take products; from the sources only."""
+    zero = fam.coeff_exprs(0.0)
+    try:
+        return not all(_all_zero(_diff_exprs(c, z)) for eps in eps_sequence
+                       for c, z in zip(fam.coeff_exprs(eps), zero))
+    except ex.EvalError:    # no eps = 0 form, which instantiate reports
+        return True
 
 
 def _coeff_diff_action(diffs: list, y: GridFunction,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis as an
 from .expr import ParseError
-from .grid import MAX_PRODUCT_DEGREE
+from .grid import min_samples
 from .problem import (ConfigError, GALLERY_NAMES, gallery, instantiate,
                       load_problem)
 from .solver import ConditionZeroViolated, SolveRejected, solve_bvp_direct
@@ -72,10 +72,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _check_samples(args):
-    """Holder seminorms take M >= 64, and sup norms M above the degree of
-    the degree-N error and of products of degree min(2N, the cap)."""
-    least = 1 + max(63, args.degree, min(2 * args.degree, MAX_PRODUCT_DEGREE))
+def _check_samples(args, families, eps_seq=None):
+    """Reject a --samples M the norms cannot use, before any solve: they
+    take products where a family's coefficients vary with eps."""
+    products = any(an.coeffs_vary(f, eps_seq or an.geometric_eps(f.eps0))
+                   for f in families)
+    least = min_samples(args.degree, products)
     if args.samples < least:
         raise _UsageError(f"argument --samples: must be >= {least} at "
                           f"--degree {args.degree}, got {args.samples}")
@@ -89,7 +91,6 @@ def cmd_sweep(args) -> int:
             f"argument --factor: must lie in (0, 1), got {args.factor}")
     if args.eps0 is not None and not args.eps0 > 0.0:
         raise _UsageError(f"argument --eps0: must be > 0, got {args.eps0}")
-    _check_samples(args)
     fam = _load_family(args)
     if args.eps is not None:
         flag, eps_seq = "--eps", args.eps
@@ -106,6 +107,7 @@ def cmd_sweep(args) -> int:
         if not 0.0 <= eps < fam.eps0:
             raise _UsageError(f"argument {flag}: eps={eps} outside "
                               f"[0, {fam.eps0})")
+    _check_samples(args, [fam], eps_seq)
     report = an.two_sided_sweep(fam, eps_seq, N=args.degree, M=args.samples)
     out = args.out
     report.write_csv(os.path.join(out, "sweep.csv"))
@@ -125,9 +127,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_samples(args)
     families = ([gallery(n) for n in GALLERY_NAMES] if args.all
                 else [_load_family(args)])
+    _check_samples(args, families)
     rows = []
     all_ok = True
     for fam in families:

@@ -21,6 +21,7 @@ from . import chebyshev as cheb
 from . import expr as ex
 
 MAX_PRODUCT_DEGREE = 512
+MIN_SEMINORM_SAMPLES = 64
 NUDGE_FRACTION = 1e-12
 _ROUNDOFF_SLACK = 64 * np.finfo(float).eps
 
@@ -242,6 +243,14 @@ def product(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(vals, f.interval)
 
 
+def min_samples(N: int, products: bool = False) -> int:
+    """The least M that holder_norm takes for a degree-N function and, with
+    products, for the product of two of them (degree min(2N, the cap))."""
+    if products:
+        N = max(N, min(2 * N, MAX_PRODUCT_DEGREE))
+    return max(MIN_SEMINORM_SAMPLES, N + 1)
+
+
 @lru_cache(maxsize=16)
 def _sample_grid(N: int, a: float, b: float, M: int, include_nodes: bool):
     """M+1 uniform points on [a, b], merged with the degree-N nodes when
@@ -359,8 +368,8 @@ def holder_seminorm(g: GridFunction, idx: HolderIndex,
     by _pair_max's branch and bound over blocks of samples in
     O((P/16)**2 + 16**3) memory for P points, not O(P**2).
     """
-    if M < 64:
-        raise ValueError(f"sampling count {M} below 64")
+    if M < MIN_SEMINORM_SAMPLES:
+        raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
     ts, vals = _sample(g.derivative(idx.n), M, include_nodes=True)
     total = 0.0
     for i, j in np.ndindex(g.shape):

@@ -87,15 +87,18 @@ class ProblemFamily:
     coeffs_at_zero: tuple | None = None   # optional eps=0 slice override
     rhs_at_zero: np.ndarray | None = None
 
+    def keyed_exprs(self, key: str, eps: float):
+        """(config key, expressions) of "coeffs" or "rhs" at eps: the
+        key_at_zero override at eps = 0 when given."""
+        if eps == 0.0 and getattr(self, key + "_at_zero") is not None:
+            key += "_at_zero"
+        return key, getattr(self, key)
+
     def coeff_exprs(self, eps: float):
-        if eps == 0.0 and self.coeffs_at_zero is not None:
-            return self.coeffs_at_zero
-        return self.coeffs
+        return self.keyed_exprs("coeffs", eps)[1]
 
     def rhs_exprs(self, eps: float):
-        if eps == 0.0 and self.rhs_at_zero is not None:
-            return self.rhs_at_zero
-        return self.rhs
+        return self.keyed_exprs("rhs", eps)[1]
 
     def target_vector(self, eps: float) -> np.ndarray:
         return _eval_eps_matrix(self.target, eps)[:, 0]
@@ -144,17 +147,17 @@ def _eval_eps_matrix(exprs: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _slice(exprs: np.ndarray, fam: ProblemFamily, key: str, N: int,
+def _slice(exprs: np.ndarray, interval, key: str, N: int,
            eps: float) -> GridFunction:
     """exprs at eps on the degree-N grid.  An entry with no value there, as
     sin(t/eps) at eps = 0, is a ConfigError at its key path: key[i] for an
     rhs key, key[i][k] for a coefficient matrix key[j]."""
     try:
-        return GridFunction.from_exprs(exprs, fam.interval, N, eps=eps)
+        return GridFunction.from_exprs(exprs, interval, N, eps=eps)
     except ex.EvalError as err:
         for idx in np.ndindex(exprs.shape):
             try:
-                GridFunction.from_exprs(exprs[idx], fam.interval, N, eps=eps)
+                GridFunction.from_exprs(exprs[idx], interval, N, eps=eps)
             except ex.EvalError:
                 break
         name = key.split("[")[0]
@@ -168,13 +171,11 @@ def instantiate(fam: ProblemFamily, eps: float, N: int) -> ProblemInstance:
     """Freeze a family at one parameter value and interpolation degree."""
     if not 0.0 <= eps < fam.eps0:
         raise ValueError(f"eps={eps} outside [0, {fam.eps0})")
-    zero = eps == 0.0
-    ckey = "coeffs_at_zero" if zero and fam.coeffs_at_zero is not None \
-        else "coeffs"
-    rkey = "rhs_at_zero" if zero and fam.rhs_at_zero is not None else "rhs"
-    coeffs = tuple(_slice(c, fam, f"{ckey}[{j}]", N, eps)
-                   for j, c in enumerate(fam.coeff_exprs(eps)))
-    rhs = _slice(fam.rhs_exprs(eps), fam, rkey, N, eps)
+    ckey, cexprs = fam.keyed_exprs("coeffs", eps)
+    coeffs = tuple(_slice(c, fam.interval, f"{ckey}[{j}]", N, eps)
+                   for j, c in enumerate(cexprs))
+    rkey, rexprs = fam.keyed_exprs("rhs", eps)
+    rhs = _slice(rexprs, fam.interval, rkey, N, eps)
     points = tuple(
         PointTerm(t.order, t.point, _eval_eps_matrix(t.coeff, eps))
         for t in fam.boundary.point_terms)

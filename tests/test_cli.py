@@ -388,22 +388,41 @@ def test_an_entry_with_no_value_at_eps_zero_cites_its_key(command, tmp_path,
         assert capsys.readouterr().err == f"error: {want}\n"
 
 
-@pytest.mark.parametrize("command, degree, samples", [
-    ("sweep", 256, 512), ("sweep", 600, 512), ("sweep", 8, 16),
-    ("sweep", 8, 63), ("verify", 256, None), ("verify", 24, 48)])
+@pytest.mark.parametrize("command, family, degree, samples", [
+    ("sweep", "F1_smooth_perturb", 256, 512),
+    ("sweep", "F1_smooth_perturb", 600, 512),
+    ("sweep", "F1_smooth_perturb", 8, 16),
+    ("sweep", "F1_smooth_perturb", 8, 63),
+    ("verify", "F1_smooth_perturb", 256, None),
+    ("verify", "F1_smooth_perturb", 24, 48),
+    ("sweep", "F6_holder_rough", 256, 256),
+    ("verify", "F6_holder_rough", 24, 63)])
 def test_too_few_samples_is_a_usage_error_before_any_solve(
-        command, degree, samples, tmp_path, capsys, monkeypatch):
-    # the norms need M above min(2N, 512) and above N, and M >= 64
+        command, family, degree, samples, tmp_path, capsys, monkeypatch):
+    # the norms need M >= 64 and M above N, and F1's coefficients vary with
+    # eps, so its norms take products and need M above min(2N, 512)
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the usage check")
 
     monkeypatch.setattr("hbvp.analysis.solve_bvp_direct", no_solve)
-    argv = [command, "--gallery", "F1_smooth_perturb", "--degree",
-            str(degree), "--out", str(tmp_path)]
+    argv = [command, "--gallery", family, "--degree", str(degree),
+            "--out", str(tmp_path)]
     assert run(argv + (["--samples", str(samples)] if samples else [])) == 1
     captured = capsys.readouterr()
     assert "argument --samples: must be >= " in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    # F6's coefficients do not vary with eps: no product, M above N is enough
+    ["sweep", "--gallery", "F6_holder_rough", "--degree", "256",
+     "--samples", "512", "--count", "2"],
+    ["verify", "--gallery", "F6_holder_rough", "--degree", "256"],
+    # M = 2N + 1 is enough for F1's products
+    ["sweep", "--gallery", "F1_smooth_perturb", "--degree", "100",
+     "--samples", "201", "--count", "2"]])
+def test_the_least_samples_the_norms_take_are_accepted(argv, tmp_path):
+    assert run(argv + ["--out", str(tmp_path)]) in (0, 3)
 
 
 def test_main_calls_share_the_parser_but_not_eps_lists(monkeypatch,

@@ -463,3 +463,9 @@ def test_arithmetic_mixed_degrees():
     assert h.N == 24
     ts = np.linspace(0, 1, 33)
     assert np.max(np.abs(h.eval_at(ts)[0, 0] - (ts ** 2 + np.sin(ts)))) < 1e-12
+
+
+def test_min_samples_covers_the_seminorm_the_degree_and_capped_products():
+    assert [grid.min_samples(N) for N in (8, 63, 64, 256)] == [64, 64, 65, 257]
+    assert [grid.min_samples(N, products=True)
+            for N in (24, 100, 256, 600)] == [64, 201, 513, 601]
