@@ -16,8 +16,7 @@ from .solver import (CharacteristicMatrix, ConditionZero,
                      recover_coefficients, solve_bvp, solve_bvp_direct,
                      solve_matrix_bvp)
 from .analysis import (discrepancy, extract_coefficients_monomials,
-                       geometric_eps, limit_conditions_report,
-                       main_theorem_suite, tends_to_zero,
+                       geometric_eps, main_theorem_suite, tends_to_zero,
                        theorem2_equivalence_check, two_sided_sweep)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,9 +1,12 @@
 """Empirical checks of the continuity-in-parameter theory.
 
-Implements the limit-condition measurements, the discrepancy and the
-two-sided error/discrepancy sweep, the criterion-vs-behavior agreement
-suite, and operator-convergence equivalences with monomial coefficient
-extraction.
+Implements the discrepancy, the two-sided error/discrepancy sweep,
+monomial coefficient extraction and the criterion-vs-behavior agreement
+suite.  The suite walks the eps sequence once: per eps it instantiates the
+problem and differences its coefficients once, and from those measures the
+Limit Condition I norms, the Condition II probe deviation, Theorem 2's
+operator-distance probe P(eps) and, when Condition (0) holds, the sweep
+row.  Its verdict carries Theorem 2's report.
 """
 from __future__ import annotations
 
@@ -78,12 +81,6 @@ def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray, fam: ProblemFamily,
                                    N, eps=eps)
 
 
-def _coeff_diff(fam: ProblemFamily, j: int, eps: float, N: int) -> GridFunction:
-    """A_j(., eps) - A_j(., 0) with an exact symbolic source."""
-    return _eps_diff(fam.coeff_exprs(eps)[j], fam.coeff_exprs(0.0)[j], fam,
-                     eps, N)
-
-
 def _rhs_diff(fam: ProblemFamily, eps: float, N: int) -> GridFunction:
     return _eps_diff(fam.rhs_exprs(eps), fam.rhs_exprs(0.0), fam, eps, N)
 
@@ -93,14 +90,15 @@ def _all_zero(sources: np.ndarray) -> bool:
 
 
 def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
-    """The pairs (j, _coeff_diff(fam, j, eps, N)) whose difference does not
-    fold to the zero expression.
+    """The pairs (j, A_j(., eps) - A_j(., 0)), each with an exact symbolic
+    source, whose difference does not fold to the zero expression.
 
     A zero difference has Holder norm 0, and leaving it out keeps a purely
     rough right-hand-side perturbation's symbolic source (and hence its
     exact Holder seminorm) in the perturbation residual.
     """
-    diffs = ((j, _coeff_diff(fam, j, eps, N)) for j in range(fam.r))
+    diffs = ((j, _eps_diff(c, z, fam, eps, N)) for j, (c, z) in
+             enumerate(zip(fam.coeff_exprs(eps), fam.coeff_exprs(0.0))))
     return [(j, d) for j, d in diffs if not _all_zero(d.sources)]
 
 
@@ -129,7 +127,8 @@ def _coeff_diff_action(diffs: list, y: GridFunction,
 
 def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
     """The residual of y0 in an eps problem with the eps = 0 problem's
-    residual cancelled exactly, as a function of the eps instance.
+    residual cancelled exactly, as a function of the eps instance and its
+    `_coeff_diffs`.
 
     It returns (L(eps) - L(0)) y0 - (f(eps) - f(0)) and the boundary data
     c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0.  Negated, the first is
@@ -138,10 +137,9 @@ def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
     """
     B0y0 = apply_B(inst0.B, y0)[:, 0]
 
-    def at(inst):
+    def at(inst, diffs):
         resid = _coeff_diff_action(
-            _coeff_diffs(fam, inst.eps, inst.N), y0,
-            _rhs_diff(fam, inst.eps, inst.N).scale(-1.0))
+            diffs, y0, _rhs_diff(fam, inst.eps, inst.N).scale(-1.0))
         c_delta = (inst.c - inst0.c) - (apply_B(inst.B, y0)[:, 0] - B0y0)
         return resid, c_delta
     return at
@@ -168,7 +166,8 @@ def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
         resid = apply_L(inst, y0) - inst.rhs.resample(2 * N)
         bvec = apply_B(inst.B, y0)[:, 0] - inst.c
     else:
-        resid, bvec = _perturbation(fam, instantiate(fam, 0.0, N), y0)(inst)
+        resid, bvec = _perturbation(fam, instantiate(fam, 0.0, N), y0)(
+            inst, _coeff_diffs(fam, eps, N))
     return _discrepancy_norm(resid, bvec, fam.idx, M)
 
 
@@ -216,6 +215,37 @@ class SweepReport:
         }
 
 
+def _descending(fam: ProblemFamily, eps_sequence) -> list:
+    """eps_sequence, or the family's default sweep, largest eps first."""
+    return sorted(geometric_eps(fam.eps0) if eps_sequence is None
+                  else eps_sequence, reverse=True)
+
+
+def _sweep_row(fam: ProblemFamily, inst0, y0: GridFunction, M: int):
+    """The sweep's record at eps, as a function of the eps instance and its
+    `_coeff_diffs`; y0 solves the eps = 0 instance inst0.  Solve failures
+    are recorded as data."""
+    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
+    perturbation = _perturbation(fam, inst0, y0)
+
+    def row(inst, diffs):
+        try:
+            # delta = y(eps) - y(0) from the exactly-cancelled perturbation
+            # data, avoiding loss of significance at tiny eps
+            resid, c_delta = perturbation(inst, diffs)
+            delta = solve_bvp_direct(replace(
+                inst, rhs=resid.scale(-1.0).resample(inst.N), c=c_delta))
+            error = holder_norm(delta.y, err_idx, M).total
+            d = _discrepancy_norm(resid, c_delta, fam.idx, M)
+            ratio = error / d if d > 0 else None
+            return SweepRecord(inst.eps, error, d, ratio, delta.margin,
+                               delta.residual)
+        except (ConditionZeroViolated, SolveRejected) as err:
+            return SweepRecord(inst.eps, None, None, None, None, None,
+                               failure=type(err).__name__)
+    return row
+
+
 def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
                     M: int = DEFAULT_M) -> SweepReport:
     """Error-vs-discrepancy ratios along an eps sweep, in decreasing eps.
@@ -223,31 +253,11 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
     Raises ConditionZeroViolated when the unperturbed problem is
     ill-posed; solve failures at individual eps are recorded as data.
     """
-    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
-    if eps_sequence is None:
-        eps_sequence = geometric_eps(fam.eps0)
     inst0 = instantiate(fam, 0.0, N)
     res0 = solve_bvp_direct(inst0)
-    perturbation = _perturbation(fam, inst0, res0.y)
-
-    def one(eps):
-        try:
-            inst = instantiate(fam, eps, N)
-            # delta = y(eps) - y(0) from the exactly-cancelled perturbation
-            # data, avoiding loss of significance at tiny eps
-            resid, c_delta = perturbation(inst)
-            delta = solve_bvp_direct(replace(
-                inst, rhs=resid.scale(-1.0).resample(inst.N), c=c_delta))
-            error = holder_norm(delta.y, err_idx, M).total
-            d = _discrepancy_norm(resid, c_delta, fam.idx, M)
-            ratio = error / d if d > 0 else None
-            return SweepRecord(eps, error, d, ratio, delta.margin,
-                               delta.residual)
-        except (ConditionZeroViolated, SolveRejected) as err:
-            return SweepRecord(eps, None, None, None, None, None,
-                               failure=type(err).__name__)
-
-    records = [one(eps) for eps in sorted(eps_sequence, reverse=True)]
+    row = _sweep_row(fam, inst0, res0.y, M)
+    records = [row(instantiate(fam, eps, N), _coeff_diffs(fam, eps, N))
+               for eps in _descending(fam, eps_sequence)]
     ratios = [r.ratio for r in records if r.ratio is not None]
     lo = min(ratios) if ratios else None
     hi = max(ratios) if ratios else None
@@ -255,48 +265,19 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
     return SweepReport(fam.name, records, lo, hi, violation, res0.margin)
 
 
-# --- limit conditions ---------------------------------------------------------
+# --- main theorem agreement and operator convergence -------------------------
 
 @dataclass
-class LimitConditionReport:
+class Theorem2Report:
     eps_sequence: list
-    probes: list            # default_probes(fam, N), for Condition II
-    condI_norms: list       # per eps: list of r Holder norms
-    condII_probe: list      # per eps: max probe deviation of B
-    verdicts: dict
+    S: list           # aggregate coefficient-difference norms
+    P: list           # probe lower bounds on ||L(eps) - L(0)||
+    c2: float
+    bound_holds: bool           # P(eps) <= c2 * S(eps) for every eps
+    S_tends_to_zero: bool
+    P_tends_to_zero: bool
+    joint: bool       # both tails decrease or both do not
 
-
-def limit_conditions_report(fam: ProblemFamily, eps_sequence=None,
-                            N: int = 32, M: int = DEFAULT_M,
-                            final_factor: float = ZERO_FINAL_FACTOR
-                            ) -> LimitConditionReport:
-    """Measure Conditions (I)-(II) along the sweep and grade their tails."""
-    idx = fam.idx
-    if eps_sequence is None:
-        eps_sequence = geometric_eps(fam.eps0)
-    eps_sequence = sorted(eps_sequence, reverse=True)
-    probes = default_probes(fam, N)
-    inst0 = instantiate(fam, 0.0, N)
-    B0_probes = [apply_B(inst0.B, y)[:, 0] for y in probes]
-    condI, condII = [], []
-    for eps in eps_sequence:
-        inst = instantiate(fam, eps, N)
-        row = [0.0] * fam.r
-        for j, dA in _coeff_diffs(fam, eps, N):
-            row[j] = holder_norm(dA, idx, M).total
-        condI.append(row)
-        dev = 0.0
-        for y, B0y in zip(probes, B0_probes):
-            delta = apply_B(inst.B, y)[:, 0] - B0y
-            dev = max(dev, float(np.linalg.norm(delta)))
-        condII.append(dev)
-    return LimitConditionReport(eps_sequence, probes, condI, condII, {
-        "I": all(tends_to_zero([row[j] for row in condI], final_factor)
-                 for j in range(fam.r)),
-        "II": tends_to_zero(condII, final_factor)})
-
-
-# --- main theorem agreement ---------------------------------------------------
 
 @dataclass
 class MainTheoremVerdict:
@@ -310,7 +291,10 @@ class MainTheoremVerdict:
     errors_tend_to_zero: bool   # empirical (**)
     behavior: bool
     agreement: bool
-    limits: LimitConditionReport = field(repr=False)
+    eps_sequence: list = field(repr=False)     # largest eps first
+    condI_norms: list = field(repr=False)      # per eps: r Holder norms
+    condII_probe: list = field(repr=False)     # per eps: max probe deviation
+    theorem2: Theorem2Report = field(repr=False)
 
 
 def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
@@ -318,31 +302,87 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
                        criterion_final_factor: float = ZERO_FINAL_FACTOR
                        ) -> MainTheoremVerdict:
     """Check that the criterion side (Condition (0) + Limit Conditions I
-    and II) agrees with the observed solvability-and-convergence side."""
-    lim = limit_conditions_report(fam, eps_sequence, N, M,
-                                  final_factor=criterion_final_factor)
-    # the sweep's eps = 0 solve decides Condition (0) from its one
-    # factorization; an unsatisfied gate is an unsolvable problem
+    and II) agrees with the observed solvability-and-convergence side, and
+    grade Theorem 2's operator convergence.
+
+    One walk down the eps sequence instantiates each eps and builds its
+    `_coeff_diffs` once.  From them it measures the Condition I norms
+    ||A_j(eps) - A_j(0)||_{n,alpha}, the Condition II deviation
+    max |(B(eps) - B(0)) y| over the probes y, Theorem 2's P(eps) and,
+    when Condition (0) holds, the sweep row.
+    """
+    idx = fam.idx
+    eps_sequence = _descending(fam, eps_sequence)
+    inst0 = instantiate(fam, 0.0, N)
+    # the eps = 0 solve decides Condition (0) from its one factorization;
+    # an unsatisfied gate is an unsolvable problem, and the walk skips the
+    # solves but measures everything else
     try:
-        report = two_sided_sweep(fam, eps_sequence, N, M)
+        res0 = solve_bvp_direct(inst0)
     except ConditionZeroViolated as err:
-        margin, cond0_ok = err.margin, False
-        solvable = errors_ok = False
+        margin, row = err.margin, None
     else:
-        margin, cond0_ok = report.cond0_margin, True
-        solvable = not any(r.failure for r in report.records)
-        errors_ok = tends_to_zero([r.error for r in report.records])
-    criterion = bool(cond0_ok and lim.verdicts["I"] and lim.verdicts["II"])
+        margin, row = res0.margin, _sweep_row(fam, inst0, res0.y, M)
+    probes = default_probes(fam, N)
+    B0_probes = [apply_B(inst0.B, y)[:, 0] for y in probes]
+    err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
+    probe_norms = [holder_norm(y, err_idx, M).total for y in probes]
+    K = algebra_constant(idx)
+    deriv_sums = [max(holder_norm(y.derivative(j), idx, M).total
+                      for j in range(fam.r)) for y in probes]
+    c2 = max(K * ds / pn for ds, pn in zip(deriv_sums, probe_norms))
+    condI, condII, P, records = [], [], [], []
+    for eps in eps_sequence:
+        inst = instantiate(fam, eps, N)
+        diffs = _coeff_diffs(fam, eps, N)
+        norms = [0.0] * fam.r
+        for j, dA in diffs:
+            norms[j] = holder_norm(dA, idx, M).total
+        condI.append(norms)
+        dev = best = 0.0
+        for y, B0y, pn in zip(probes, B0_probes, probe_norms):
+            delta = apply_B(inst.B, y)[:, 0] - B0y
+            dev = max(dev, float(np.linalg.norm(delta)))
+            acc = _coeff_diff_action(diffs, y)
+            if acc is not None:
+                best = max(best, holder_norm(acc, idx, M).total / pn)
+        condII.append(dev)
+        P.append(best)
+        if row is not None:
+            records.append(row(inst, diffs))
+
+    condI_ok = all(tends_to_zero([norms[j] for norms in condI],
+                                 criterion_final_factor)
+                   for j in range(fam.r))
+    condII_ok = tends_to_zero(condII, criterion_final_factor)
+    cond0_ok = row is not None
+    solvable = cond0_ok and not any(r.failure for r in records)
+    errors_ok = cond0_ok and tends_to_zero([r.error for r in records])
+    criterion = cond0_ok and condI_ok and condII_ok
     behavior = solvable and errors_ok
+    # S(eps) = sum_j ||A_j(eps) - A_j(0)||_{n,alpha} dominates P(eps) up
+    # to the calibrated constant c2, and the two vanish together
+    S = [sum(norms) for norms in condI]
+    slack = 1e-9
+    holds = all(p <= c2 * s + slack * (1 + s) for p, s in zip(P, S))
+    s_zero, p_zero = tends_to_zero(S), tends_to_zero(P)
     return MainTheoremVerdict(
         family=fam.name, cond0_margin=margin,
-        cond0_ok=cond0_ok, condI_ok=lim.verdicts["I"],
-        condII_ok=lim.verdicts["II"], criterion=criterion,
-        solvable=solvable, errors_tend_to_zero=errors_ok,
-        behavior=behavior, agreement=(criterion == behavior), limits=lim)
+        cond0_ok=cond0_ok, condI_ok=condI_ok, condII_ok=condII_ok,
+        criterion=criterion, solvable=solvable, errors_tend_to_zero=errors_ok,
+        behavior=behavior, agreement=(criterion == behavior),
+        eps_sequence=eps_sequence, condI_norms=condI, condII_probe=condII,
+        theorem2=Theorem2Report(list(eps_sequence), S, P, c2, holds, s_zero,
+                                p_zero, s_zero == p_zero))
 
 
-# --- operator convergence (monomial extraction + equivalences) -----------------
+def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
+                               N: int = 32, M: int = DEFAULT_M
+                               ) -> Theorem2Report:
+    """Probe operator-norm lower bounds P(eps) against the coefficient
+    aggregate S(eps); the Theorem 2 part of `main_theorem_suite`."""
+    return main_theorem_suite(fam, eps_sequence, N, M).theorem2
+
 
 def extract_coefficients_monomials(fam: ProblemFamily, eps: float,
                                    N: int = 32):
@@ -372,62 +412,6 @@ def _monomial_matrix(fam: ProblemFamily, p: int, m: int, N: int) -> GridFunction
     src = "1" if p == 0 else ("t" if p == 1 else f"t^{p}")
     return interpolate([[src if i == j else "0" for j in range(m)]
                         for i in range(m)], fam.interval, N)
-
-
-@dataclass
-class Theorem2Report:
-    eps_sequence: list
-    S: list           # aggregate coefficient-difference norms
-    P: list           # probe lower bounds on ||L(eps) - L(0)||
-    c2: float
-    bound_holds: bool           # P(eps) <= c2 * S(eps) for every eps
-    S_tends_to_zero: bool
-    P_tends_to_zero: bool
-    joint: bool       # both tails decrease or both do not
-
-
-def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
-                               N: int = 32, M: int = DEFAULT_M,
-                               limits: LimitConditionReport | None = None
-                               ) -> Theorem2Report:
-    """Probe operator-norm lower bounds against the coefficient aggregate.
-
-    S(eps) = sum_j ||A_j(eps)-A_j(0)||_{n,alpha} dominates (up to the
-    calibrated constant c2) the probe estimate P(eps) of the operator-norm
-    distance, and the two vanish together.  S sums the Condition I norms
-    of `limits`, a limit_conditions_report of fam with the same N and M,
-    whose eps sequence and probes replace eps_sequence and this check's
-    own; it is measured here when not given.
-    """
-    idx = fam.idx
-    err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
-    limits = limits or limit_conditions_report(fam, eps_sequence, N, M)
-    probes = limits.probes
-    K = algebra_constant(idx)
-    probe_norms = [holder_norm(y, err_idx, M).total for y in probes]
-    deriv_sums = []
-    for y in probes:
-        deriv_sums.append(max(
-            holder_norm(y.derivative(j), idx, M).total
-            for j in range(fam.r)))
-    c2 = max(K * ds / pn for ds, pn in zip(deriv_sums, probe_norms))
-    S_vals = [sum(row) for row in limits.condI_norms]
-    P_vals = []
-    for eps in limits.eps_sequence:
-        diffs = _coeff_diffs(fam, eps, N)
-        best = 0.0
-        for y, pn in zip(probes, probe_norms):
-            acc = _coeff_diff_action(diffs, y)
-            if acc is not None:
-                best = max(best, holder_norm(acc, idx, M).total / pn)
-        P_vals.append(best)
-    slack = 1e-9
-    holds = all(p <= c2 * s + slack * (1 + s) for p, s in
-                zip(P_vals, S_vals))
-    s_zero = tends_to_zero(S_vals)
-    p_zero = tends_to_zero(P_vals)
-    return Theorem2Report(list(limits.eps_sequence), S_vals, P_vals, c2,
-                          holds, s_zero, p_zero, s_zero == p_zero)
 
 
 # --- serialization -------------------------------------------------------------

@@ -136,8 +136,7 @@ def cmd_verify(args) -> int:
         verdict = an.main_theorem_suite(
             fam, N=args.degree, M=args.samples,
             criterion_final_factor=args.zero_tol)
-        t2 = an.theorem2_equivalence_check(fam, N=args.degree, M=args.samples,
-                                           limits=verdict.limits)
+        t2 = verdict.theorem2
         ok = verdict.agreement and t2.joint and t2.bound_holds
         all_ok = all_ok and ok
         rows.append([fam.name, verdict.cond0_ok, verdict.condI_ok,

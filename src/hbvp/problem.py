@@ -26,6 +26,13 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _entry_path(path: str, i: int, j: int) -> str:
+    """The config's key path of entry (i, j) of the expressions at path:
+    path[i] for a vector key (rhs, rhs_at_zero, target), else path[i][j]."""
+    vector = path.split("[")[0] in ("rhs", "rhs_at_zero", "target")
+    return f"{path}[{i}]" if vector else f"{path}[{i}][{j}]"
+
+
 def _expr_matrix(entries, rows, cols, path=""):
     """A rows x cols object array of parsed expression strings; a list of
     rows of any other shape is a ConfigError at path, and an entry that is
@@ -37,7 +44,7 @@ def _expr_matrix(entries, rows, cols, path=""):
                           path)
     arr = np.empty((rows, cols), dtype=object)
     for i, j in np.ndindex(rows, cols):
-        src, at = entries[i][j], f"{path}[{i}][{j}]"
+        src, at = entries[i][j], _entry_path(path, i, j)
         if not isinstance(src, str):
             raise ConfigError(f"expected an expression string, got {src!r}",
                               at)
@@ -101,7 +108,8 @@ class ProblemFamily:
         return self.keyed_exprs("rhs", eps)[1]
 
     def target_vector(self, eps: float) -> np.ndarray:
-        return _eval_eps_matrix(self.target, eps)[:, 0]
+        return _keyed(lambda e: _eval_eps_matrix(e, eps), self.target,
+                      "target", eps)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -147,43 +155,49 @@ def _eval_eps_matrix(exprs: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _slice(exprs: np.ndarray, interval, key: str, N: int,
-           eps: float) -> GridFunction:
-    """exprs at eps on the degree-N grid.  An entry with no value there, as
-    sin(t/eps) at eps = 0, is a ConfigError at its key path: key[i] for an
-    rhs key, key[i][k] for a coefficient matrix key[j]."""
+def _keyed(build, exprs: np.ndarray, key: str, eps: float):
+    """build(exprs), the (rows, cols) expressions of config key `key` at
+    eps.  An entry with no value there, as sin(t/eps) at eps = 0, is a
+    ConfigError at its key path (`_entry_path`); at eps = 0 a coeffs or rhs
+    entry also names the _at_zero key that would give its limit."""
     try:
-        return GridFunction.from_exprs(exprs, interval, N, eps=eps)
+        return build(exprs)
     except ex.EvalError as err:
-        for idx in np.ndindex(exprs.shape):
+        for i, j in np.ndindex(exprs.shape):
             try:
-                GridFunction.from_exprs(exprs[idx], interval, N, eps=eps)
+                build(exprs[i:i + 1, j:j + 1])
             except ex.EvalError:
                 break
         name = key.split("[")[0]
-        at = key + "".join(f"[{i}]" for i in idx[:2 - name.startswith("rhs")])
-        hint = ("" if eps or name.endswith("_at_zero") else
-                f"; if it has no eps -> 0 limit, give {name}_at_zero")
-        raise ConfigError(f"{err} at eps={eps}{hint}", at) from err
+        hint = (f"; if it has no eps -> 0 limit, give {name}_at_zero"
+                if eps == 0 and name in ("coeffs", "rhs") else "")
+        raise ConfigError(f"{err} at eps={eps}{hint}",
+                          _entry_path(key, i, j)) from err
 
 
 def instantiate(fam: ProblemFamily, eps: float, N: int) -> ProblemInstance:
     """Freeze a family at one parameter value and interpolation degree."""
     if not 0.0 <= eps < fam.eps0:
         raise ValueError(f"eps={eps} outside [0, {fam.eps0})")
+
+    def grid(exprs):
+        return GridFunction.from_exprs(exprs, fam.interval, N, eps=eps)
+
     ckey, cexprs = fam.keyed_exprs("coeffs", eps)
-    coeffs = tuple(_slice(c, fam.interval, f"{ckey}[{j}]", N, eps)
+    coeffs = tuple(_keyed(grid, c, f"{ckey}[{j}]", eps)
                    for j, c in enumerate(cexprs))
     rkey, rexprs = fam.keyed_exprs("rhs", eps)
-    rhs = _slice(rexprs, fam.interval, rkey, N, eps)
+    rhs = _keyed(grid, rexprs, rkey, eps)
     points = tuple(
-        PointTerm(t.order, t.point, _eval_eps_matrix(t.coeff, eps))
-        for t in fam.boundary.point_terms)
+        PointTerm(t.order, t.point,
+                  _keyed(lambda e: _eval_eps_matrix(e, eps), t.coeff,
+                         f"boundary.point_terms[{i}].coeff", eps))
+        for i, t in enumerate(fam.boundary.point_terms))
     integrals = tuple(
-        IntegralTerm(t.order,
-                     GridFunction.from_exprs(t.density, fam.interval, N,
-                                             eps=eps))
-        for t in fam.boundary.integral_terms)
+        IntegralTerm(t.order, _keyed(grid, t.density,
+                                     f"boundary.integral_terms[{i}].density",
+                                     eps))
+        for i, t in enumerate(fam.boundary.integral_terms))
     B = BoundaryOperator(points, integrals, fam.r * fam.m, fam.m,
                          fam.interval)
     return ProblemInstance(fam.r, fam.m, fam.interval, coeffs, rhs, B,

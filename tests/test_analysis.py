@@ -1,8 +1,11 @@
 """Limit conditions, sweeps, criterion agreement, operator convergence."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from hbvp import analysis as an
+from hbvp import cli
 from hbvp import solver as solver_mod
 from hbvp.grid import HolderIndex, holder_norm
 from hbvp.problem import (apply_B, boundedness_certificate,
@@ -62,25 +65,26 @@ def test_discrepancy_direct_agrees_at_moderate_eps():
 
 def test_limit_conditions_f1_condI_equals_eps():
     fam = gallery("F1_smooth_perturb")
-    rep = an.limit_conditions_report(fam, EPS_SHORT, N=16, M=256)
-    for eps, row in zip(rep.eps_sequence, rep.condI_norms):
+    v = an.main_theorem_suite(fam, EPS_SHORT, N=16, M=256)
+    for eps, row in zip(v.eps_sequence, v.condI_norms):
         assert row[0] == pytest.approx(eps, rel=1e-9)  # norm of constant eps
         assert row[1] < 1e-14
-    assert rep.verdicts["I"]
+    assert v.condI_ok
 
 
 def test_limit_conditions_f4_condI_fails():
-    rep = an.limit_conditions_report(gallery("F4_limitI_violated"),
-                                     EPS_SHORT, N=32, M=256)
-    assert not rep.verdicts["I"]
-    assert rep.verdicts["II"]  # boundary operator is eps-independent
+    v = an.main_theorem_suite(gallery("F4_limitI_violated"),
+                              EPS_SHORT, N=32, M=256)
+    assert not v.condI_ok
+    assert v.condII_ok  # boundary operator is eps-independent
 
 
 def test_limit_conditions_eps_independent_family_all_zero():
-    rep = an.limit_conditions_report(gallery("F3_cond0_violated"),
-                                     EPS_SHORT, N=16, M=256)
-    flat = [v for row in rep.condI_norms for v in row]
-    assert max(flat + rep.condII_probe) < 1e-12
+    # Condition (0) fails at eps = 0, and the walk still measures I and II
+    v = an.main_theorem_suite(gallery("F3_cond0_violated"),
+                              EPS_SHORT, N=16, M=256)
+    flat = [x for row in v.condI_norms for x in row]
+    assert max(flat + v.condII_probe) < 1e-12
 
 
 def _count_B_applications(monkeypatch):
@@ -104,13 +108,44 @@ def _count_B_applications(monkeypatch):
 
 
 def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
-    # B(0) y is the same vector at every eps: 7 probes, 7 applications
-    fam = gallery("F1_smooth_perturb")
-    zero_B, seen = _count_B_applications(monkeypatch)
-    rep = an.limit_conditions_report(fam, N=16, M=256)
-    assert len(rep.probes) == 7 and len(rep.eps_sequence) == 20
-    assert len(zero_B) == 1
-    assert seen.count(True) == 7 and len(seen) == 7 + 20 * 7
+    # B(0) y is the same vector at every eps: 7 probes, 7 applications, and
+    # one more for the eps = 0 solution y0 where Condition (0) gives one
+    for name, solved in (("F1_smooth_perturb", 1), ("F3_cond0_violated", 0)):
+        fam = gallery(name)
+        zero_B, seen = _count_B_applications(monkeypatch)
+        v = an.main_theorem_suite(fam, N=16, M=256)
+        assert len(an.default_probes(fam, 16)) == 7
+        assert len(v.eps_sequence) == 20
+        assert len(zero_B) == 1
+        per_eps = 7 + solved
+        assert seen.count(True) == per_eps
+        assert len(seen) == per_eps * (1 + 20)
+
+
+def _count_calls(monkeypatch, *names):
+    """Make analysis count its calls of the named functions."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(an, name, counting(name, getattr(an, name)))
+    return calls
+
+
+def test_verify_all_instantiates_and_differences_each_eps_once(monkeypatch,
+                                                               capsys):
+    # one eps walk per family: eps = 0 and the 20 swept eps are instantiated
+    # once each, and the 20 coefficient differences built once each
+    calls = _count_calls(monkeypatch, "instantiate", "_coeff_diffs")
+    assert cli.main(["verify", "--all", "--degree", "24",
+                     "--samples", "512"]) == 0
+    assert capsys.readouterr().out.count("AGREEMENT") == 6
+    assert calls["instantiate"] <= 6 * 21 and calls["_coeff_diffs"] <= 6 * 20
 
 
 def test_two_sided_sweep_applies_B0_once(monkeypatch):
@@ -254,9 +289,9 @@ def test_theorem2_S_sums_condition_I_norms():
     for name in ("F1_smooth_perturb", "F4_limitI_violated"):
         fam = gallery(name)
         t2 = an.theorem2_equivalence_check(fam, EPS_SHORT, N=16, M=256)
-        lim = an.limit_conditions_report(fam, EPS_SHORT, N=16, M=256)
-        assert t2.eps_sequence == lim.eps_sequence
-        assert t2.S == [sum(row) for row in lim.condI_norms]
+        v = an.main_theorem_suite(fam, EPS_SHORT, N=16, M=256)
+        assert t2.eps_sequence == v.eps_sequence
+        assert t2.S == [sum(row) for row in v.condI_norms]
 
 
 def test_theorem2_P_exactly_zero_for_eps_independent_coefficients():

@@ -122,7 +122,7 @@ FILE = "<the config file>"   # a path that is the file's own
      "coeffs_at_zero"),
     (lambda cfg: cfg["coeffs"][0][0].__setitem__(0, "1/0"),
      "coeffs[0][0][0]"),
-    (lambda cfg: cfg["rhs"].__setitem__(0, "0^-1"), "rhs[0][0]"),
+    (lambda cfg: cfg["rhs"].__setitem__(0, "0^-1"), "rhs[0]"),
     # a matrix or vector of the wrong size, too short or too long
     (lambda cfg: cfg["coeffs"][0][0].append("99"), "coeffs[0]"),
     (lambda cfg: cfg["coeffs"][1].append(["7"]), "coeffs[1]"),
@@ -139,8 +139,16 @@ FILE = "<the config file>"   # a path that is the file's own
      "boundary.point_terms[0].coeff"),
     (_set("alpha", 2.0), "alpha"),
     (_set("coeffs", [[[1]], [["0"]]]), "coeffs[0][0][0]"),
-    (_set("target", [0, "1"]), "target[0][0]"),
+    (_set("target", [0, "1"]), "target[0]"),
     (_point_term(0, order=3), "boundary.point_terms[0].order"),
+    # an entry with no value at the eps solved (0): boundary and target
+    # entries have no _at_zero key to give
+    (_point_term(0, coeff=[["1+sin(1/eps)"], ["0"]]),
+     "boundary.point_terms[0].coeff[0][0]"),
+    (lambda cfg: cfg["boundary"].update(integral_terms=[
+        {"order": 0, "density": [["0"], ["sin(t/eps)"]]}]),
+     "boundary.integral_terms[0].density[1][0]"),
+    (_set("target", ["0", "1/eps"]), "target[1]"),
 ], ids=["r", "r-fraction", "r-zero", "m-zero", "m-bool", "n-fraction", "n-negative",
         "eps0-zero", "eps0-negative", "order-fraction", "order-bool",
         "point-outside", "boundary-no-term", "top-level-list", "eps0",
@@ -152,7 +160,8 @@ FILE = "<the config file>"   # a path that is the file's own
         "coeffs-no-row", "coeffs-short-row", "rhs-long", "rhs-short",
         "target-long", "target-short", "coeff-extra-row", "coeff-short",
         "coeff-wide", "alpha-outside", "coeffs-number", "target-number",
-        "order-above-n-plus-r"])
+        "order-above-n-plus-r", "coeff-no-value", "density-no-value",
+        "target-no-value"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
     replaced = mutate(cfg)
@@ -380,7 +389,13 @@ def test_an_entry_with_no_value_at_eps_zero_cites_its_key(command, tmp_path,
             (dict(f1, rhs=["sin(t/eps)"]),
              "rhs[0]: division by zero at eps=0.0" + hint + "rhs_at_zero"),
             (dict(f1, coeffs_at_zero=[[["1/eps"]], [["0"]]]),
-             "coeffs_at_zero[0][0][0]: division by zero at eps=0.0")):
+             "coeffs_at_zero[0][0][0]: division by zero at eps=0.0"),
+            (dict(f1, boundary={"point_terms": [
+                dict(f1["boundary"]["point_terms"][0],
+                     coeff=[["1+sin(1/eps)"], ["0"]]),
+                f1["boundary"]["point_terms"][1]]}),
+             "boundary.point_terms[0].coeff[0][0]: division by zero at "
+             "eps=0.0")):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run(command + ["--config", str(path),

@@ -173,8 +173,8 @@ def test_f3_constants_in_kernel():
 def test_f4_coefficient_does_not_converge():
     fam = gallery("F4_limitI_violated")
     idx = fam.idx
-    from hbvp.analysis import _coeff_diff
-    norms = [holder_norm(_coeff_diff(fam, 0, eps, 32), idx, 512).total
+    from hbvp.analysis import _coeff_diffs
+    norms = [holder_norm(dict(_coeff_diffs(fam, eps, 32))[0], idx, 512).total
              for eps in (0.25, 0.05, 0.01)]
     assert min(norms) > 0.5  # bounded away from zero
 
