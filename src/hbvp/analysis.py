@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
-from .grid import (GridFunction, HolderIndex, algebra_constant, holder_norm,
-                   interpolate, product)
+from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex,
+                   algebra_constant, holder_norm, interpolate, product)
 from .problem import ProblemFamily, apply_B, instantiate
 from .solver import (ConditionZeroViolated, SolveRejected, apply_L,
                      solve_bvp_direct)
@@ -28,7 +28,6 @@ from .solver import (ConditionZeroViolated, SolveRejected, apply_L,
 ZERO_TAIL_LEN = 5
 ZERO_FINAL_FACTOR = 1e-3
 RATIO_BAND_CAP = 1e4
-DEFAULT_M = 1024
 
 
 def geometric_eps(eps0: float, factor: float = 0.5, count: int = 20):
@@ -67,18 +66,13 @@ def default_probes(fam: ProblemFamily, N: int = 32):
             for src in sources for q in range(fam.m)]
 
 
-def _diff_exprs(e_eps: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
-    diff = np.empty(e_eps.shape, dtype=object)
-    for idx in np.ndindex(e_eps.shape):
-        diff[idx] = ex.sub(e_eps[idx], ex.substitute_eps(e_zero[idx], 0.0))
-    return diff
-
-
 def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray, fam: ProblemFamily,
               eps: float, N: int) -> GridFunction:
     """e(., eps) - e(., 0) with an exact symbolic source."""
-    return GridFunction.from_exprs(_diff_exprs(e_eps, e_zero), fam.interval,
-                                   N, eps=eps)
+    diff = np.empty(e_eps.shape, dtype=object)
+    for idx in np.ndindex(e_eps.shape):
+        diff[idx] = ex.sub(e_eps[idx], ex.substitute_eps(e_zero[idx], 0.0))
+    return GridFunction.from_exprs(diff, fam.interval, N, eps=eps)
 
 
 def _rhs_diff(fam: ProblemFamily, eps: float, N: int) -> GridFunction:
@@ -100,17 +94,6 @@ def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
     diffs = ((j, _eps_diff(c, z, fam, eps, N)) for j, (c, z) in
              enumerate(zip(fam.coeff_exprs(eps), fam.coeff_exprs(0.0))))
     return [(j, d) for j, d in diffs if not _all_zero(d.sources)]
-
-
-def coeffs_vary(fam: ProblemFamily, eps_sequence) -> bool:
-    """Whether `_coeff_diffs` is non-empty at some eps of eps_sequence, so
-    that the sweep and verify norms take products; from the sources only."""
-    zero = fam.coeff_exprs(0.0)
-    try:
-        return not all(_all_zero(_diff_exprs(c, z)) for eps in eps_sequence
-                       for c, z in zip(fam.coeff_exprs(eps), zero))
-    except ex.EvalError:    # no eps = 0 form, which instantiate reports
-        return True
 
 
 def _coeff_diff_action(diffs: list, y: GridFunction,
@@ -151,7 +134,7 @@ def _discrepancy_norm(resid: GridFunction, bvec: np.ndarray,
 
 
 def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
-                N: int = 32, M: int = DEFAULT_M,
+                N: int = 32, M: int = DEFAULT_SAMPLES,
                 direct: bool = False) -> float:
     """||L(eps) y0 - f(., eps)||_{n,alpha} + |B(eps) y0 - c(eps)|.
 
@@ -247,7 +230,7 @@ def _sweep_row(fam: ProblemFamily, inst0, y0: GridFunction, M: int):
 
 
 def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
-                    M: int = DEFAULT_M) -> SweepReport:
+                    M: int = DEFAULT_SAMPLES) -> SweepReport:
     """Error-vs-discrepancy ratios along an eps sweep, in decreasing eps.
 
     Raises ConditionZeroViolated when the unperturbed problem is
@@ -298,7 +281,7 @@ class MainTheoremVerdict:
 
 
 def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
-                       N: int = 32, M: int = DEFAULT_M,
+                       N: int = 32, M: int = DEFAULT_SAMPLES,
                        criterion_final_factor: float = ZERO_FINAL_FACTOR
                        ) -> MainTheoremVerdict:
     """Check that the criterion side (Condition (0) + Limit Conditions I
@@ -377,7 +360,7 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
 
 
 def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
-                               N: int = 32, M: int = DEFAULT_M
+                               N: int = 32, M: int = DEFAULT_SAMPLES
                                ) -> Theorem2Report:
     """Probe operator-norm lower bounds P(eps) against the coefficient
     aggregate S(eps); the Theorem 2 part of `main_theorem_suite`."""
@@ -396,9 +379,7 @@ def extract_coefficients_monomials(fam: ProblemFamily, eps: float,
     recovered = []
     for p in range(r):
         Z = _monomial_matrix(fam, p, m, N)
-        LZ = apply_L(inst, Z)
-        acc = LZ
-        fact = 1.0
+        acc = apply_L(inst, Z)
         for l in range(p):
             # Z^(l) = p!/(p-l)! t^{p-l} I
             coeff = math.factorial(p) / math.factorial(p - l)

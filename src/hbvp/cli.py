@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis as an
 from .expr import ParseError
-from .grid import min_samples
+from .grid import DEFAULT_SAMPLES, min_samples
 from .problem import (ConfigError, GALLERY_NAMES, gallery, instantiate,
                       load_problem)
 from .solver import ConditionZeroViolated, SolveRejected, solve_bvp_direct
@@ -72,12 +72,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _check_samples(args, families, eps_seq=None):
-    """Reject a --samples M the norms cannot use, before any solve: they
-    take products where a family's coefficients vary with eps."""
-    products = any(an.coeffs_vary(f, eps_seq or an.geometric_eps(f.eps0))
-                   for f in families)
-    least = min_samples(args.degree, products)
+def _check_samples(args):
+    """Reject a --samples M below min_samples(--degree) before any load."""
+    least = min_samples(args.degree)
     if args.samples < least:
         raise _UsageError(f"argument --samples: must be >= {least} at "
                           f"--degree {args.degree}, got {args.samples}")
@@ -91,6 +88,7 @@ def cmd_sweep(args) -> int:
             f"argument --factor: must lie in (0, 1), got {args.factor}")
     if args.eps0 is not None and not args.eps0 > 0.0:
         raise _UsageError(f"argument --eps0: must be > 0, got {args.eps0}")
+    _check_samples(args)
     fam = _load_family(args)
     if args.eps is not None:
         flag, eps_seq = "--eps", args.eps
@@ -107,7 +105,6 @@ def cmd_sweep(args) -> int:
         if not 0.0 <= eps < fam.eps0:
             raise _UsageError(f"argument {flag}: eps={eps} outside "
                               f"[0, {fam.eps0})")
-    _check_samples(args, [fam], eps_seq)
     report = an.two_sided_sweep(fam, eps_seq, N=args.degree, M=args.samples)
     out = args.out
     report.write_csv(os.path.join(out, "sweep.csv"))
@@ -127,9 +124,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_samples(args)
     families = ([gallery(n) for n in GALLERY_NAMES] if args.all
                 else [_load_family(args)])
-    _check_samples(args, families)
     rows = []
     all_ok = True
     for fam in families:
@@ -186,8 +183,9 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep",
                              help="error/discrepancy parameter sweep")
     common(p_sweep)
-    p_sweep.add_argument("--samples", type=int, default=1024, metavar="M",
-                         help="norm sampling resolution (default 1024)")
+    p_sweep.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                         metavar="M", help="norm sampling resolution "
+                                           "(default %(default)s)")
     p_sweep.add_argument("--eps0", type=float, default=None,
                          help="sweep starting scale, > 0 "
                               "(default: family eps0)")

@@ -21,6 +21,7 @@ from . import chebyshev as cheb
 from . import expr as ex
 
 MAX_PRODUCT_DEGREE = 512
+DEFAULT_SAMPLES = 1024
 MIN_SEMINORM_SAMPLES = 64
 NUDGE_FRACTION = 1e-12
 _ROUNDOFF_SLACK = 64 * np.finfo(float).eps
@@ -243,11 +244,9 @@ def product(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(vals, f.interval)
 
 
-def min_samples(N: int, products: bool = False) -> int:
-    """The least M that holder_norm takes for a degree-N function and, with
-    products, for the product of two of them (degree min(2N, the cap))."""
-    if products:
-        N = max(N, min(2 * N, MAX_PRODUCT_DEGREE))
+def min_samples(N: int) -> int:
+    """The least --samples M worth asking for at degree N: the seminorm's
+    floor, and N + 1, below which the norms sample at N + 1 anyway."""
     return max(MIN_SEMINORM_SAMPLES, N + 1)
 
 
@@ -276,17 +275,17 @@ def _sample_grid(N: int, a: float, b: float, M: int, include_nodes: bool):
 
 
 def _sample(g: GridFunction, M: int, include_nodes: bool = False):
-    """The points of _sample_grid and g's values there (as eval_at)."""
-    ts, ET = _sample_grid(g.N, g.a, g.b, M, include_nodes)
+    """The points of _sample_grid at max(M, N+1), more than the degree-N g
+    has coefficients, and g's values there (as eval_at)."""
+    ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1), include_nodes)
     if g.sources is not None:
         return ts, _eval_exprs(g.sources, ts, g.eps, g.a, g.b)
     return ts, g.values @ ET
 
 
-def sup_norm(g: GridFunction, M: int = 1024) -> float:
-    """Entrywise-sum of max absolute values over M+1 uniform samples."""
-    if M < g.N + 1:
-        raise ValueError(f"sampling count {M} below degree {g.N}")
+def sup_norm(g: GridFunction, M: int = DEFAULT_SAMPLES) -> float:
+    """Entrywise-sum of max absolute values over max(M, N+1) + 1 uniform
+    samples of the degree-N g."""
     vals = _sample(g, M)[1]
     return float(np.sum(np.max(np.abs(vals), axis=-1)))
 
@@ -360,13 +359,13 @@ def _pair_max(vals: np.ndarray, ts: np.ndarray, alpha: float) -> float:
 
 
 def holder_seminorm(g: GridFunction, idx: HolderIndex,
-                    M: int = 1024) -> float:
+                    M: int = DEFAULT_SAMPLES) -> float:
     """Entrywise-sum sup of |g^(n)(t2)-g^(n)(t1)| / |t2-t1|^alpha.
 
-    The exact maximum over all pairs of the M+1 uniform samples plus the
-    Chebyshev nodes, a certified lower bound of the true seminorm, found
-    by _pair_max's branch and bound over blocks of samples in
-    O((P/16)**2 + 16**3) memory for P points, not O(P**2).
+    The exact maximum over all pairs of the max(M, N+1) + 1 uniform
+    samples plus the Chebyshev nodes, a certified lower bound of the true
+    seminorm, found by _pair_max's branch and bound over blocks of samples
+    in O((P/16)**2 + 16**3) memory for P points, not O(P**2).
     """
     if M < MIN_SEMINORM_SAMPLES:
         raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
@@ -377,8 +376,10 @@ def holder_seminorm(g: GridFunction, idx: HolderIndex,
     return total
 
 
-def holder_norm(g: GridFunction, idx: HolderIndex, M: int = 1024) -> NormValue:
-    """Sum of derivative sup-norms j=0..n plus the Holder seminorm."""
+def holder_norm(g: GridFunction, idx: HolderIndex,
+                M: int = DEFAULT_SAMPLES) -> NormValue:
+    """Sum of derivative sup-norms j=0..n plus the Holder seminorm, on
+    max(M, N+1) + 1 uniform samples of the degree-N g."""
     sup_parts = tuple(sup_norm(g.derivative(j), M) for j in range(idx.n + 1))
     semi = holder_seminorm(g, idx, M)
     return NormValue(sup_parts, semi, float(sum(sup_parts) + semi))

@@ -56,6 +56,10 @@ def _expr_matrix(entries, rows, cols, path=""):
 
 
 def _expr_vector(entries, rows, path=""):
+    """A rows x 1 `_expr_matrix` of a list of rows expression strings."""
+    if len(entries) != rows:
+        raise ConfigError(f"expected {rows} expression(s), got "
+                          f"{len(entries)}", path)
     return _expr_matrix([[e] for e in entries], rows, 1, path)
 
 

@@ -132,6 +132,10 @@ FILE = "<the config file>"   # a path that is the file's own
     (_set("rhs", []), "rhs"),
     (lambda cfg: cfg["target"].append("0"), "target"),
     (lambda cfg: cfg["target"].pop(), "target"),
+    # a vector key of the wrong length counts expressions, not a matrix
+    (_set("rhs", ["exp(t)", "1"]), "rhs: expected 1 expression(s), got 2"),
+    (_set("target", ["0", "1", "2"]),
+     "target: expected 2 expression(s), got 3"),
     (lambda cfg: cfg["boundary"]["point_terms"][0]["coeff"].append(["1"]),
      "boundary.point_terms[0].coeff"),
     (_point_term(0, coeff=[["1"]]), "boundary.point_terms[0].coeff"),
@@ -158,10 +162,10 @@ FILE = "<the config file>"   # a path that is the file's own
         "point-name", "coeffs_at_zero-short", "constant-division",
         "constant-negative-power", "coeffs-long-row", "coeffs-extra-row",
         "coeffs-no-row", "coeffs-short-row", "rhs-long", "rhs-short",
-        "target-long", "target-short", "coeff-extra-row", "coeff-short",
-        "coeff-wide", "alpha-outside", "coeffs-number", "target-number",
-        "order-above-n-plus-r", "coeff-no-value", "density-no-value",
-        "target-no-value"])
+        "target-long", "target-short", "rhs-count", "target-count",
+        "coeff-extra-row", "coeff-short", "coeff-wide", "alpha-outside",
+        "coeffs-number", "target-number", "order-above-n-plus-r",
+        "coeff-no-value", "density-no-value", "target-no-value"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
     replaced = mutate(cfg)
@@ -169,8 +173,10 @@ def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     bad.write_text(json.dumps(replaced if path == FILE else cfg))
     assert run(["solve", "--config", str(bad),
                 "--out", str(tmp_path / "out")]) == 1
-    cited = str(bad) if path == FILE else path
-    assert capsys.readouterr().err.startswith(f"error: {cited}: ")
+    # path is the key path, or the key path, ": " and the message
+    key, _, message = path.partition(": ")
+    cited = str(bad) if key == FILE else key
+    assert capsys.readouterr().err.startswith(f"error: {cited}: {message}")
 
 
 def test_invalid_json_exit_one(tmp_path):
@@ -404,18 +410,15 @@ def test_an_entry_with_no_value_at_eps_zero_cites_its_key(command, tmp_path,
 
 
 @pytest.mark.parametrize("command, family, degree, samples", [
-    ("sweep", "F1_smooth_perturb", 256, 512),
     ("sweep", "F1_smooth_perturb", 600, 512),
     ("sweep", "F1_smooth_perturb", 8, 16),
     ("sweep", "F1_smooth_perturb", 8, 63),
-    ("verify", "F1_smooth_perturb", 256, None),
     ("verify", "F1_smooth_perturb", 24, 48),
     ("sweep", "F6_holder_rough", 256, 256),
     ("verify", "F6_holder_rough", 24, 63)])
 def test_too_few_samples_is_a_usage_error_before_any_solve(
         command, family, degree, samples, tmp_path, capsys, monkeypatch):
-    # the norms need M >= 64 and M above N, and F1's coefficients vary with
-    # eps, so its norms take products and need M above min(2N, 512)
+    # --samples must be >= 64 and above --degree
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the usage check")
 
@@ -429,13 +432,16 @@ def test_too_few_samples_is_a_usage_error_before_any_solve(
 
 
 @pytest.mark.parametrize("argv", [
-    # F6's coefficients do not vary with eps: no product, M above N is enough
     ["sweep", "--gallery", "F6_holder_rough", "--degree", "256",
      "--samples", "512", "--count", "2"],
     ["verify", "--gallery", "F6_holder_rough", "--degree", "256"],
-    # M = 2N + 1 is enough for F1's products
     ["sweep", "--gallery", "F1_smooth_perturb", "--degree", "100",
-     "--samples", "201", "--count", "2"]])
+     "--samples", "201", "--count", "2"],
+    # F1's coefficients vary with eps: its norms sample each product of
+    # degree min(2N, 512) at that degree, whatever M above N is given
+    ["sweep", "--gallery", "F1_smooth_perturb", "--degree", "256",
+     "--samples", "512", "--count", "2"],
+    ["verify", "--gallery", "F1_smooth_perturb", "--degree", "256"]])
 def test_the_least_samples_the_norms_take_are_accepted(argv, tmp_path):
     assert run(argv + ["--out", str(tmp_path)]) in (0, 3)
 

@@ -465,7 +465,16 @@ def test_arithmetic_mixed_degrees():
     assert np.max(np.abs(h.eval_at(ts)[0, 0] - (ts ** 2 + np.sin(ts)))) < 1e-12
 
 
-def test_min_samples_covers_the_seminorm_the_degree_and_capped_products():
+def test_min_samples_covers_the_seminorm_and_the_degree():
     assert [grid.min_samples(N) for N in (8, 63, 64, 256)] == [64, 64, 65, 257]
-    assert [grid.min_samples(N, products=True)
-            for N in (24, 100, 256, 600)] == [64, 201, 513, 601]
+
+
+@pytest.mark.parametrize("M", [65, 100, 128])
+def test_norms_of_a_product_sample_at_least_at_its_degree(M):
+    # the degree-128 product of two degree-64 functions, sampled at an M
+    # that covers its factors but not itself, takes the points of M = 129
+    f = interpolate("sin(3*t)", (0.0, 1.0), 64)
+    fg = product(f, interpolate("exp(t)", (0.0, 1.0), 64))
+    idx = HolderIndex(1, 0.5)
+    assert fg.N == 128
+    assert holder_norm(fg, idx, M) == holder_norm(fg, idx, 129)
