@@ -8,13 +8,11 @@ from .problem import (BoundaryOperator, ConfigError, ProblemFamily,
                       ProblemInstance, apply_B, boundedness_certificate,
                       family_from_config, gallery, GALLERY_NAMES,
                       instantiate, load_problem)
-from .solver import (CharacteristicMatrix, ConditionZero,
-                     ConditionZeroViolated, SolveRejected, SolveResult,
-                     apply_L, build_companion,
-                     characteristic_matrix, check_condition_zero,
-                     fredholm_nullity, fundamental_matrix, liouville_defect,
-                     recover_coefficients, solve_bvp, solve_bvp_direct,
-                     solve_matrix_bvp)
+from .solver import (CharacteristicMatrix, ConditionZeroViolated,
+                     SolveRejected, SolveResult, apply_L, build_companion,
+                     characteristic_matrix, fredholm_nullity,
+                     fundamental_matrix, liouville_defect,
+                     recover_coefficients, solve_bvp, solve_bvp_direct)
 from .analysis import (discrepancy, extract_coefficients_monomials,
                        geometric_eps, main_theorem_suite, tends_to_zero,
                        theorem2_equivalence_check, two_sided_sweep)

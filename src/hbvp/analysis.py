@@ -172,7 +172,6 @@ class SweepReport:
     kappa_hat_low: float | None
     kappa_hat_high: float | None
     band_violation: bool
-    cond0_margin: float     # of the eps = 0 solve; no artifact writes it
 
     COLUMNS = ("eps", "error", "discrepancy", "ratio", "cond0_margin",
                "solve_residual", "failure")
@@ -245,7 +244,7 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
     lo = min(ratios) if ratios else None
     hi = max(ratios) if ratios else None
     violation = bool(ratios) and hi / lo > RATIO_BAND_CAP
-    return SweepReport(fam.name, records, lo, hi, violation, res0.margin)
+    return SweepReport(fam.name, records, lo, hi, violation)
 
 
 # --- main theorem agreement and operator convergence -------------------------

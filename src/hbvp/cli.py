@@ -22,8 +22,8 @@ import numpy as np
 from . import analysis as an
 from .expr import ParseError
 from .grid import DEFAULT_SAMPLES, min_samples
-from .problem import (ConfigError, GALLERY_NAMES, gallery, instantiate,
-                      load_problem)
+from .problem import (ConfigError, GALLERY_NAMES, apply_B, gallery,
+                      instantiate, load_problem)
 from .solver import ConditionZeroViolated, SolveRejected, solve_bvp_direct
 
 EXIT_OK = 0
@@ -63,7 +63,8 @@ def cmd_solve(args) -> int:
     an.write_json(os.path.join(out, "solve_summary.json"), {
         "family": fam.name, "eps": args.eps, "degree": res.N,
         "route": res.route, "residual": res.residual,
-        "boundary_residual": res.boundary_residual,
+        "boundary_residual": float(
+            np.linalg.norm(apply_B(inst.B, res.y)[:, 0] - inst.c)),
         "cond0_margin": res.margin,
     })
     print(f"{fam.name}: solved at eps={an.fmt(args.eps)}, N={res.N}, "

@@ -303,11 +303,19 @@ def _integer(v, least: int = 0) -> int:
     return int(v)
 
 
+def _array(v) -> list:
+    """v if it is a JSON array; a string or an object is not read as one."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a JSON array, got {type(v).__name__} "
+                        f"{v!r}")
+    return v
+
+
 def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
     r, m = (_at(cfg, key, lambda v: _integer(v, 1)) for key in "rm")
     n = _at(cfg, "n", _integer)
     idx = _at(cfg, "alpha", lambda v: HolderIndex(n, float(v)))
-    interval = _at(cfg, "interval", lambda v: tuple(map(float, v)))
+    interval = _at(cfg, "interval", lambda v: tuple(map(float, _array(v))))
     if len(interval) != 2 or not interval[0] < interval[1]:
         raise ConfigError("interval must be [a, b] with a < b", "interval")
     a, b = interval
@@ -325,7 +333,7 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
         return t
 
     def matrices(key):
-        mats = _at(cfg, key, list)
+        mats = _at(cfg, key, _array)
         if len(mats) != r:
             raise ConfigError(f"expected {r} matrices, got {len(mats)}", key)
         return tuple(_expr_matrix(mats[j], m, m, f"{key}[{j}]")
@@ -333,15 +341,15 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
 
     coeff_arrays = matrices("coeffs")
     coeffs0 = matrices("coeffs_at_zero") if "coeffs_at_zero" in cfg else None
-    rhs = _expr_vector(_at(cfg, "rhs", list), m, "rhs")
-    rhs0 = (_expr_vector(_at(cfg, "rhs_at_zero", list), m, "rhs_at_zero")
+    rhs = _expr_vector(_at(cfg, "rhs", _array), m, "rhs")
+    rhs0 = (_expr_vector(_at(cfg, "rhs_at_zero", _array), m, "rhs_at_zero")
             if "rhs_at_zero" in cfg else None)
     bnd = _at(cfg, "boundary",
               lambda v: {"point_terms": [], "integral_terms": [], **v})
 
     def terms(kind):
         return [(p, f"boundary.{kind}[{i}].")
-                for i, p in enumerate(_at(bnd, kind, list, "boundary."))]
+                for i, p in enumerate(_at(bnd, kind, _array, "boundary."))]
 
     points = tuple(
         PointTermFamily(_at(p, "order", order, at), _at(p, "point", point, at),
@@ -356,7 +364,7 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
     if not points and not integrals:
         raise ConfigError("boundary operator needs at least one term",
                           "boundary")
-    target = _expr_vector(_at(cfg, "target", list), r * m, "target")
+    target = _expr_vector(_at(cfg, "target", _array), r * m, "target")
     eps0 = _at(cfg, "eps0", float)
     if eps0 <= 0:
         raise ConfigError("eps0 must be positive", "eps0")

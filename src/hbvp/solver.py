@@ -1,10 +1,12 @@
 """Collocation solver for problem instances.
 
 Two independent routes are provided: a direct square collocation of the
-r-th order system with boundary bordering, whose one factorization also
-decides Condition (0), and the companion route via the fundamental matrix
-of the equivalent first-order system.  Both consume the same instantiated
-data, so they cross-validate each other.
+r-th order system with boundary bordering, and the companion route via the
+fundamental matrix of the equivalent first-order system.  Each returns one
+SolveResult: the solution y, the matrix solution Z (L Z = 0, B Z = I) and
+the Condition (0) margin its gate decided on.  The direct route takes all
+three from one factorization.  Both consume the same instantiated data,
+so they cross-validate each other field for field.
 """
 from __future__ import annotations
 
@@ -61,27 +63,10 @@ class CharacteristicMatrix:
 
 
 @dataclass(frozen=True)
-class ConditionZero:
-    """The Condition (0) decision: the characteristic-matrix margin and
-    the tolerance it must exceed."""
-    margin: float
-    tol: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.margin > self.tol
-
-    def require(self) -> "ConditionZero":
-        if not self.satisfied:
-            raise ConditionZeroViolated(self.margin, self.tol)
-        return self
-
-
-@dataclass(frozen=True)
 class SolveResult:
     y: GridFunction   # (m, 1)
+    Z: GridFunction   # (m, rm), L Z = 0 and B Z = I: the matrix solution Y
     residual: float
-    boundary_residual: float
     N: int
     route: str
     margin: float     # Condition (0) margin of the gate the solve passed
@@ -155,19 +140,15 @@ def _margin(M: np.ndarray) -> float:
     return float(sigma[-1] / max(sigma[0], 1e-300))
 
 
-def _condition_zero(margin: float, N: int) -> ConditionZero:
-    """The margin must exceed max(CONDITION_ZERO_RTOL, 100 N^2 u), u the
-    float64 machine epsilon: the margin of a singular problem is roundoff
-    that grows like N^2 u (F3, direct route: 5.7e-13 at N = 32, 7.0e-10
-    at N = 512)."""
-    return ConditionZero(margin, max(CONDITION_ZERO_RTOL,
-                                     100 * N ** 2 * float(np.finfo(float).eps)))
-
-
-def check_condition_zero(instance: ProblemInstance) -> ConditionZero:
-    """Condition (0) at the instance's degree N, from the direct solve's
-    factorization."""
-    return _bordered_solve(instance)[0]
+def _require_condition_zero(margin: float, N: int) -> None:
+    """Raise ConditionZeroViolated unless the margin exceeds
+    max(CONDITION_ZERO_RTOL, 100 N^2 u), u the float64 machine epsilon: the
+    margin of a singular problem is roundoff that grows like N^2 u (F3,
+    direct route: 5.7e-13 at N = 32, 7.0e-10 at N = 512).  A NaN margin
+    raises."""
+    tol = max(CONDITION_ZERO_RTOL, 100 * N ** 2 * float(np.finfo(float).eps))
+    if not margin > tol:
+        raise ConditionZeroViolated(margin, tol)
 
 
 def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
@@ -206,15 +187,14 @@ def _accept(residual: float, rhs_scale: float) -> bool:
     return residual <= RESIDUAL_RTOL * (1.0 + rhs_scale)
 
 
-def _result(instance: ProblemInstance, y: GridFunction, residual: float,
-            route: str, margin: float) -> SolveResult:
+def _result(instance: ProblemInstance, y: GridFunction, Z: GridFunction,
+            residual: float, route: str, margin: float) -> SolveResult:
     """Accept y by its residual, or reject it at the instance's degree."""
     rhs_scale = float(np.max(np.abs(instance.rhs.values)))
     if not _accept(residual, rhs_scale):
         raise SolveRejected(residual, RESIDUAL_RTOL * (1 + rhs_scale),
                             instance.N)
-    bres = float(np.linalg.norm(apply_B(instance.B, y)[:, 0] - instance.c))
-    return SolveResult(y, residual, bres, instance.N, route, margin)
+    return SolveResult(y, Z, residual, instance.N, route, margin)
 
 
 def collocation_matrix(instance: ProblemInstance) -> np.ndarray:
@@ -246,7 +226,7 @@ def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
 
 
 def _bordered_solve(instance: ProblemInstance):
-    """The Condition (0) gate and the columns (m, N+1, 1 + rm) of one
+    """The Condition (0) margin and the columns (m, N+1, 1 + rm) of one
     factorization of [K; Bmat] solved for [f; c] and [0; I_rm].
 
     Column 0 is y.  The rest, Z, has K Z = 0 and Bmat Z = I, so its initial
@@ -261,55 +241,50 @@ def _bordered_solve(instance: ProblemInstance):
     try:
         cols = np.linalg.solve(mat, rhs).reshape(m, N + 1, 1 + r * m)
     except np.linalg.LinAlgError:
-        return _condition_zero(0.0, N), None
+        return 0.0, None
     row = np.eye(1, N + 1)[0]   # node 0 is t = a
     EZ = []
     for _ in range(r):
         EZ.append(row @ cols[:, :, 1:])
         row = row @ instance.coeffs[0].diffmat
-    return _condition_zero(_margin(np.concatenate(EZ)), N), cols
+    return _margin(np.concatenate(EZ)), cols
 
 
 def solve_bvp_direct(instance: ProblemInstance) -> SolveResult:
     """Square collocation of the r-th order system itself, at the
-    instance's degree, gated by Condition (0) from the same factorization."""
-    gate, cols = _bordered_solve(instance)
-    gate.require()
+    instance's degree, gated by Condition (0) from the same factorization,
+    which also gives the matrix solution Z."""
+    margin, cols = _bordered_solve(instance)
+    _require_condition_zero(margin, instance.N)
     y = GridFunction(cols[:, None, :, 0].copy(), instance.interval)
-    return _result(instance, y, _residual(instance, y), "direct",
-                   gate.margin)
+    Z = GridFunction(cols[:, :, 1:].transpose(0, 2, 1).copy(),
+                     instance.interval)
+    return _result(instance, y, Z, _residual(instance, y), "direct", margin)
 
 
 def solve_bvp(instance: ProblemInstance) -> SolveResult:
     """Companion route: y is the top block of X v + x_p with M v
-    closing the boundary conditions."""
+    closing the boundary conditions, and Z the top block of X M^{-1}."""
     m, N = instance.m, instance.N
     cs = build_companion(instance)
     fund = fundamental_matrix(cs)
     X, xp = fund.X, fund.xp
     cm = characteristic_matrix(instance.B, X)
-    _condition_zero(cm.margin, N).require()
+    _require_condition_zero(cm.margin, N)
     xp_top = GridFunction(xp[:m], instance.interval)
     v = np.linalg.solve(cm.M, instance.c - apply_B(instance.B, xp_top)[:, 0])
     x = np.einsum("ijt,j->it", X.values, v) + xp[:, 0, :]
     y = GridFunction(x[:m].reshape(m, 1, N + 1), instance.interval)
+    Z = GridFunction(np.einsum("ijt,jk->ikt", X.values[:m],
+                               np.linalg.inv(cm.M)), instance.interval)
     # backward error of the first-order system this route discretized,
     # at its collocation nodes (node 0 carries the initial condition)
     xg = GridFunction(x[:, None, :], instance.interval)
     fo = (xg.derivative().values[:, 0, 1:]
           + np.einsum("ikt,kt->it", cs.A.values, x)[:, 1:]
           - cs.g.values[:, 0, 1:])
-    return _result(instance, y, float(np.max(np.abs(fo))), "companion",
+    return _result(instance, y, Z, float(np.max(np.abs(fo))), "companion",
                    cm.margin)
-
-
-def solve_matrix_bvp(instance: ProblemInstance) -> GridFunction:
-    """Y (m x rm) with L Y = 0 and [B Y] = I: the block Z of the direct
-    solve's factorization."""
-    gate, cols = _bordered_solve(instance)
-    gate.require()
-    return GridFunction(cols[:, :, 1:].transpose(0, 2, 1).copy(),
-                        instance.interval)
 
 
 def recover_coefficients(X: GridFunction) -> GridFunction:

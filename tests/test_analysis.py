@@ -10,7 +10,7 @@ from hbvp import solver as solver_mod
 from hbvp.grid import HolderIndex, holder_norm
 from hbvp.problem import (apply_B, boundedness_certificate,
                           family_from_config, gallery, instantiate)
-from hbvp.solver import check_condition_zero, solve_bvp_direct
+from hbvp.solver import ConditionZeroViolated, solve_bvp_direct
 
 EPS_SHORT = an.geometric_eps(1.0, 0.5, 10)
 EPS_FULL = an.geometric_eps(1.0, 0.5, 20)
@@ -223,7 +223,7 @@ def test_main_theorem_suite_factors_eps_zero_once(monkeypatch):
     # Condition (0) is read from the sweep's eps = 0 solve, so the eps = 0
     # bordered matrix is built once: 1 of 21 collocation matrices
     fam = gallery("F1_smooth_perturb")
-    gate = check_condition_zero(instantiate(fam, 0.0, 24))
+    margin = solve_bvp_direct(instantiate(fam, 0.0, 24)).margin
     seen = []
     real = solver_mod.collocation_matrix
 
@@ -233,17 +233,18 @@ def test_main_theorem_suite_factors_eps_zero_once(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "collocation_matrix", counting)
     v = an.main_theorem_suite(fam, N=24, M=512)
-    assert v.cond0_ok and v.cond0_margin == gate.margin
+    assert v.cond0_ok and v.cond0_margin == margin
     assert seen.count(0.0) == 1 and len(seen) == 21
 
 
 def test_main_theorem_suite_condition_zero_violation_keeps_its_margin():
     fam = gallery("F3_cond0_violated")
-    gate = check_condition_zero(instantiate(fam, 0.0, 24))
+    with pytest.raises(ConditionZeroViolated) as gate:
+        solve_bvp_direct(instantiate(fam, 0.0, 24))
     v = an.main_theorem_suite(fam, an.geometric_eps(1.0, 0.5, 6), N=24,
                               M=256)
-    assert not gate.satisfied and not v.cond0_ok and not v.solvable
-    assert v.cond0_margin == gate.margin
+    assert not v.cond0_ok and not v.solvable
+    assert v.cond0_margin == gate.value.margin
 
 
 def test_extract_coefficients_constants():

@@ -153,6 +153,20 @@ FILE = "<the config file>"   # a path that is the file's own
         {"order": 0, "density": [["0"], ["sin(t/eps)"]]}]),
      "boundary.integral_terms[0].density[1][0]"),
     (_set("target", ["0", "1/eps"]), "target[1]"),
+    # a list key takes a JSON array only: a string is not split into
+    # characters, nor an object read as its keys
+    (_set("target", "01"), "target: expected a JSON array, got str"),
+    (_set("rhs", "t"), "rhs: expected a JSON array, got str"),
+    (_set("rhs", "exp(t)"), "rhs: expected a JSON array, got str"),
+    (_set("rhs_at_zero", "t"), "rhs_at_zero: expected a JSON array, got str"),
+    (_set("coeffs", "ab"), "coeffs: expected a JSON array, got str"),
+    (_set("coeffs_at_zero", {"a": 1}),
+     "coeffs_at_zero: expected a JSON array, got dict"),
+    (_set("interval", "01"), "interval: expected a JSON array, got str"),
+    (lambda cfg: cfg["boundary"].update(point_terms="ab"),
+     "boundary.point_terms: expected a JSON array, got str"),
+    (lambda cfg: cfg["boundary"].update(integral_terms="ab"),
+     "boundary.integral_terms: expected a JSON array, got str"),
 ], ids=["r", "r-fraction", "r-zero", "m-zero", "m-bool", "n-fraction", "n-negative",
         "eps0-zero", "eps0-negative", "order-fraction", "order-bool",
         "point-outside", "boundary-no-term", "top-level-list", "eps0",
@@ -165,7 +179,10 @@ FILE = "<the config file>"   # a path that is the file's own
         "target-long", "target-short", "rhs-count", "target-count",
         "coeff-extra-row", "coeff-short", "coeff-wide", "alpha-outside",
         "coeffs-number", "target-number", "order-above-n-plus-r",
-        "coeff-no-value", "density-no-value", "target-no-value"])
+        "coeff-no-value", "density-no-value", "target-no-value",
+        "target-string", "rhs-string", "rhs-string-expression",
+        "rhs_at_zero-string", "coeffs-string", "coeffs_at_zero-object",
+        "interval-string", "point_terms-string", "integral_terms-string"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
     replaced = mutate(cfg)

@@ -12,11 +12,10 @@ from hbvp.problem import apply_B, family_from_config, gallery, instantiate
 from hbvp.solver import (CompanionSystem, ConditionZeroViolated,
                          SolveRejected, apply_L,
                          build_companion, characteristic_matrix,
-                         check_condition_zero, collocation_matrix,
+                         collocation_matrix,
                          fredholm_nullity, fundamental_matrix,
                          liouville_defect,
-                         recover_coefficients, solve_bvp, solve_bvp_direct,
-                         solve_matrix_bvp)
+                         recover_coefficients, solve_bvp, solve_bvp_direct)
 
 
 def _family(cfg):
@@ -154,14 +153,15 @@ def test_characteristic_matrix_examples():
         inst.B, fundamental_matrix(build_companion(inst)).X)
     assert np.allclose(cm.M, [[1, 0], [1, 1]], atol=1e-12)
     assert cm.margin > 0.1
-    assert check_condition_zero(inst).satisfied
+    solve_bvp_direct(inst)   # passes the Condition (0) gate
 
     inst3 = instantiate(gallery("F3_cond0_violated"), 0.0, 16)
     cm3 = characteristic_matrix(
         inst3.B, fundamental_matrix(build_companion(inst3)).X)
     assert np.allclose(cm3.M, [[0, 1], [0, 0]], atol=1e-12)
     assert cm3.margin < 1e-10
-    assert not check_condition_zero(inst3).satisfied
+    with pytest.raises(ConditionZeroViolated):
+        solve_bvp_direct(inst3)
 
 
 def test_characteristic_matrix_initial_conditions_identity():
@@ -234,7 +234,7 @@ def test_solve_result_margin_is_the_characteristic_margin():
         inst = instantiate(gallery(name), 0.2, 32)
         direct = solve_bvp_direct(inst).margin
         companion = solve_bvp(inst).margin
-        assert direct == check_condition_zero(inst).margin
+        assert direct == solver_mod._bordered_solve(inst)[0]
         assert companion == _margin(inst)
         assert abs(direct - companion) <= 1e-8 * companion
 
@@ -270,9 +270,8 @@ def test_direct_gate_margin_matches_companion_characteristic_margin(cfg):
     # E its initial rows, holds for any r and m and for integral terms
     fam = gallery(cfg) if isinstance(cfg, str) else _family(cfg)
     inst = instantiate(fam, 0.0, 32)
-    gate = check_condition_zero(inst)
-    assert gate.satisfied
-    assert abs(gate.margin - _margin(inst)) <= 1e-6 * _margin(inst)
+    margin = solve_bvp_direct(inst).margin   # the gate raises if unsatisfied
+    assert abs(margin - _margin(inst)) <= 1e-6 * _margin(inst)
 
 
 def _count_calls(monkeypatch, name, degree):
@@ -373,27 +372,57 @@ def test_solve_superposition():
     assert np.max(np.abs(yab.eval_at(ts) - combo)) < 1e-10
 
 
-def test_solve_matrix_bvp_defining_property():
+def test_solve_result_Z_defining_property():
     for name in ("F1_smooth_perturb", "F5_multipoint_integral"):
         inst = instantiate(gallery(name), 0.0, 24)
-        Y = solve_matrix_bvp(inst)
+        Y = solve_bvp_direct(inst).Z
         BY = apply_B(inst.B, Y)
         assert np.max(np.abs(BY - np.eye(2))) < 1e-10
         LY = apply_L(inst, Y)
         assert np.max(np.abs(LY.values)) < 1e-8
 
 
-def test_solve_matrix_bvp_initial_conditions_hand_oracle():
+def test_solve_result_Z_initial_conditions_hand_oracle():
     boundary = {"point_terms": [
         {"order": 0, "point": 0.0, "coeff": [["1"], ["0"]]},
         {"order": 1, "point": 0.0, "coeff": [["0"], ["1"]]}]}
     cfg = _simple_cfg([[["0"]], [["0"]]], ["0"], boundary, ["0", "0"])
     inst = instantiate(_family(cfg), 0.0, 16)
-    Y = solve_matrix_bvp(inst)  # y'' = 0 with initial data: Y = (1, t)
+    Y = solve_bvp_direct(inst).Z  # y'' = 0 with initial data: Y = (1, t)
     ts = np.linspace(0, 1, 40)
     V = Y.eval_at(ts)
     assert np.max(np.abs(V[0, 0] - 1.0)) < 1e-11
     assert np.max(np.abs(V[0, 1] - ts)) < 1e-11
+
+
+@pytest.mark.parametrize("cfg", [
+    "F1_smooth_perturb", "F2_boundary_perturb", "F5_multipoint_integral",
+    "F6_holder_rough", R3_M2_CFG], ids=["F1", "F2", "F5", "F6", "r3_m2"])
+def test_both_routes_return_the_matrix_solution(cfg):
+    # the direct route reads Z from its bordered factorization, the
+    # companion route forms X_top M^{-1}; each is the matrix solution
+    if isinstance(cfg, str):
+        inst = instantiate(gallery(cfg), 0.2, 32)
+    else:
+        inst = instantiate(_family(cfg), 0.0, 32)
+    direct, companion = solve_bvp_direct(inst), solve_bvp(inst)
+    rm = inst.r * inst.m
+    assert direct.Z.shape == companion.Z.shape == (inst.m, rm)
+    assert np.max(np.abs(direct.Z.values - companion.Z.values)) < 1e-8
+    for Z in (direct.Z, companion.Z):
+        assert np.max(np.abs(apply_B(inst.B, Z) - np.eye(rm))) < 1e-9
+        assert np.max(np.abs(apply_L(inst, Z).values)) < 1e-6
+
+
+def test_direct_solve_applies_no_boundary_operator(monkeypatch):
+    # the bordered rows already hold B; the boundary residual is computed
+    # by `hbvp solve`, its one reader
+    calls = []
+    monkeypatch.setattr(solver_mod, "apply_B",
+                        lambda *a: calls.append(a) or apply_B(*a))
+    for name in ("F1_smooth_perturb", "F5_multipoint_integral"):
+        solve_bvp_direct(instantiate(gallery(name), 0.2, 24))
+    assert calls == []
 
 
 def test_recover_coefficients_hand_examples():
