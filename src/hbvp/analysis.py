@@ -146,7 +146,7 @@ def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
     """
     inst = instantiate(fam, eps, N)
     if direct:
-        resid = apply_L(inst, y0) - inst.rhs.resample(2 * N)
+        resid = apply_L(inst, y0) - inst.rhs
         bvec = apply_B(inst.B, y0)[:, 0] - inst.c
     else:
         resid, bvec = _perturbation(fam, instantiate(fam, 0.0, N), y0)(

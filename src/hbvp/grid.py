@@ -217,30 +217,21 @@ def interpolate(e, interval, N: int) -> GridFunction:
     return GridFunction.from_exprs(parsed, interval, N)
 
 
-def product(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Pointwise matrix product, interpolated at degree N_f + N_g (capped).
-
-    A (1,1)-shaped operand acts as a scalar factor.
-    """
+def product(f: GridFunction, g: GridFunction, N: int | None = None
+            ) -> GridFunction:
+    """Pointwise matrix product of the node values at degree N, by default
+    N_f + N_g capped at MAX_PRODUCT_DEGREE (with a warning)."""
     if (f.a, f.b) != (g.a, g.b):
         raise ValueError("interval mismatch")
-    scalar_f = f.shape == (1, 1)
-    scalar_g = g.shape == (1, 1)
-    if not (scalar_f or scalar_g) and f.shape[1] != g.shape[0]:
+    if f.shape[1] != g.shape[0]:
         raise ShapeError(f"shapes {f.shape} and {g.shape} not composable")
-    N = f.N + g.N
-    if N > MAX_PRODUCT_DEGREE:
-        warnings.warn(f"product degree {N} capped at {MAX_PRODUCT_DEGREE}")
-        N = MAX_PRODUCT_DEGREE
-    nodes, _ = _grid_data(N, f.a, f.b)
-    fv = f.eval_at(nodes)
-    gv = g.eval_at(nodes)
-    if scalar_f:
-        vals = fv[0, 0] * gv
-    elif scalar_g:
-        vals = fv * gv[0, 0]
-    else:
-        vals = np.einsum("ikt,kjt->ijt", fv, gv)
+    if N is None:
+        N = f.N + g.N
+        if N > MAX_PRODUCT_DEGREE:
+            warnings.warn(f"product degree {N} capped at {MAX_PRODUCT_DEGREE}")
+            N = MAX_PRODUCT_DEGREE
+    vals = np.einsum("ikt,kjt->ijt", f.resample(N).values,
+                     g.resample(N).values)
     return GridFunction(vals, f.interval)
 
 

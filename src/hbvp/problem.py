@@ -311,7 +311,16 @@ def _array(v) -> list:
     return v
 
 
+def _known(obj, keys: str, at: str = "") -> None:
+    """A ConfigError at the path of a dict obj's first key not in keys."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys.split():
+            raise ConfigError("unknown key", at + key)
+
+
 def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
+    _known(cfg, "r m n alpha interval coeffs coeffs_at_zero rhs rhs_at_zero "
+                "boundary target eps0")
     r, m = (_at(cfg, key, lambda v: _integer(v, 1)) for key in "rm")
     n = _at(cfg, "n", _integer)
     idx = _at(cfg, "alpha", lambda v: HolderIndex(n, float(v)))
@@ -346,21 +355,23 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
             if "rhs_at_zero" in cfg else None)
     bnd = _at(cfg, "boundary",
               lambda v: {"point_terms": [], "integral_terms": [], **v})
+    _known(bnd, "point_terms integral_terms", "boundary.")
 
-    def terms(kind):
-        return [(p, f"boundary.{kind}[{i}].")
-                for i, p in enumerate(_at(bnd, kind, _array, "boundary."))]
+    def terms(kind, keys):
+        for i, p in enumerate(_at(bnd, kind, _array, "boundary.")):
+            _known(p, keys, at := f"boundary.{kind}[{i}].")
+            yield p, at
 
     points = tuple(
         PointTermFamily(_at(p, "order", order, at), _at(p, "point", point, at),
                         _expr_matrix(_at(p, "coeff", at=at), r * m, m,
                                      at + "coeff"))
-        for p, at in terms("point_terms"))
+        for p, at in terms("point_terms", "order point coeff"))
     integrals = tuple(
         IntegralTermFamily(_at(p, "order", order, at),
                            _expr_matrix(_at(p, "density", at=at), r * m, m,
                                         at + "density"))
-        for p, at in terms("integral_terms"))
+        for p, at in terms("integral_terms", "order density"))
     if not points and not integrals:
         raise ConfigError("boundary operator needs at least one term",
                           "boundary")

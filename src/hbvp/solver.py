@@ -1,12 +1,12 @@
 """Collocation solver for problem instances.
 
-Two independent routes are provided: a direct square collocation of the
-r-th order system with boundary bordering, and the companion route via the
-fundamental matrix of the equivalent first-order system.  Each returns one
-SolveResult: the solution y, the matrix solution Z (L Z = 0, B Z = I) and
-the Condition (0) margin its gate decided on.  The direct route takes all
-three from one factorization.  Both consume the same instantiated data,
-so they cross-validate each other field for field.
+Two routes share one bordered collocation solve.  The direct route
+applies it to the r-th order system with its boundary rows; the companion
+route to the first-order system x' + A x = g with x(a) given (r = 1), and
+closes B's conditions through the fundamental and characteristic matrices.
+Each returns one SolveResult: the solution y, the matrix solution Z (L Z =
+0, B Z = I) and the Condition (0) margin its gate decided on.  Differing in
+formulation and boundary handling, they cross-validate field for field.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chebyshev as cheb
 from .grid import GridFunction, product
-from .problem import (BoundaryOperator, ProblemInstance, apply_B,
+from .problem import (BoundaryOperator, PointTerm, ProblemInstance, apply_B,
                       boundary_matrix)
 
 RESIDUAL_RTOL = 1e-6
@@ -90,39 +90,27 @@ def build_companion(instance: ProblemInstance) -> CompanionSystem:
                            GridFunction(g, instance.interval))
 
 
-def _first_order_matrix(A: GridFunction) -> np.ndarray:
-    """Collocation matrix of x' + A x with the node-0 rows replaced by
-    the initial condition x(a) = (given)."""
-    s = A.shape[0]
-    N = A.N
-    D = A.diffmat
-    big = np.kron(np.eye(s), D).astype(complex)
-    big = big.reshape(s, N + 1, s, N + 1)
-    ii = np.arange(N + 1)
-    big[:, ii, :, ii] += A.values.transpose(2, 0, 1)
-    big = big.reshape(s * (N + 1), s * (N + 1))
-    for p in range(s):
-        row = p * (N + 1)
-        big[row] = 0.0
-        big[row, row] = 1.0
-    return big
+def _first_order(cs: CompanionSystem) -> ProblemInstance:
+    """x' + A x = g with the one boundary condition x(a) = 0, as an
+    instance with r = 1 and m = rm."""
+    s, interval = cs.A.shape[0], cs.A.interval
+    B = BoundaryOperator((PointTerm(0, interval[0], np.eye(s)),), (), s, s,
+                         interval)
+    return ProblemInstance(1, s, interval, (cs.A,), cs.g, B,
+                           np.zeros(s, dtype=complex), 0.0, cs.A.N)
 
 
 def fundamental_matrix(cs: CompanionSystem) -> FundamentalMatrix:
-    """X and x_p by global collocation, from one factorization: the
-    right-hand side is [0 | g] and the initial values x(a) = [I | 0]."""
-    A = cs.A
-    s = A.shape[0]
-    Np1 = A.N + 1
-    rhs = np.zeros((s, Np1, s + 1), dtype=complex)
-    rhs[:, :, s] = cs.g.values[:, 0]
-    rhs[:, 0] = np.eye(s, s + 1)
-    sol = np.linalg.solve(_first_order_matrix(A),
-                          rhs.reshape(s * Np1, s + 1))
-    sol = sol.reshape(s, Np1, s + 1).transpose(0, 2, 1)
+    """X and x_p from one bordered solve of the first-order instance: x_p
+    solves it with x_p(a) = 0, and X the homogeneous system with X(a) = I.
+    A singular collocation matrix raises LinAlgError."""
+    cols = _bordered_solve(_first_order(cs))[1]
+    if cols is None:
+        raise np.linalg.LinAlgError("singular first-order collocation matrix")
     # contiguous: a strided x_p moves apply_B's bits
-    return FundamentalMatrix(GridFunction(sol[:, :s], A.interval),
-                             sol[:, s:].copy())
+    return FundamentalMatrix(
+        GridFunction(cols[:, :, 1:].transpose(0, 2, 1), cs.A.interval),
+        cols[:, None, :, 0].copy())
 
 
 def characteristic_matrix(B: BoundaryOperator, X: GridFunction) -> CharacteristicMatrix:
@@ -151,11 +139,13 @@ def _require_condition_zero(margin: float, N: int) -> None:
         raise ConditionZeroViolated(margin, tol)
 
 
-def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
-    """y^(r) + sum_j A_{r-j} y^(r-j) for an (m, k) function y."""
+def apply_L(instance: ProblemInstance, y: GridFunction,
+            N: int | None = None) -> GridFunction:
+    """y^(r) + sum_j A_{r-j} y^(r-j) for an (m, k) function y, each product
+    at degree N by `product`'s rule: by default N_f + N_g, capped."""
     out = y.derivative(instance.r)
     for j in range(instance.r):
-        out = out + product(instance.coeffs[j], y.derivative(j))
+        out = out + product(instance.coeffs[j], y.derivative(j), N)
     return out
 
 
@@ -166,20 +156,12 @@ def _residual(instance: ProblemInstance, y: GridFunction):
     the node values of the data (the system actually solved): a backward
     error of the discrete problem.  Rough data is thereby judged at its
     own resolution; inter-node discretization error is reported separately
-    by the norm-level diagnostics, not here.
-
-    L y is formed from node values, in apply_L's order of terms.  Wherever
-    apply_L's degree-2N products are not capped, this has the bits of
-    apply_L(instance, y) evaluated at these nodes: the degree-N nodes are
-    among the degree-2N ones, and barycentric evaluation copies a node's
-    value.  Forming no product, the gate never reaches the cap.
+    by the norm-level diagnostics, not here.  L y is formed at degree N,
+    so the gate never reaches the product degree cap.
     """
-    Ly = y.derivative(instance.r).values
-    for j in range(instance.r):
-        Ly = Ly + np.einsum("ikt,kjt->ijt", instance.coeffs[j].values,
-                            y.derivative(j).values)
     keep = _kept_rows(instance.r, 1, instance.N)
-    diff = Ly[..., keep] - instance.rhs.values[..., keep]
+    diff = (apply_L(instance, y, instance.N).values[..., keep]
+            - instance.rhs.values[..., keep])
     return float(np.max(np.abs(diff)))
 
 
@@ -214,14 +196,11 @@ def collocation_matrix(instance: ProblemInstance) -> np.ndarray:
         big += np.einsum("pqi,ik->piqk", instance.coeffs[j].values, powers[j])
     big = big.reshape(m * (N + 1), m * (N + 1))
     keep = _kept_rows(r, m, N)
-    Bmat = boundary_matrix(instance.B, N)
-    return np.vstack([big[keep], Bmat])
+    return np.vstack([big[keep], boundary_matrix(instance.B, N)])
 
 
 def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
-    head = (r + 1) // 2
-    tail = r // 2
-    node_keep = np.arange(head, N + 1 - tail)
+    node_keep = np.arange((r + 1) // 2, N + 1 - r // 2)
     return np.concatenate([p * (N + 1) + node_keep for p in range(m)])
 
 
@@ -265,26 +244,20 @@ def solve_bvp_direct(instance: ProblemInstance) -> SolveResult:
 def solve_bvp(instance: ProblemInstance) -> SolveResult:
     """Companion route: y is the top block of X v + x_p with M v
     closing the boundary conditions, and Z the top block of X M^{-1}."""
-    m, N = instance.m, instance.N
+    m, interval = instance.m, instance.interval
     cs = build_companion(instance)
     fund = fundamental_matrix(cs)
-    X, xp = fund.X, fund.xp
-    cm = characteristic_matrix(instance.B, X)
-    _require_condition_zero(cm.margin, N)
-    xp_top = GridFunction(xp[:m], instance.interval)
+    X, xp = fund.X.values, fund.xp
+    cm = characteristic_matrix(instance.B, fund.X)
+    _require_condition_zero(cm.margin, instance.N)
+    xp_top = GridFunction(xp[:m], interval)
     v = np.linalg.solve(cm.M, instance.c - apply_B(instance.B, xp_top)[:, 0])
-    x = np.einsum("ijt,j->it", X.values, v) + xp[:, 0, :]
-    y = GridFunction(x[:m].reshape(m, 1, N + 1), instance.interval)
-    Z = GridFunction(np.einsum("ijt,jk->ikt", X.values[:m],
-                               np.linalg.inv(cm.M)), instance.interval)
-    # backward error of the first-order system this route discretized,
-    # at its collocation nodes (node 0 carries the initial condition)
-    xg = GridFunction(x[:, None, :], instance.interval)
-    fo = (xg.derivative().values[:, 0, 1:]
-          + np.einsum("ikt,kt->it", cs.A.values, x)[:, 1:]
-          - cs.g.values[:, 0, 1:])
-    return _result(instance, y, Z, float(np.max(np.abs(fo))), "companion",
-                   cm.margin)
+    x = GridFunction(np.einsum("ijt,j->it", X, v)[:, None] + xp, interval)
+    Z = np.einsum("ijt,jk->ikt", X[:m], np.linalg.inv(cm.M))
+    # the residual is the first-order system's: this route discretized it
+    return _result(instance, GridFunction(x.values[:m], interval),
+                   GridFunction(Z, interval), _residual(_first_order(cs), x),
+                   "companion", cm.margin)
 
 
 def recover_coefficients(X: GridFunction) -> GridFunction:

@@ -167,6 +167,13 @@ FILE = "<the config file>"   # a path that is the file's own
      "boundary.point_terms: expected a JSON array, got str"),
     (lambda cfg: cfg["boundary"].update(integral_terms="ab"),
      "boundary.integral_terms: expected a JSON array, got str"),
+    # a key the config does not know is an error, not dropped
+    (lambda cfg: cfg.update(coeffs_at_zer0=cfg["coeffs"]),
+     "coeffs_at_zer0: unknown key"),
+    (lambda cfg: cfg["boundary"].update(
+        point_term=cfg["boundary"]["point_terms"]),
+     "boundary.point_term: unknown key"),
+    (_point_term(0, ordr=0), "boundary.point_terms[0].ordr: unknown key"),
 ], ids=["r", "r-fraction", "r-zero", "m-zero", "m-bool", "n-fraction", "n-negative",
         "eps0-zero", "eps0-negative", "order-fraction", "order-bool",
         "point-outside", "boundary-no-term", "top-level-list", "eps0",
@@ -182,7 +189,9 @@ FILE = "<the config file>"   # a path that is the file's own
         "coeff-no-value", "density-no-value", "target-no-value",
         "target-string", "rhs-string", "rhs-string-expression",
         "rhs_at_zero-string", "coeffs-string", "coeffs_at_zero-object",
-        "interval-string", "point_terms-string", "integral_terms-string"])
+        "interval-string", "point_terms-string", "integral_terms-string",
+        "unknown-top-level-key", "unknown-boundary-key",
+        "unknown-point-term-key"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
     replaced = mutate(cfg)

@@ -386,6 +386,9 @@ def test_product_shape_rules():
     assert np.allclose(Av.eval_at(ts)[0, 0], 2 * ts)
     with pytest.raises(ShapeError):
         product(v, A)
+    # at the factors' own degree: the nodal product, bit for bit
+    assert np.array_equal(product(A, v, N=A.N).values,
+                          np.einsum("ikt,kjt->ijt", A.values, v.values))
 
 
 def test_product_degree_cap_warns():

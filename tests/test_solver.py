@@ -118,6 +118,15 @@ def test_fundamental_vs_matrix_exponential_oracle():
         assert np.max(np.abs(got - oracle)) < 1e-8
 
 
+def test_fundamental_matrix_singular_collocation_raises():
+    # at degree 1 the one collocation row is x'(1) + A(1) x(1) = -x(0) +
+    # (1 + A(1)) x(1); A(1) = -1 leaves x(1) free beside x(a) = x(0)
+    A = GridFunction(np.array([[[0.0, -1.0]]]), (0.0, 1.0))
+    g = GridFunction(np.zeros((1, 1, 2)), (0.0, 1.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        fundamental_matrix(CompanionSystem(A, g))
+
+
 def test_particular_solution_examples():
     A = interpolate("0", (0.0, 1.0), 16)
     zero = interpolate("0", (0.0, 1.0), 16)
@@ -311,8 +320,8 @@ def test_direct_route_decides_condition_zero_once(monkeypatch):
     "F1_smooth_perturb", "F5_multipoint_integral", "F6_holder_rough",
     R3_M2_CFG, R1_M2_CFG], ids=["F1", "F5", "F6", "r3_m2", "r1_m2"])
 def test_direct_residual_is_L_at_the_collocation_nodes(cfg, N):
-    # below the product degree cap, the node-value residual has the bits of
-    # apply_L's function-level L y evaluated at the kept collocation nodes
+    # below the product degree cap, the degree-N residual has the bits of
+    # apply_L's degree-2N L y evaluated at the kept collocation nodes
     if isinstance(cfg, str):
         inst = instantiate(gallery(cfg), 0.2, N)
     else:
@@ -327,20 +336,21 @@ def test_direct_residual_is_L_at_the_collocation_nodes(cfg, N):
 
 @pytest.mark.parametrize("N", [384, 512])
 def test_direct_solve_warns_at_no_degree(N):
-    # the residual gate forms no product, so no degree cap is reached
+    # the residual gate forms its products at degree N, below the cap
     inst = instantiate(gallery("F1_smooth_perturb"), 0.2, N)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert solve_bvp_direct(inst).N == N
 
 
-def _count_first_order_matrices(monkeypatch):
-    return _count_calls(monkeypatch, "_first_order_matrix", lambda A: A.N)
+def _count_collocation_matrices(monkeypatch):
+    return _count_calls(monkeypatch, "collocation_matrix",
+                        lambda inst: inst.N)
 
 
 def test_companion_route_rejects_at_the_requested_degree(monkeypatch):
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
-    degrees = _count_first_order_matrices(monkeypatch)
+    degrees = _count_collocation_matrices(monkeypatch)
     with pytest.raises(SolveRejected) as err:
         solve_bvp(instantiate(gallery("F1_smooth_perturb"), 0.2, 32))
     assert err.value.N == 32
@@ -349,10 +359,32 @@ def test_companion_route_rejects_at_the_requested_degree(monkeypatch):
 
 def test_companion_route_factors_once(monkeypatch):
     # one first-order factorization solves for X and x_p together
-    degrees = _count_first_order_matrices(monkeypatch)
+    degrees = _count_collocation_matrices(monkeypatch)
     for name in ("F1_smooth_perturb", "F5_multipoint_integral"):
         solve_bvp(instantiate(gallery(name), 0.2, 32))
     assert degrees == [32, 32]
+
+
+@pytest.mark.parametrize("cfg", ["F1_smooth_perturb", R3_M2_CFG],
+                         ids=["F1", "r3_m2"])
+def test_companion_residual_is_the_first_order_backward_error(cfg):
+    # max |x' + A x - g| over nodes 1..N for x = X v + x_p, the companion
+    # route's solution; node 0 carries the initial condition
+    if isinstance(cfg, str):
+        inst = instantiate(gallery(cfg), 0.2, 32)
+    else:
+        inst = instantiate(_family(cfg), 0.0, 32)
+    cs = build_companion(inst)
+    fund = fundamental_matrix(cs)
+    M = characteristic_matrix(inst.B, fund.X).M
+    xp_top = GridFunction(fund.xp[:inst.m], inst.interval)
+    v = np.linalg.solve(M, inst.c - apply_B(inst.B, xp_top)[:, 0])
+    x = np.einsum("ijt,j->it", fund.X.values, v) + fund.xp[:, 0, :]
+    xg = GridFunction(x[:, None, :], inst.interval)
+    fo = (xg.derivative().values[:, 0, 1:]
+          + np.einsum("ikt,kt->it", cs.A.values, x)[:, 1:]
+          - cs.g.values[:, 0, 1:])
+    assert solve_bvp(inst).residual == float(np.max(np.abs(fo)))
 
 
 def test_solve_superposition():
