@@ -125,6 +125,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 < args.zero_tol < np.inf:
+        raise _UsageError(f"argument --zero-tol: must be finite and > 0, "
+                          f"got {args.zero_tol}")
     _check_samples(args)
     families = ([gallery(n) for n in GALLERY_NAMES] if args.all
                 else [_load_family(args)])

@@ -70,7 +70,9 @@ def _point_row(N: int, a: float, b: float, t: float) -> np.ndarray:
 
 
 def _nudge(ts: np.ndarray, centers, a: float, b: float) -> np.ndarray:
-    """Shift sample points off powabs singularities by 1e-12*(b-a)."""
+    """Shift sample points off powabs zeros by 1e-12*(b-a), also where a
+    beta > 0 leaves no singularity: F6's rhs at eps = 0 reads 1.0e-6 at the
+    node 0.49999999999999994, not 7.45e-9."""
     if not centers:
         return ts
     delta = NUDGE_FRACTION * (b - a)
@@ -109,6 +111,7 @@ class GridFunction:
         self.sources = sources
         self.eps = float(eps)
         self._deriv = None
+        self._samples = {}
 
     # -- construction ------------------------------------------------------
 
@@ -236,49 +239,48 @@ def product(f: GridFunction, g: GridFunction, N: int | None = None
 
 
 def min_samples(N: int) -> int:
-    """The least --samples M worth asking for at degree N: the seminorm's
+    """The least --samples M worth asking for at degree N: the sampling
     floor, and N + 1, below which the norms sample at N + 1 anyway."""
     return max(MIN_SEMINORM_SAMPLES, N + 1)
 
 
 @lru_cache(maxsize=16)
-def _sample_grid(N: int, a: float, b: float, M: int, include_nodes: bool):
-    """M+1 uniform points on [a, b], merged with the degree-N nodes when
-    include_nodes, and the transpose ET of the matrix evaluating a degree-N
-    interpolant there, so that values @ ET samples it.
+def _sample_grid(N: int, a: float, b: float, M: int):
+    """M+1 uniform points on [a, b] merged with the degree-N nodes, the one
+    point set of every sampled norm, and the transpose ET of the matrix
+    evaluating a degree-N interpolant there, so that values @ ET samples it.
 
     ET is stored complex and C-ordered: the copy numpy would otherwise make
     of a real E.T for every complex matmul, with the same bits.  Each entry
     holds an (N+1, P) matrix, hence the smaller bound than _grid_data's.
     """
     nodes = _grid_data(N, a, b)[0]
-    ts = a + (b - a) * np.arange(M + 1) / M
-    if include_nodes:
-        ts = np.unique(np.concatenate([ts, nodes]))
-        # drop near-coincident points: pairs separated by ~eps_machine
-        # turn interpolation roundoff into spurious difference quotients
-        gap = 1e-9 * (b - a)
-        keep = np.concatenate([[True], np.diff(ts) > gap])
-        ts = ts[keep]
+    ts = np.unique(np.concatenate([a + (b - a) * np.arange(M + 1) / M, nodes]))
+    # drop near-coincident points: pairs separated by ~eps_machine
+    # turn interpolation roundoff into spurious difference quotients
+    ts = ts[np.concatenate([[True], np.diff(ts) > 1e-9 * (b - a)])]
     ET = np.ascontiguousarray(cheb.bary_matrix(nodes, ts).T, dtype=complex)
     ts.flags.writeable = ET.flags.writeable = False
     return ts, ET
 
 
-def _sample(g: GridFunction, M: int, include_nodes: bool = False):
+def _sample(g: GridFunction, M: int):
     """The points of _sample_grid at max(M, N+1), more than the degree-N g
-    has coefficients, and g's values there (as eval_at)."""
-    ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1), include_nodes)
-    if g.sources is not None:
-        return ts, _eval_exprs(g.sources, ts, g.eps, g.a, g.b)
-    return ts, g.values @ ET
+    has coefficients, and g's read-only values there, once per g and M."""
+    if M < MIN_SEMINORM_SAMPLES:
+        raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
+    if M not in g._samples:
+        ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1))
+        vals = (g.values @ ET if g.sources is None
+                else _eval_exprs(g.sources, ts, g.eps, g.a, g.b))
+        vals.flags.writeable = False
+        g._samples[M] = ts, vals
+    return g._samples[M]
 
 
 def sup_norm(g: GridFunction, M: int = DEFAULT_SAMPLES) -> float:
-    """Entrywise-sum of max absolute values over max(M, N+1) + 1 uniform
-    samples of the degree-N g."""
-    vals = _sample(g, M)[1]
-    return float(np.sum(np.max(np.abs(vals), axis=-1)))
+    """Entrywise-sum of max absolute values at _sample's points."""
+    return float(np.sum(np.max(np.abs(_sample(g, M)[1]), axis=-1)))
 
 
 def _lag_one_is_max(slopes: np.ndarray, dt: np.ndarray) -> bool:
@@ -353,14 +355,12 @@ def holder_seminorm(g: GridFunction, idx: HolderIndex,
                     M: int = DEFAULT_SAMPLES) -> float:
     """Entrywise-sum sup of |g^(n)(t2)-g^(n)(t1)| / |t2-t1|^alpha.
 
-    The exact maximum over all pairs of the max(M, N+1) + 1 uniform
-    samples plus the Chebyshev nodes, a certified lower bound of the true
-    seminorm, found by _pair_max's branch and bound over blocks of samples
-    in O((P/16)**2 + 16**3) memory for P points, not O(P**2).
+    The exact maximum over all pairs of _sample's points, a certified
+    lower bound of the true seminorm, found by _pair_max's branch and
+    bound over blocks of samples in O((P/16)**2 + 16**3) memory for P
+    points, not O(P**2).
     """
-    if M < MIN_SEMINORM_SAMPLES:
-        raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
-    ts, vals = _sample(g.derivative(idx.n), M, include_nodes=True)
+    ts, vals = _sample(g.derivative(idx.n), M)
     total = 0.0
     for i, j in np.ndindex(g.shape):
         total += _pair_max(vals[i, j], ts, idx.alpha)
@@ -369,8 +369,8 @@ def holder_seminorm(g: GridFunction, idx: HolderIndex,
 
 def holder_norm(g: GridFunction, idx: HolderIndex,
                 M: int = DEFAULT_SAMPLES) -> NormValue:
-    """Sum of derivative sup-norms j=0..n plus the Holder seminorm, on
-    max(M, N+1) + 1 uniform samples of the degree-N g."""
+    """Sum of derivative sup-norms j=0..n plus the Holder seminorm; g^(n)'s
+    sup part and the seminorm read the same memoized samples of _sample."""
     sup_parts = tuple(sup_norm(g.derivative(j), M) for j in range(idx.n + 1))
     semi = holder_seminorm(g, idx, M)
     return NormValue(sup_parts, semi, float(sum(sup_parts) + semi))

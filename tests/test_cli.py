@@ -266,6 +266,22 @@ def test_sweep_degenerate_geometric_sequence_exit_one(flag, value, rule,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "0"])
+def test_verify_malformed_zero_tol_exit_one(value, tmp_path, capsys):
+    # a flag value that is no tolerance is a usage error, not a verdict;
+    # rejected before the family is loaded
+    out = tmp_path / "out"
+    for source in (["--gallery", "F1_smooth_perturb"],
+                   ["--config", str(tmp_path / "missing.json")]):
+        assert run(["verify", *source, "--zero-tol", value,
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: argument --zero-tol: must be finite "
+                                f"and > 0, got {float(value)}\n")
+        assert not out.exists()
+
+
 def test_sweep_underflowing_geometric_sequence_exit_one(tmp_path, capsys):
     # eps0 * factor^2 = 1e-600 is 0.0 in double precision
     out = tmp_path / "out"
@@ -345,12 +361,12 @@ def test_sweep_identical_with_cold_and_warm_sample_grids(tmp_path):
 
 def test_verify_all_builds_each_sample_grid_once(tmp_path):
     # all families share the interval [0, 1], the degree N = 24 and
-    # M = 512; norms see degrees N and 2N (products), each with one
-    # sup-norm grid and one seminorm grid
+    # M = 512; norms see degrees N and 2N (products), each with the one
+    # grid that the sup parts and the seminorm share
     _sample_grid.cache_clear()
     assert run(["verify", "--all", "--out", str(tmp_path)]) == 0
     info = _sample_grid.cache_info()
-    assert info.misses == info.currsize <= 4 < info.hits
+    assert info.misses == info.currsize <= 2 < info.hits
 
 
 def test_verify_single_family_agreement(tmp_path):

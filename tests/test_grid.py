@@ -114,7 +114,7 @@ def _all_pairs_max(vals, ts, alpha):
 def test_pair_max_equals_all_pairs_scan(M, alpha):
     rng = np.random.default_rng(M)
     g = interpolate("powabs(t-0.3, 0.5)", (0.0, 1.0), 24)
-    ts = _sample_grid(g.N, g.a, g.b, M, True)[0]
+    ts = _sample_grid(g.N, g.a, g.b, M)[0]
     P, m = len(ts), len(ts) // 3
     cases = {
         "random real": rng.standard_normal(P) + 0j,
@@ -215,7 +215,7 @@ def test_seminorm_samples_strictly_increase(N, M, interval):
     # the lag scan's pruning bound and the alpha = 1 lag-one certificate
     # hold only on sorted, distinct points
     g = interpolate("t", interval, N)
-    assert np.all(np.diff(_sample_grid(g.N, g.a, g.b, M, True)[0]) > 0)
+    assert np.all(np.diff(_sample_grid(g.N, g.a, g.b, M)[0]) > 0)
 
 
 @pytest.mark.parametrize("symbolic", [True, False])
@@ -232,15 +232,57 @@ def test_norms_equal_a_direct_evaluation_at_the_sample_points(symbolic):
             return f.eval_at(ts)
         return f.values @ bary_matrix(f.nodes, ts).T
 
-    ts = _sample_grid(g.N, g.a, g.b, M, False)[0]
-    assert np.array_equal(ts, g.a + (g.b - g.a) * np.arange(M + 1) / M)
+    # one point set: within the merge gap of every uniform point and node
+    ts = _sample_grid(g.N, g.a, g.b, M)[0]
+    for want in (g.a + (g.b - g.a) * np.arange(M + 1) / M, g.nodes):
+        gap = np.abs(want[:, None] - ts[None, :]).min(axis=1)
+        assert np.all(gap <= 1e-9 * (g.b - g.a))
     want = float(np.sum(np.max(np.abs(direct(g, ts)), axis=-1)))
     assert sup_norm(g, M) == want
-    ts = _sample_grid(g.N, g.a, g.b, M, True)[0]
     for n, alpha in ((0, 0.5), (1, 1.0)):
         vals = direct(g.derivative(n), ts)
         want = sum(_pair_max(v, ts, alpha) for v in vals[:, 0])
         assert holder_seminorm(g, HolderIndex(n, alpha), M) == want
+
+
+@pytest.mark.parametrize("node", [1, 5, 11])
+def test_sup_norm_reads_a_maximum_at_a_node_off_the_uniform_grid(node):
+    # the degree-24 cardinal function of a node peaks at exactly 1 there;
+    # nodes 1, 5 and 11 are not among the 65 uniform points at M = 64
+    N, M = 24, 64
+    vals = np.zeros(N + 1)
+    vals[node] = 1.0
+    g = _from_values(vals)
+    assert sup_norm(g, M) == 1.0
+    assert holder_norm(g, HolderIndex(0, 1.0), M).sup_parts[0] == 1.0
+
+
+def test_holder_norm_samples_each_expression_once(monkeypatch):
+    g = interpolate("sin(3*t) + powabs(t-0.3, 0.5)", (0.0, 1.0), 24)
+    calls, eval_exprs = [], grid._eval_exprs
+
+    def counting(sources, ts, eps, a, b):
+        calls.append(len(ts))
+        return eval_exprs(sources, ts, eps, a, b)
+
+    monkeypatch.setattr(grid, "_eval_exprs", counting)
+    idx = HolderIndex(0, 0.5)
+    first = holder_norm(g, idx, 256)
+    # the sup part and the seminorm share one sampling, and a repeated
+    # norm of the same function samples nothing again
+    assert holder_norm(g, idx, 256) == first
+    assert len(calls) == 1 and calls[0] > 257
+
+
+def test_every_sampled_norm_enforces_the_sample_floor():
+    g = interpolate("t", (0.0, 1.0), 8)
+    floor = grid.MIN_SEMINORM_SAMPLES
+    idx = HolderIndex(1, 0.5)
+    for norm in (sup_norm, lambda f, M: holder_seminorm(f, idx, M),
+                 lambda f, M: holder_norm(f, idx, M)):
+        with pytest.raises(ValueError, match="below 64"):
+            norm(g, floor - 1)
+        norm(g, floor)
 
 
 def test_shared_grid_arrays_are_read_only():
@@ -249,7 +291,7 @@ def test_shared_grid_arrays_are_read_only():
         g.nodes[0] = 1.0
     with pytest.raises(ValueError):
         g.diffmat[0, 0] = 1.0
-    ts, ET = _sample_grid(8, 0.0, 1.0, 64, True)
+    ts, ET = _sample_grid(8, 0.0, 1.0, 64)
     # the sample operand is stored as the complex matmul uses it
     assert ET.dtype == np.complex128 and ET.flags.c_contiguous
     assert ET.shape == (9, len(ts))
@@ -259,6 +301,10 @@ def test_shared_grid_arrays_are_read_only():
         ET[0, 0] = 1.0
     with pytest.raises(ValueError):
         _point_row(8, 0.0, 1.0, 0.3)[0, 0] = 1.0
+    # memoized samples are shared by every norm of g, so none may edit them
+    for f in (g, GridFunction(g.values, g.interval)):
+        with pytest.raises(ValueError):
+            grid._sample(f, 64)[1][0, 0, 0] = 1.0
 
 
 def _bary_oracle(nodes, x):
