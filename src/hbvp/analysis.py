@@ -98,11 +98,11 @@ def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
 
 def _coeff_diff_action(diffs: list, y: GridFunction,
                        acc: GridFunction | None = None):
-    """acc + sum_j (A_j(eps) - A_j(0)) y^(j) over the `_coeff_diffs`;
-    None when both acc and diffs are empty."""
+    """acc - sum_j (A_j(eps) - A_j(0)) y^(j) over the `_coeff_diffs`, acc
+    taken as 0 when None; None when both acc and diffs are empty."""
     for j, dA in diffs:
         term = product(dA, y.derivative(j))
-        acc = term if acc is None else acc + term
+        acc = term.scale(-1.0) if acc is None else acc - term
     return acc
 
 
@@ -113,18 +113,17 @@ def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
     residual cancelled exactly, as a function of the eps instance and its
     `_coeff_diffs`.
 
-    It returns (L(eps) - L(0)) y0 - (f(eps) - f(0)) and the boundary data
-    c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0.  Negated, the first is
-    the right-hand side of delta = y(eps) - y(0), and c_delta its boundary
-    data; their norms make up the discrepancy.  B(0) y0 is applied once.
+    It returns h = (f(eps) - f(0)) - (L(eps) - L(0)) y0 and the boundary
+    data c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0: the right-hand
+    side and boundary data of delta = y(eps) - y(0), whose norms make up
+    the discrepancy.  B(0) y0 is applied once.
     """
     B0y0 = apply_B(inst0.B, y0)[:, 0]
 
     def at(inst, diffs):
-        resid = _coeff_diff_action(
-            diffs, y0, _rhs_diff(fam, inst.eps, inst.N).scale(-1.0))
+        h = _coeff_diff_action(diffs, y0, _rhs_diff(fam, inst.eps, inst.N))
         c_delta = (inst.c - inst0.c) - (apply_B(inst.B, y0)[:, 0] - B0y0)
-        return resid, c_delta
+        return h, c_delta
     return at
 
 
@@ -214,11 +213,11 @@ def _sweep_row(fam: ProblemFamily, inst0, y0: GridFunction, M: int):
         try:
             # delta = y(eps) - y(0) from the exactly-cancelled perturbation
             # data, avoiding loss of significance at tiny eps
-            resid, c_delta = perturbation(inst, diffs)
-            delta = solve_bvp_direct(replace(
-                inst, rhs=resid.scale(-1.0).resample(inst.N), c=c_delta))
+            h, c_delta = perturbation(inst, diffs)
+            delta = solve_bvp_direct(replace(inst, rhs=h.resample(inst.N),
+                                             c=c_delta))
             error = holder_norm(delta.y, err_idx, M).total
-            d = _discrepancy_norm(resid, c_delta, fam.idx, M)
+            d = _discrepancy_norm(h, c_delta, fam.idx, M)
             ratio = error / d if d > 0 else None
             return SweepRecord(inst.eps, error, d, ratio, delta.margin,
                                delta.residual)
@@ -325,7 +324,7 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
         for y, B0y, pn in zip(probes, B0_probes, probe_norms):
             delta = apply_B(inst.B, y)[:, 0] - B0y
             dev = max(dev, float(np.linalg.norm(delta)))
-            acc = _coeff_diff_action(diffs, y)
+            acc = _coeff_diff_action(diffs, y)   # -(L(eps) - L(0)) y
             if acc is not None:
                 best = max(best, holder_norm(acc, idx, M).total / pn)
         condII.append(dev)

@@ -276,6 +276,13 @@ def substitute_eps(e: Expr, value: float) -> Expr:
     raise ExprError(f"unknown node {e!r}")
 
 
+def mentions_t(e: Expr) -> bool:
+    """Whether the variable t occurs in e, even where it cancels."""
+    if isinstance(e, Var):
+        return e.name == "t"
+    return any(mentions_t(c) for c in vars(e).values() if isinstance(c, Expr))
+
+
 def singular_centers(e: Expr, eps: float):
     """t-values where a powabs argument with a linear-in-t inner vanishes.
 

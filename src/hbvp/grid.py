@@ -63,7 +63,7 @@ def _grid_data(N: int, a: float, b: float):
 @lru_cache(maxsize=64)
 def _point_row(N: int, a: float, b: float, t: float) -> np.ndarray:
     """The (1, N+1) matrix evaluating a degree-N interpolant at t, read-only:
-    boundary-point terms evaluate the same few points over and over."""
+    every boundary matrix evaluates the same few points over and over."""
     row = cheb.bary_matrix(_grid_data(N, a, b)[0], [t])
     row.flags.writeable = False
     return row
@@ -147,11 +147,7 @@ class GridFunction:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self.sources is not None:
             return _eval_exprs(self.sources, ts, self.eps, self.a, self.b)
-        if len(ts) == 1:
-            E = _point_row(self.N, self.a, self.b, float(ts[0]))
-        else:
-            E = cheb.bary_matrix(self.nodes, ts)
-        return self.values @ E.T
+        return self.values @ cheb.bary_matrix(self.nodes, ts).T
 
     def resample(self, N: int) -> "GridFunction":
         if N == self.N:

@@ -33,10 +33,11 @@ def _entry_path(path: str, i: int, j: int) -> str:
     return f"{path}[{i}]" if vector else f"{path}[{i}][{j}]"
 
 
-def _expr_matrix(entries, rows, cols, path=""):
+def _expr_matrix(entries, rows, cols, path="", eps_only=False):
     """A rows x cols object array of parsed expression strings; a list of
     rows of any other shape is a ConfigError at path, and an entry that is
-    not a valid expression string one at its own path."""
+    not a valid expression string one at its own path, as is an entry that
+    mentions t when eps_only."""
     if not (isinstance(entries, list) and len(entries) == rows
             and all(isinstance(row, list) and len(row) == cols
                     for row in entries)):
@@ -52,15 +53,18 @@ def _expr_matrix(entries, rows, cols, path=""):
             arr[i, j] = ex.parse_expression(src)
         except ex.ExprError as err:
             raise ConfigError(str(err), at) from err
+        if eps_only and ex.mentions_t(arr[i, j]):
+            raise ConfigError(f"{src!r} mentions t; the entry is in eps only",
+                              at)
     return arr
 
 
-def _expr_vector(entries, rows, path=""):
+def _expr_vector(entries, rows, path="", eps_only=False):
     """A rows x 1 `_expr_matrix` of a list of rows expression strings."""
     if len(entries) != rows:
         raise ConfigError(f"expected {rows} expression(s), got "
                           f"{len(entries)}", path)
-    return _expr_matrix([[e] for e in entries], rows, 1, path)
+    return _expr_matrix([[e] for e in entries], rows, 1, path, eps_only)
 
 
 @dataclass(frozen=True)
@@ -219,25 +223,13 @@ def _quadrature(Q: int, a: float, b: float):
 
 
 def apply_B(B: BoundaryOperator, y: GridFunction) -> np.ndarray:
-    """Apply a boundary operator to an (m, k) GridFunction; returns (rm, k).
-
-    Integral terms use Clenshaw-Curtis quadrature of order max(2N, 32),
-    N the degree of y.
-    """
+    """Apply a boundary operator to an (m, k) GridFunction; returns (rm, k):
+    the rows a solve at y's degree N enforces, `boundary_matrix(B, N)`,
+    applied to y's node values."""
     if y.shape[0] != B.m:
         raise ShapeError(f"expected {B.m} rows, got {y.shape[0]}")
-    Q = max(2 * y.N, 32)
-    out = np.zeros((B.size, y.shape[1]), dtype=complex)
-    for term in B.point_terms:
-        vals = y.derivative(term.order).eval_at([term.point])[..., 0]  # (m, k)
-        out += term.coeff @ vals
-    if B.integral_terms:
-        tq, wq = _quadrature(Q, *B.interval)
-        for term in B.integral_terms:
-            dens = term.density.eval_at(tq)               # (rm, m, Q+1)
-            yv = y.derivative(term.order).eval_at(tq)     # (m, k, Q+1)
-            out += np.einsum("q,smq,mkq->sk", wq, dens, yv)
-    return out
+    vec = y.values.transpose(0, 2, 1).reshape(B.m * (y.N + 1), -1)
+    return boundary_matrix(B, y.N) @ vec
 
 
 def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
@@ -325,8 +317,9 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
     n = _at(cfg, "n", _integer)
     idx = _at(cfg, "alpha", lambda v: HolderIndex(n, float(v)))
     interval = _at(cfg, "interval", lambda v: tuple(map(float, _array(v))))
-    if len(interval) != 2 or not interval[0] < interval[1]:
-        raise ConfigError("interval must be [a, b] with a < b", "interval")
+    if len(interval) != 2 or not -np.inf < interval[0] < interval[1] < np.inf:
+        raise ConfigError("interval must be [a, b] with finite a < b",
+                          "interval")
     a, b = interval
 
     def order(v):
@@ -365,7 +358,7 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
     points = tuple(
         PointTermFamily(_at(p, "order", order, at), _at(p, "point", point, at),
                         _expr_matrix(_at(p, "coeff", at=at), r * m, m,
-                                     at + "coeff"))
+                                     at + "coeff", eps_only=True))
         for p, at in terms("point_terms", "order point coeff"))
     integrals = tuple(
         IntegralTermFamily(_at(p, "order", order, at),
@@ -375,10 +368,11 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
     if not points and not integrals:
         raise ConfigError("boundary operator needs at least one term",
                           "boundary")
-    target = _expr_vector(_at(cfg, "target", _array), r * m, "target")
+    target = _expr_vector(_at(cfg, "target", _array), r * m, "target",
+                          eps_only=True)
     eps0 = _at(cfg, "eps0", float)
-    if eps0 <= 0:
-        raise ConfigError("eps0 must be positive", "eps0")
+    if not 0 < eps0 < np.inf:
+        raise ConfigError(f"eps0 must be finite and > 0, got {eps0}", "eps0")
     return ProblemFamily(
         r=r, m=m, idx=idx, interval=interval,
         coeffs=coeff_arrays, rhs=rhs,

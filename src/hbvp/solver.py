@@ -107,10 +107,9 @@ def fundamental_matrix(cs: CompanionSystem) -> FundamentalMatrix:
     cols = _bordered_solve(_first_order(cs))[1]
     if cols is None:
         raise np.linalg.LinAlgError("singular first-order collocation matrix")
-    # contiguous: a strided x_p moves apply_B's bits
     return FundamentalMatrix(
         GridFunction(cols[:, :, 1:].transpose(0, 2, 1), cs.A.interval),
-        cols[:, None, :, 0].copy())
+        cols[:, None, :, 0])
 
 
 def characteristic_matrix(B: BoundaryOperator, X: GridFunction) -> CharacteristicMatrix:

@@ -1,5 +1,7 @@
 """Limit conditions, sweeps, criterion agreement, operator convergence."""
+import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +179,45 @@ def test_sweep_discrepancy_equals_public_discrepancy(name):
     for rec in rep.records:
         assert rec.discrepancy == an.discrepancy(fam, rec.eps, y0, N=16,
                                                  M=256)
+
+
+def _rough_density_config():
+    """y'' + y = exp(t), y(0) = 0, int (1 + eps |t - 0.3|^0.5) y = 1: an
+    integral density that no quadrature rule integrates exactly."""
+    return {
+        "r": 2, "m": 1, "n": 0, "alpha": 0.5, "interval": [0.0, 1.0],
+        "eps0": 1.0, "coeffs": [[["1"]], [["0"]]], "rhs": ["exp(t)"],
+        "boundary": {
+            "point_terms": [{"order": 0, "point": 0.0,
+                             "coeff": [["1"], ["0"]]}],
+            "integral_terms": [{"order": 0, "density": [
+                ["0"], ["1+eps*powabs(t-0.3, 0.5)"]]}]},
+        "target": ["0", "1"]}
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+@pytest.mark.parametrize("eps", [0.25, 1e-3])
+def test_sweep_delta_is_the_difference_of_the_discrete_solves(N, eps):
+    # the sweep's boundary data c_delta is that of the two discrete
+    # problems, so delta is y_N(eps) - y_N(0) up to roundoff
+    fam = family_from_config(_rough_density_config())
+    inst0, inst = instantiate(fam, 0.0, N), instantiate(fam, eps, N)
+    y0 = solve_bvp_direct(inst0).y
+    h, c_delta = an._perturbation(fam, inst0, y0)(
+        inst, an._coeff_diffs(fam, eps, N))
+    delta = solve_bvp_direct(replace(inst, rhs=h.resample(N), c=c_delta)).y
+    want = solve_bvp_direct(inst).y.values - y0.values
+    assert np.max(np.abs(delta.values - want)) <= 1e-10
+
+
+def test_boundary_residual_is_that_of_the_solved_rows(tmp_path):
+    cfg = tmp_path / "rough.json"
+    cfg.write_text(json.dumps(_rough_density_config()))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--eps", "0.25",
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "solve_summary.json").read_text())
+    assert summary["boundary_residual"] <= 1e-10
 
 
 def test_two_sided_sweep_degenerate_eps_zero():

@@ -212,8 +212,8 @@ def test_pair_max_is_exact_on_the_f6_workload(argv, tmp_path, monkeypatch):
     (8, 64, (0.0, 1.0)), (24, 512, (0.0, 1.0)), (32, 1024, (-1.0, 2.0)),
     (100, 128, (0.0, 1e-3)), (512, 4096, (-5.0, 10.0))])
 def test_seminorm_samples_strictly_increase(N, M, interval):
-    # the lag scan's pruning bound and the alpha = 1 lag-one certificate
-    # hold only on sorted, distinct points
+    # the seminorm's block bounds and the alpha = 1 adjacent-pair
+    # certificate hold only on sorted, distinct points
     g = interpolate("t", interval, N)
     assert np.all(np.diff(_sample_grid(g.N, g.a, g.b, M)[0]) > 0)
 
@@ -344,16 +344,17 @@ def test_bary_matrix_has_the_bits_of_the_full_size_formula(N, interval):
 
 
 def test_point_rows_match_bary_matrix():
-    # single-point eval_at of a values-only function reads the cached row
-    # with the bits of a fresh barycentric matrix: at an endpoint, an
-    # interior node and an off-node point
+    # the cached row boundary_matrix reads, and single-point eval_at of a
+    # values-only function, have the bits of a fresh barycentric matrix:
+    # at an endpoint, an interior node and an off-node point
     rng = np.random.default_rng(3)
     N = 24
     g = GridFunction(rng.standard_normal((2, 1, N + 1))
                      + 1j * rng.standard_normal((2, 1, N + 1)), (0.0, 1.0))
     for t in (0.0, float(g.nodes[7]), 0.3):
-        assert np.array_equal(g.eval_at([t]),
-                              g.values @ bary_matrix(g.nodes, [t]).T)
+        E = bary_matrix(g.nodes, [t])
+        assert np.array_equal(_point_row(N, 0.0, 1.0, t), E)
+        assert np.array_equal(g.eval_at([t]), g.values @ E.T)
     # boundary_matrix's point rows: F5's point term at the off-node 0.25,
     # of order 0 and in its order-1 and order-2 variants
     for k in range(3):

@@ -3,13 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from hbvp import chebyshev, cli
 from hbvp.grid import HolderIndex, holder_norm, interpolate
 from hbvp.problem import (ConfigError, GALLERY_NAMES, _gallery_config,
-                          _quadrature, apply_B, boundary_matrix,
-                          boundedness_certificate, family_from_config,
-                          gallery, instantiate, load_problem)
+                          _quadrature, apply_B, boundedness_certificate,
+                          family_from_config, gallery, instantiate,
+                          load_problem)
 
 
 def test_gallery_names_and_unknown():
@@ -113,22 +114,42 @@ def _f5_higher_orders():
     return family_from_config(cfg)
 
 
-@pytest.mark.parametrize("family", [
+# y = (t - 0.3)^23 - 2 t^6 + t - 0.5 as a power series in u = t - 0.3, so
+# that no cancellation spoils its point values and integrals on [0, 1]
+_U = Polynomial([0.0, 1.0])
+_Y = _U ** 23 - 2 * (_U + 0.3) ** 6 + _U - 0.2
+
+
+def _y_at(k, t):
+    return _Y.deriv(k)(t - 0.3)
+
+
+def _y_integral(k, eps):
+    """int_0^1 (1 + eps t) y^(k)(t) dt, F5's integral row."""
+    F = ((1 + eps * (_U + 0.3)) * _Y.deriv(k)).integ()
+    return F(0.7) - F(-0.3)
+
+
+@pytest.mark.parametrize("family, rows", [
     pytest.param(lambda: gallery("F2_boundary_perturb"),
+                 lambda e: [_y_at(0, 0.0) + e * _y_at(1, 0.0), _y_at(0, 1.0)],
                  id="F2_boundary_perturb"),
     pytest.param(lambda: gallery("F5_multipoint_integral"),
+                 lambda e: [_y_at(0, 0.25), _y_integral(0, e)],
                  id="F5_multipoint_integral"),
-    pytest.param(_f5_higher_orders, id="F5-point-order2-integral-order1")])
-def test_boundary_matrix_matches_apply_B(family):
+    pytest.param(_f5_higher_orders,
+                 lambda e: [_y_at(2, 0.4), _y_integral(1, e)],
+                 id="F5-point-order2-integral-order1")])
+def test_apply_B_matches_closed_form(family, rows):
     # F2 has an order-1 point term, F5 an off-node point and an integral
     # term; y has degree N - 1 with N even, so the order-N Clenshaw-Curtis
-    # rule of the matrix integrates the degree-N integrand exactly
-    N = 24
-    inst = instantiate(family(), 0.3, N)
+    # rule integrates the degree-N integrand exactly
+    N, eps = 24, 0.3
+    inst = instantiate(family(), eps, N)
     y = interpolate("(t-0.3)^23 - 2*t^6 + t - 0.5", (0.0, 1.0), N)
-    By = apply_B(inst.B, y)[:, 0]
-    got = boundary_matrix(inst.B, N) @ y.values[0, 0]
-    assert np.max(np.abs(got - By)) <= 1e-12 * np.max(np.abs(By))
+    want = np.array(rows(eps))
+    got = apply_B(inst.B, y)[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_boundedness_certificate():
@@ -242,3 +263,48 @@ def test_target_vector_eps_dependence():
     fam = gallery("F5_multipoint_integral")
     assert np.allclose(fam.target_vector(0.0), [0.0, 1.0])
     assert np.allclose(fam.target_vector(0.3), [0.3, 1.0])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("interval", [0.0, float("inf")]), ("interval", [float("-inf"), 1.0]),
+    ("eps0", float("nan")), ("eps0", float("inf"))],
+    ids=["interval-inf", "interval-minus-inf", "eps0-nan", "eps0-inf"])
+def test_non_finite_interval_or_eps0_is_a_config_error(key, value, tmp_path,
+                                                       capsys):
+    # JSON reads Infinity and NaN; each command rejects them at their key
+    # on load, not as a failed solve or an eps outside [0, nan)
+    cfg = dict(_gallery_config("F1_smooth_perturb"), **{key: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as exc:
+        load_problem(str(path))
+    assert exc.value.path == key
+    for command in (["solve"], ["sweep", "--count", "2"], ["verify"]):
+        assert cli.main(command + ["--config", str(path), "--out",
+                                   str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+def _mentioning_t(key, value):
+    def mutate(cfg):
+        if key == "target":
+            cfg["target"][1] = value
+        else:
+            cfg["boundary"]["point_terms"][1]["coeff"][1][0] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_mentioning_t("target", "1+t"), "target[1]"),
+    (_mentioning_t("coeff", "exp(t)"), "boundary.point_terms[1].coeff[1][0]"),
+    (_mentioning_t("target", "1 + t - t"), "target[1]")],
+    ids=["target", "point-coeff", "target-cancelling-t"])
+def test_t_in_an_eps_only_entry_is_a_config_error(mutate, path):
+    # target and point-term coefficients are functions of eps alone; a t
+    # in them was read at t = 0
+    cfg = _gallery_config("F1_smooth_perturb")
+    mutate(cfg)
+    with pytest.raises(ConfigError) as exc:
+        family_from_config(cfg)
+    assert exc.value.path == path
+    assert "in eps only" in str(exc.value)
