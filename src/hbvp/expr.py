@@ -318,20 +318,19 @@ def _centers(e: Expr, eps, out):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
 
 
 def _tokenize(source: str):
     tokens = []
     pos = 0
-    while pos < len(source):
+    while source[pos:].strip():
         m = _TOKEN_RE.match(source, pos)
-        if not m:
-            if source[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(source)))

@@ -11,7 +11,6 @@ of the scalar norms of its entries.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,6 @@ import numpy as np
 from . import chebyshev as cheb
 from . import expr as ex
 
-MAX_PRODUCT_DEGREE = 512
 DEFAULT_SAMPLES = 1024
 MIN_SEMINORM_SAMPLES = 64
 NUDGE_FRACTION = 1e-12
@@ -219,16 +217,13 @@ def interpolate(e, interval, N: int) -> GridFunction:
 def product(f: GridFunction, g: GridFunction, N: int | None = None
             ) -> GridFunction:
     """Pointwise matrix product of the node values at degree N, by default
-    N_f + N_g capped at MAX_PRODUCT_DEGREE (with a warning)."""
+    N_f + N_g, the degree of the exact product."""
     if (f.a, f.b) != (g.a, g.b):
         raise ValueError("interval mismatch")
     if f.shape[1] != g.shape[0]:
         raise ShapeError(f"shapes {f.shape} and {g.shape} not composable")
     if N is None:
         N = f.N + g.N
-        if N > MAX_PRODUCT_DEGREE:
-            warnings.warn(f"product degree {N} capped at {MAX_PRODUCT_DEGREE}")
-            N = MAX_PRODUCT_DEGREE
     vals = np.einsum("ikt,kjt->ijt", f.resample(N).values,
                      g.resample(N).values)
     return GridFunction(vals, f.interval)

@@ -236,27 +236,25 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
     """Matrix of the boundary operator on stacked node values.
 
     Acts on vec(y) with component-major layout: entry p*(N+1)+i holds
-    component p at node i.  Shape (rm, m*(N+1)).
+    component p at node i.  Shape (rm, m*(N+1)).  A term of order q applies
+    D to its rows q times, as _bordered_solve does: O(q N^2) per row, and
+    more accurate than one row times D^q.
     """
     a, b = map(float, B.interval)
     nodes, D = _grid_data(N, a, b)
     w = _quadrature(N, a, b)[1]
-    powers = {0: np.eye(N + 1), 1: D}
-
-    def Dq(q):
-        if q not in powers:
-            powers[q] = D @ Dq(q - 1)
-        return powers[q]
-
-    out = np.zeros((B.size, B.m * (N + 1)), dtype=complex)
+    out = np.zeros((B.size, B.m, N + 1), dtype=complex)
     for term in B.point_terms:
-        row = _point_row(N, a, b, term.point)[0] @ Dq(term.order)
-        out += np.einsum("sp,k->spk", term.coeff, row).reshape(B.size, -1)
+        row = _point_row(N, a, b, term.point)[0]
+        for _ in range(term.order):
+            row = row @ D
+        out += term.coeff[:, :, None] * row
     for term in B.integral_terms:
-        dens = term.density.eval_at(nodes)    # (rm, m, N+1)
-        rows = np.einsum("i,spi,ik->spk", w, dens, Dq(term.order))
-        out += rows.reshape(B.size, -1)
-    return out
+        rows = w * term.density.eval_at(nodes)    # (rm, m, N+1)
+        for _ in range(term.order):
+            rows = rows @ D
+        out += rows
+    return out.reshape(B.size, -1)
 
 
 def boundedness_certificate(B: BoundaryOperator) -> float:
@@ -295,6 +293,13 @@ def _integer(v, least: int = 0) -> int:
     return int(v)
 
 
+def _real(v) -> float:
+    """float(v); a bool is not a real number, though float reads it."""
+    if isinstance(v, bool):
+        raise ValueError(f"expected a real number, got {v!r}")
+    return float(v)
+
+
 def _array(v) -> list:
     """v if it is a JSON array; a string or an object is not read as one."""
     if not isinstance(v, list):
@@ -315,8 +320,8 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
                 "boundary target eps0")
     r, m = (_at(cfg, key, lambda v: _integer(v, 1)) for key in "rm")
     n = _at(cfg, "n", _integer)
-    idx = _at(cfg, "alpha", lambda v: HolderIndex(n, float(v)))
-    interval = _at(cfg, "interval", lambda v: tuple(map(float, _array(v))))
+    idx = _at(cfg, "alpha", lambda v: HolderIndex(n, _real(v)))
+    interval = _at(cfg, "interval", lambda v: tuple(map(_real, _array(v))))
     if len(interval) != 2 or not -np.inf < interval[0] < interval[1] < np.inf:
         raise ConfigError("interval must be [a, b] with finite a < b",
                           "interval")
@@ -329,7 +334,7 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
         return k
 
     def point(v):
-        t = float(v)
+        t = _real(v)
         if not a <= t <= b:
             raise ValueError(f"point {t} outside [{a}, {b}]")
         return t
@@ -370,7 +375,7 @@ def family_from_config(cfg: dict, name: str = "") -> ProblemFamily:
                           "boundary")
     target = _expr_vector(_at(cfg, "target", _array), r * m, "target",
                           eps_only=True)
-    eps0 = _at(cfg, "eps0", float)
+    eps0 = _at(cfg, "eps0", _real)
     if not 0 < eps0 < np.inf:
         raise ConfigError(f"eps0 must be finite and > 0, got {eps0}", "eps0")
     return ProblemFamily(

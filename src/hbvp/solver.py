@@ -141,7 +141,7 @@ def _require_condition_zero(margin: float, N: int) -> None:
 def apply_L(instance: ProblemInstance, y: GridFunction,
             N: int | None = None) -> GridFunction:
     """y^(r) + sum_j A_{r-j} y^(r-j) for an (m, k) function y, each product
-    at degree N by `product`'s rule: by default N_f + N_g, capped."""
+    at degree N by `product`'s rule: by default N_f + N_g."""
     out = y.derivative(instance.r)
     for j in range(instance.r):
         out = out + product(instance.coeffs[j], y.derivative(j), N)
@@ -155,8 +155,7 @@ def _residual(instance: ProblemInstance, y: GridFunction):
     the node values of the data (the system actually solved): a backward
     error of the discrete problem.  Rough data is thereby judged at its
     own resolution; inter-node discretization error is reported separately
-    by the norm-level diagnostics, not here.  L y is formed at degree N,
-    so the gate never reaches the product degree cap.
+    by the norm-level diagnostics, not here.  L y is formed at degree N.
     """
     keep = _kept_rows(instance.r, 1, instance.N)
     diff = (apply_L(instance, y, instance.N).values[..., keep]

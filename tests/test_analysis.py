@@ -10,7 +10,7 @@ from hbvp import analysis as an
 from hbvp import cli
 from hbvp import solver as solver_mod
 from hbvp.grid import HolderIndex, holder_norm
-from hbvp.problem import (apply_B, boundedness_certificate,
+from hbvp.problem import (_gallery_config, apply_B, boundedness_certificate,
                           family_from_config, gallery, instantiate)
 from hbvp.solver import ConditionZeroViolated, solve_bvp_direct
 
@@ -195,12 +195,16 @@ def _rough_density_config():
         "target": ["0", "1"]}
 
 
-@pytest.mark.parametrize("N", [16, 32, 64])
-@pytest.mark.parametrize("eps", [0.25, 1e-3])
-def test_sweep_delta_is_the_difference_of_the_discrete_solves(N, eps):
+@pytest.mark.parametrize("family, N, eps", [
+    *(pytest.param(_rough_density_config, N, eps, id=f"{eps}-{N}")
+      for eps in (0.25, 1e-3) for N in (16, 32, 64)),
+    pytest.param(lambda: _gallery_config("F4_limitI_violated"), 384, 1e-3,
+                 id="F4-0.001-384")])
+def test_sweep_delta_is_the_difference_of_the_discrete_solves(family, N, eps):
     # the sweep's boundary data c_delta is that of the two discrete
-    # problems, so delta is y_N(eps) - y_N(0) up to roundoff
-    fam = family_from_config(_rough_density_config())
+    # problems, and its rhs the degree-2N product, so delta is
+    # y_N(eps) - y_N(0) up to roundoff, also where 2N exceeds 512
+    fam = family_from_config(family())
     inst0, inst = instantiate(fam, 0.0, N), instantiate(fam, eps, N)
     y0 = solve_bvp_direct(inst0).y
     h, c_delta = an._perturbation(fam, inst0, y0)(

@@ -32,6 +32,21 @@ def test_parse_error_position():
     assert "position" in str(exc.value)
 
 
+@pytest.mark.parametrize("source, message, position", [
+    ("exp(t) $", "unexpected character '$'", 7),
+    ("t +\t#", "unexpected character '#'", 4),
+    ("t 1", "trailing input '1'", 2),
+    ("sin(t", "expected ')'", 5),
+    ("powabs(t, x)", "expected a number, found 'x'", 10)],
+    ids=["character-after-space", "character-after-tab", "trailing-input",
+         "unclosed-paren", "powabs-exponent"])
+def test_parse_error_names_the_offending_token(source, message, position):
+    with pytest.raises(ex.ParseError) as exc:
+        ex.parse_expression(source)
+    assert str(exc.value).startswith(message)
+    assert str(exc.value).endswith(f"(at position {position})")
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ex.ParseError):
         ex.parse_expression("tau + 1")

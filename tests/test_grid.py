@@ -1,4 +1,6 @@
 """Interpolants, derivatives, and Holder norms against brute-force oracles."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -361,9 +363,9 @@ def test_point_rows_match_bary_matrix():
         cfg = _gallery_config("F5_multipoint_integral")
         cfg["boundary"]["point_terms"][0]["order"] = k
         inst = instantiate(family_from_config(cfg), 0.3, N)
-        D = g.diffmat
-        Dk = [np.eye(N + 1), D, D @ D][k]
-        want = bary_matrix(g.nodes, [0.25])[0] @ Dk
+        want = bary_matrix(g.nodes, [0.25])[0]
+        for _ in range(k):
+            want = want @ g.diffmat
         assert np.array_equal(boundary_matrix(inst.B, N)[0], want)
 
 
@@ -438,10 +440,27 @@ def test_product_shape_rules():
                           np.einsum("ikt,kjt->ijt", A.values, v.values))
 
 
-def test_product_degree_cap_warns():
+def test_product_of_two_degree_400_factors_has_degree_800():
     f = interpolate("t", (0.0, 1.0), 400)
-    with pytest.warns(UserWarning):
-        product(f, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert product(f, f).N == 800
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: GridFunction(np.zeros((1, 9)), (0.0, 1.0)), ShapeError),
+    (lambda: GridFunction(np.zeros((1, 1, 9)), (1.0, 1.0)), ValueError),
+    (lambda: interpolate("t", (0.0, 1.0), 8)
+     + interpolate([["t"], ["1"]], (0.0, 1.0), 8), ShapeError),
+    (lambda: interpolate("t", (0.0, 1.0), 8)
+     - interpolate("t", (0.0, 2.0), 8), ValueError),
+    (lambda: product(interpolate("t", (0.0, 1.0), 8),
+                     interpolate("t", (0.0, 2.0), 8)), ValueError)],
+    ids=["values-not-3d", "empty-interval", "binary-shapes",
+         "binary-intervals", "product-intervals"])
+def test_malformed_grid_function_or_operands_raise(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def _random_pair(rng, N=16):

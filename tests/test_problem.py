@@ -1,4 +1,5 @@
 """Problem families, boundary operators, configs, and the gallery."""
+import gc
 import json
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from hbvp import chebyshev, cli
-from hbvp.grid import HolderIndex, holder_norm, interpolate
+from hbvp.grid import HolderIndex, ShapeError, holder_norm, interpolate
 from hbvp.problem import (ConfigError, GALLERY_NAMES, _gallery_config,
-                          _quadrature, apply_B, boundedness_certificate,
-                          family_from_config, gallery, instantiate,
-                          load_problem)
+                          _quadrature, apply_B, boundary_matrix,
+                          boundedness_certificate, family_from_config,
+                          gallery, instantiate, load_problem)
 
 
 def test_gallery_names_and_unknown():
@@ -152,6 +153,34 @@ def test_apply_B_matches_closed_form(family, rows):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_order_two_point_row_is_accurate_at_high_degree():
+    # D applied twice to the point row, not the row times D @ D, whose
+    # roundoff grows with N (8.5e-10 relative here)
+    N = 256
+    inst = instantiate(_f5_higher_orders(), 0.3, N)
+    y = interpolate("(t-0.3)^23 - 2*t^6 + t - 0.5", (0.0, 1.0), N)
+    got, want = apply_B(inst.B, y)[0, 0], _y_at(2, 0.4)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_boundary_matrix_leaves_no_reference_cycle():
+    B = instantiate(_f5_higher_orders(), 0.3, 32).B
+    boundary_matrix(B, 32)   # fill the caches it reads
+    gc.disable()
+    try:
+        gc.collect()
+        boundary_matrix(B, 32)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_apply_B_rejects_a_function_with_the_wrong_number_of_rows():
+    B = instantiate(gallery("F1_smooth_perturb"), 0.3, 16).B
+    with pytest.raises(ShapeError):
+        apply_B(B, interpolate([["t"], ["1"]], (0.0, 1.0), 16))
+
+
 def test_boundedness_certificate():
     idx = HolderIndex(2, 1.0)  # solution space C^{n+r,alpha} with n=0, r=2
     rng = np.random.default_rng(17)
@@ -283,6 +312,22 @@ def test_non_finite_interval_or_eps0_is_a_config_error(key, value, tmp_path,
         assert cli.main(command + ["--config", str(path), "--out",
                                    str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda cfg: cfg.update(alpha=True), "alpha"),
+    (lambda cfg: cfg.update(eps0=True), "eps0"),
+    (lambda cfg: cfg.update(interval=[False, True]), "interval"),
+    (lambda cfg: cfg["boundary"]["point_terms"][0].update(point=True),
+     "boundary.point_terms[0].point")],
+    ids=["alpha", "eps0", "interval", "point"])
+def test_boolean_for_a_real_number_is_a_config_error(mutate, path):
+    # float() reads true as 1.0 and false as 0.0; the config does not
+    cfg = _gallery_config("F1_smooth_perturb")
+    mutate(cfg)
+    with pytest.raises(ConfigError, match="expected a real number") as exc:
+        family_from_config(cfg)
+    assert exc.value.path == path
 
 
 def _mentioning_t(key, value):

@@ -320,8 +320,8 @@ def test_direct_route_decides_condition_zero_once(monkeypatch):
     "F1_smooth_perturb", "F5_multipoint_integral", "F6_holder_rough",
     R3_M2_CFG, R1_M2_CFG], ids=["F1", "F5", "F6", "r3_m2", "r1_m2"])
 def test_direct_residual_is_L_at_the_collocation_nodes(cfg, N):
-    # below the product degree cap, the degree-N residual has the bits of
-    # apply_L's degree-2N L y evaluated at the kept collocation nodes
+    # the degree-N residual has the bits of apply_L's degree-2N L y
+    # evaluated at the kept collocation nodes
     if isinstance(cfg, str):
         inst = instantiate(gallery(cfg), 0.2, N)
     else:
@@ -336,7 +336,7 @@ def test_direct_residual_is_L_at_the_collocation_nodes(cfg, N):
 
 @pytest.mark.parametrize("N", [384, 512])
 def test_direct_solve_warns_at_no_degree(N):
-    # the residual gate forms its products at degree N, below the cap
+    # the residual gate forms its products at degree N
     inst = instantiate(gallery("F1_smooth_perturb"), 0.2, N)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -470,6 +470,13 @@ def test_recover_coefficients_hand_examples():
     X2 = fundamental_matrix(CompanionSystem(A2, g2)).X
     rec2 = recover_coefficients(X2)
     assert np.max(np.abs(rec2.values - A2.values)) < 1e-9
+
+
+def test_recover_coefficients_rejects_a_near_singular_X():
+    # det X(t) = t vanishes at the node t = 0
+    X = interpolate([["1", "0"], ["0", "t"]], (0.0, 1.0), 16)
+    with pytest.raises(np.linalg.LinAlgError, match="nearly singular"):
+        recover_coefficients(X)
 
 
 def test_recover_round_trip_f1():
