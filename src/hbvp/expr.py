@@ -444,4 +444,6 @@ class _Parser:
 
 def parse_expression(source: str) -> Expr:
     """Parse source text into an Expr; raises ParseError with position."""
+    if not source.strip():
+        raise ParseError("empty expression", 0)
     return _Parser(source).parse()

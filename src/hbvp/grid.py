@@ -296,24 +296,36 @@ def _lag_one_is_max(slopes: np.ndarray, dt: np.ndarray) -> bool:
 
 _PAIR_BLOCK = 16   # points per block of the seminorm's branch-and-bound
 _PAIR_CHUNK = 16   # block pairs evaluated per step
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=8)
+def _block_pairs(nb: int):
+    """np.triu_indices(nb), read-only: the block pairs I <= J of _pair_max."""
+    I, J = np.triu_indices(nb)
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
 
 
 def _pair_max(vals: np.ndarray, ts: np.ndarray, alpha: float) -> float:
     """max over i < j of |vals[j] - vals[i]| / (ts[j] - ts[i])**alpha.
 
-    ts must be strictly increasing.  The adjacent pairs seed the best
-    ratio (for alpha = 1 they may certify it).  Over blocks of _PAIR_BLOCK
-    points (the last padded with the last sample), every ratio of block
-    pair I <= J is at most (spread of Re + spread of Im over both blocks)
-    * (1 + 64u) / gap**alpha, gap = ts[first of J] - ts[last of I], or the
-    smallest spacing when I = J.  Block pairs are evaluated _PAIR_CHUNK at
-    a time in descending bound, with the arithmetic of an all-pairs scan,
-    until no bound can beat the best; so the result is the all-pairs
-    maximum exactly, in O((P/_PAIR_BLOCK)**2 + _PAIR_CHUNK*_PAIR_BLOCK**2)
-    memory.  A NaN sample gives NaN and an infinite one inf.
+    ts must increase strictly.  Real samples are scanned as reals; a NaN one
+    gives NaN, an infinite one inf.  The adjacent pairs seed the best ratio
+    (for alpha = 1 they may certify it).  Over blocks of _PAIR_BLOCK points
+    (the last padded with the last sample), block pair I <= J has ratios <=
+    (1 + 64u) min(S / gap**alpha, L**alpha S**(1-alpha)), as |dv| <= min(S,
+    L d) at distance d: S = spread of Re + spread of Im over both blocks, gap
+    = ts[first of J] - ts[last of I] (the least spacing if I = J), L = the
+    largest gap slope from I's first point to J's last (L, S >= the least
+    normal float in the second term).  Block pairs are evaluated _PAIR_CHUNK
+    at a time in descending bound, as an all-pairs scan would, until no
+    bound beats the best: the exact all-pairs maximum, in O((P/16)**2) memory.
     """
-    dt = np.power(np.diff(ts), alpha)
-    ratio = np.abs(np.diff(vals)) / dt
+    vals = vals if vals.imag.any() else vals.real
+    h, dv = np.diff(ts), np.abs(np.diff(vals))
+    dt = np.power(h, alpha)
+    ratio = dv / dt
     best = float(ratio.max(initial=0.0))
     if (len(ts) < 3 or not np.isfinite(best)
             or (alpha == 1.0 and _lag_one_is_max(ratio, dt))):
@@ -321,16 +333,22 @@ def _pair_max(vals: np.ndarray, ts: np.ndarray, alpha: float) -> float:
     nb = -(-len(ts) // _PAIR_BLOCK)
     pad = np.minimum(np.arange(nb * _PAIR_BLOCK), len(ts) - 1)
     V, T = vals[pad].reshape(nb, -1), ts[pad].reshape(nb, -1)
-    I, J = np.triu_indices(nb)
+    I, J = _block_pairs(nb)
     spread = 0.0
-    for part in (V.real, V.imag):
+    for part in (V.real, V.imag) if np.iscomplexobj(V) else (V,):
         hi, lo = part.max(1), part.min(1)
         spread = spread + (np.maximum(hi[I], hi[J]) - np.minimum(lo[I], lo[J]))
-    gap = np.full(len(I), dt.min())
-    off = I < J
-    gap[off] = np.power(T[J[off], 0] - T[I[off], -1], alpha)
-    bound = spread * (1.0 + _ROUNDOFF_SLACK) / gap
-    order = np.argsort(bound)[::-1]
+    gap = np.power(np.where(I < J, T[J, 0] - T[I, -1], h.min()), alpha)
+    with np.errstate(over="ignore"):   # an inf slope or bound prunes nothing
+        s = np.maximum(np.append(dv / h, 0.0)[pad], _TINY).reshape(nb, -1)
+        g = np.append(0.0, s[:-1].max(1))[:, None]
+        L = np.maximum.accumulate(np.tril(np.broadcast_to(g, (nb, nb)), -1))
+        L = np.maximum(L[J, I], s[:, :-1].max(1)[J])
+        S = np.maximum(spread, _TINY)
+        bound = np.fmin(spread / gap, L**alpha * (S / S**alpha))
+        bound *= 1.0 + _ROUNDOFF_SLACK
+    order = np.flatnonzero(~(bound <= best))   # a NaN bound prunes nothing
+    order = order[np.argsort(bound[order])[::-1]]
     for k in range(0, len(order), _PAIR_CHUNK):
         c = order[k:k + _PAIR_CHUNK]
         if bound[c[0]] <= best:
@@ -347,9 +365,9 @@ def holder_seminorm(g: GridFunction, idx: HolderIndex,
     """Entrywise-sum sup of |g^(n)(t2)-g^(n)(t1)| / |t2-t1|^alpha.
 
     The exact maximum over all pairs of _sample's points, a certified
-    lower bound of the true seminorm, found by _pair_max's branch and
-    bound over blocks of samples in O((P/16)**2 + 16**3) memory for P
-    points, not O(P**2).
+    lower bound of the true seminorm, found by _pair_max's branch and bound
+    over blocks of samples (spread over distance and slope, real-valued for
+    real samples) in O((P/16)**2 + 16**3) memory for P points, not O(P**2).
     """
     ts, vals = _sample(g.derivative(idx.n), M)
     total = 0.0

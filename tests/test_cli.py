@@ -174,6 +174,9 @@ FILE = "<the config file>"   # a path that is the file's own
         point_term=cfg["boundary"]["point_terms"]),
      "boundary.point_term: unknown key"),
     (_point_term(0, ordr=0), "boundary.point_terms[0].ordr: unknown key"),
+    # a blank expression is named as such, not as an unexpected token ''
+    (_set("rhs", [""]), "rhs[0]: empty expression (at position 0)"),
+    (_set("target", ["0", " \t"]), "target[1]: empty expression"),
 ], ids=["r", "r-fraction", "r-zero", "m-zero", "m-bool", "n-fraction", "n-negative",
         "eps0-zero", "eps0-negative", "order-fraction", "order-bool",
         "point-outside", "boundary-no-term", "top-level-list", "eps0",
@@ -191,7 +194,7 @@ FILE = "<the config file>"   # a path that is the file's own
         "rhs_at_zero-string", "coeffs-string", "coeffs_at_zero-object",
         "interval-string", "point_terms-string", "integral_terms-string",
         "unknown-top-level-key", "unknown-boundary-key",
-        "unknown-point-term-key"])
+        "unknown-point-term-key", "rhs-empty", "target-blank"])
 def test_malformed_config_cites_key_path(mutate, path, tmp_path, capsys):
     cfg = json.loads(json.dumps(_gallery_config("F1_smooth_perturb")))
     replaced = mutate(cfg)

@@ -47,6 +47,15 @@ def test_parse_error_names_the_offending_token(source, message, position):
     assert str(exc.value).endswith(f"(at position {position})")
 
 
+@pytest.mark.parametrize("source", ["", "   ", "\t\n"],
+                         ids=["empty", "spaces", "tab-newline"])
+def test_parse_blank_expression_is_empty(source):
+    with pytest.raises(ex.ParseError) as exc:
+        ex.parse_expression(source)
+    assert str(exc.value) == "empty expression (at position 0)"
+    assert exc.value.position == 0
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ex.ParseError):
         ex.parse_expression("tau + 1")

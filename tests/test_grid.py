@@ -151,7 +151,7 @@ def test_pair_max_one_ulp_gap_beside_steepest_gap():
 
 
 @pytest.mark.parametrize("chunk", [grid._PAIR_CHUNK, 1])
-@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("alpha", [1.0, 0.77, 0.5, 0.3, 0.1])
 def test_pair_max_block_edges(alpha, chunk, monkeypatch):
     # shapes around the block size, then unevenly spaced points whose
     # maximum (for alpha < 1) is a chord of lag 8 through a dense cluster,
@@ -172,6 +172,58 @@ def test_pair_max_block_edges(alpha, chunk, monkeypatch):
         vals = np.clip(n - start, 0, 8) + 1e-3 * rng.standard_normal(len(n))
         vals = vals + 0j
         assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha)
+    # a steep ramp beside flat data, inside one block or across a seam: the
+    # maximum sits in a diagonal or adjacent block pair, whose bound is
+    # L**alpha * S**(1-alpha) (tight at the ramp's ends), not S / gap**alpha
+    ts = np.linspace(0.0, 1.0, 10 * B)
+    for start in (3 * B + 2, 4 * B - 4):
+        ramp = np.clip(n[:len(ts)] - start, 0, 7) * 1e3 / (10 * B)
+        for vals in (ramp + 0j, ramp + 1e-9 * np.sin(50 * ts) + 0j,
+                     ramp * (1 + 2j)):
+            got = _pair_max(vals, ts, alpha)
+            assert got == _all_pairs_max(vals, ts, alpha), (start, got)
+    # a rise of 0.7 over the seam gap into block 4, then 0.3 inside it:
+    # L of block pair (3, 4) must count the gap between the blocks
+    vals = np.where(n[:len(ts)] < 4 * B, 0.0, 0.7) + 0j
+    vals[4 * B + 1:] = 1.0
+    assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha)
+    # subnormal steps: every adjacent slope underflows to 0, but chords
+    # over many gaps have nonzero ratios
+    ts = 10.0 * np.arange(6 * B)
+    vals = np.arange(6 * B) * 5e-324 + 0j
+    assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha)
+    # real data stored with imaginary parts -0.0 takes the real-valued
+    # scan; one nonzero imaginary part anywhere keeps the complex one
+    ts = np.sort(rng.uniform(0.0, 1.0, 6 * B))
+    real = np.cumsum(rng.standard_normal(len(ts)))
+    negzero = real.astype(complex)
+    negzero.imag = -0.0
+    assert np.signbit(negzero.imag).all()
+    one = real + 0j
+    one[2 * B + 5] += 1e-3j
+    for vals in (negzero, one):
+        assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha)
+    assert _pair_max(negzero, ts, alpha) == _pair_max(real, ts, alpha)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha, jump, steps", [
+    (0.5, 1e299, 1), (0.5, 1e299, 2), (1.0, 1e296, 2)],
+    ids=["alpha0.5-one-gap", "alpha0.5-two-gaps", "alpha1-two-gaps"])
+def test_pair_max_huge_slope_is_exact_and_silent(alpha, jump, steps):
+    # v rises by `jump` in `steps` equal steps over gaps of about 1e-12 at
+    # t = 0.5.  At alpha = 0.5 the adjacent slope |dv|/dt overflows while
+    # every quotient is finite; at alpha = 1 the quotient is that slope, so
+    # the jump is the largest that keeps it finite.  The bound must neither
+    # warn nor prune.  Two steps leave alpha = 1 without a lag-one
+    # certificate.
+    h = 2.0 ** -40 if steps == 2 else 1e-12
+    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101),
+                                   0.5 + h * np.arange(1, steps + 1)]))
+    vals = np.clip(np.round((ts - 0.5) / h), 0, steps) / steps * jump + 0j
+    want = _all_pairs_max(vals, ts, alpha)
+    assert np.isfinite(want)
+    assert _pair_max(vals, ts, alpha) == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -195,7 +247,9 @@ def test_pair_max_nan_sample_gives_nan():
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--gallery", "F6_holder_rough", "--count", "4"],
-    ["verify", "--gallery", "F6_holder_rough"]])
+    ["verify", "--gallery", "F6_holder_rough"],
+    ["sweep", "--gallery", "F6_holder_rough", "--count", "2",
+     "--degree", "64", "--samples", "2048"]])
 def test_pair_max_is_exact_on_the_f6_workload(argv, tmp_path, monkeypatch):
     calls = []
 
