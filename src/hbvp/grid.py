@@ -274,26 +274,6 @@ def sup_norm(g: GridFunction, M: int = DEFAULT_SAMPLES) -> float:
     return float(np.sum(np.max(np.abs(_sample(g, M)[1]), axis=-1)))
 
 
-def _lag_one_is_max(slopes: np.ndarray, dt: np.ndarray) -> bool:
-    """For alpha = 1: True when no chord spanning two or more gaps can reach
-    the largest adjacent slope L.
-
-    A chord's slope is at most the dt-weighted mean of the adjacent slopes
-    it spans.  A chord over the gap m of slope L also spans a neighbouring
-    gap, so L's weight is at most W = dt[m] / (dt[m] + smaller neighbouring
-    dt), and every other slope is at most s2; the chord's slope is then at
-    most L - (1 - W)(L - s2).  The margin must beat roundoff by 64u; L is
-    finite, as _pair_max calls this only then.
-    """
-    m = int(np.argmax(slopes))
-    L = slopes[m]
-    s2 = max(slopes[:m].max(initial=0.0), slopes[m + 1:].max(initial=0.0))
-    h = min((dt[j] for j in (m - 1, m + 1) if 0 <= j < len(dt)),
-            default=np.inf)
-    W = dt[m] / (dt[m] + h)
-    return (1.0 - W) * (L - s2) > _ROUNDOFF_SLACK * L
-
-
 _PAIR_BLOCK = 16   # points per block of the seminorm's branch-and-bound
 _PAIR_CHUNK = 16   # block pairs evaluated per step
 _TINY = np.finfo(float).tiny
@@ -311,24 +291,24 @@ def _pair_max(vals: np.ndarray, ts: np.ndarray, alpha: float) -> float:
     """max over i < j of |vals[j] - vals[i]| / (ts[j] - ts[i])**alpha.
 
     ts must increase strictly.  Real samples are scanned as reals; a NaN one
-    gives NaN, an infinite one inf.  The adjacent pairs seed the best ratio
-    (for alpha = 1 they may certify it).  Over blocks of _PAIR_BLOCK points
-    (the last padded with the last sample), block pair I <= J has ratios <=
-    (1 + 64u) min(S / gap**alpha, L**alpha S**(1-alpha)), as |dv| <= min(S,
-    L d) at distance d: S = spread of Re + spread of Im over both blocks, gap
-    = ts[first of J] - ts[last of I] (the least spacing if I = J), L = the
-    largest gap slope from I's first point to J's last (L, S >= the least
-    normal float in the second term).  Block pairs are evaluated _PAIR_CHUNK
-    at a time in descending bound, as an all-pairs scan would, until no
-    bound beats the best: the exact all-pairs maximum, in O((P/16)**2) memory.
+    gives NaN, an infinite one inf.  At alpha = 1 this is the largest adjacent
+    slope s_k, as |v_j - v_i| <= sum |dv_k| <= max s_k (t_j - t_i), returned
+    as rounded: a chord's computed quotient may round about one ulp above it.
+    For alpha < 1 the adjacent pairs seed the best ratio.  Over blocks of
+    _PAIR_BLOCK points (the last padded with the last sample), block pair
+    I <= J has ratios <= (1 + 64u) min(S / gap**alpha, L**alpha S**(1-alpha)),
+    as |dv| <= min(S, L d) at distance d: S = spread of Re + spread of Im over
+    both blocks, gap = ts[first of J] - ts[last of I] (the least spacing if
+    I = J), L = the largest gap slope from I's first point to J's last (L,
+    S >= the least normal float in the second term).  Block pairs are evaluated
+    _PAIR_CHUNK at a time in descending bound, as an all-pairs scan would,
+    until no bound beats the best: the exact all-pairs maximum, in
+    O((P/16)**2) memory.
     """
     vals = vals if vals.imag.any() else vals.real
     h, dv = np.diff(ts), np.abs(np.diff(vals))
-    dt = np.power(h, alpha)
-    ratio = dv / dt
-    best = float(ratio.max(initial=0.0))
-    if (len(ts) < 3 or not np.isfinite(best)
-            or (alpha == 1.0 and _lag_one_is_max(ratio, dt))):
+    best = float((dv / np.power(h, alpha)).max(initial=0.0))
+    if alpha == 1.0 or len(ts) < 3 or not np.isfinite(best):
         return best
     nb = -(-len(ts) // _PAIR_BLOCK)
     pad = np.minimum(np.arange(nb * _PAIR_BLOCK), len(ts) - 1)
@@ -364,10 +344,12 @@ def holder_seminorm(g: GridFunction, idx: HolderIndex,
                     M: int = DEFAULT_SAMPLES) -> float:
     """Entrywise-sum sup of |g^(n)(t2)-g^(n)(t1)| / |t2-t1|^alpha.
 
-    The exact maximum over all pairs of _sample's points, a certified
-    lower bound of the true seminorm, found by _pair_max's branch and bound
-    over blocks of samples (spread over distance and slope, real-valued for
-    real samples) in O((P/16)**2 + 16**3) memory for P points, not O(P**2).
+    The maximum over all pairs of _sample's points, a lower bound of the true
+    seminorm: at alpha = 1 the largest adjacent slope (a brute-force chord
+    scan may round an ulp above it), for alpha < 1 found exactly by
+    _pair_max's branch and bound over blocks of samples (spread over distance
+    and slope, real-valued for real samples) in O((P/16)**2 + 16**3) memory
+    for P points, not O(P**2).
     """
     ts, vals = _sample(g.derivative(idx.n), M)
     total = 0.0

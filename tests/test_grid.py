@@ -1,4 +1,5 @@
 """Interpolants, derivatives, and Holder norms against brute-force oracles."""
+import json
 import warnings
 
 import numpy as np
@@ -111,6 +112,28 @@ def _all_pairs_max(vals, ts, alpha):
     return float(np.divide(dv, dt, out=np.zeros_like(dv), where=mask).max())
 
 
+# At alpha = 1 no chord beats the steepest adjacent gap in exact arithmetic.
+# A computed quotient |fl(v_j - v_i)| / fl(t_j - t_i) takes one subtraction
+# of values (componentwise if complex), one abs, one division and the
+# subtraction of times, each within a factor 1 +- u of exact (u = machine
+# epsilon), so a chord's computed quotient exceeds the computed adjacent
+# maximum by a factor at most ((1 + u) / (1 - u))**4 < 1 + 9u.
+_ALPHA_ONE_SLACK = 16 * np.finfo(float).eps
+
+
+def _assert_pair_max(vals, ts, alpha, msg=None):
+    """_pair_max equals the all-pairs scan bit for bit below alpha = 1; at
+    alpha = 1 it equals the adjacent maximum bit for bit, which the scan's
+    rounded chords may exceed by at most _ALPHA_ONE_SLACK."""
+    got, want = _pair_max(vals, ts, alpha), _all_pairs_max(vals, ts, alpha)
+    if alpha < 1.0:
+        assert got == want, msg
+        return
+    adjacent = np.max(np.abs(np.diff(vals)) / np.diff(ts))
+    assert got == adjacent, msg
+    assert adjacent <= want <= adjacent * (1 + _ALPHA_ONE_SLACK), msg
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
 @pytest.mark.parametrize("M", [64, 256, 512])
 def test_pair_max_equals_all_pairs_scan(M, alpha):
@@ -130,24 +153,54 @@ def test_pair_max_equals_all_pairs_scan(M, alpha):
         "powabs cusp": g.eval_at(ts)[0, 0],
     }
     for name, vals in cases.items():
-        assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha), name
+        _assert_pair_max(vals, ts, alpha, name)
     # random, unevenly spaced points
     ts = np.sort(rng.uniform(-1.0, 2.0, P))
     vals = rng.standard_normal(P) + 1j * rng.standard_normal(P)
-    assert _pair_max(vals, ts, alpha) == _all_pairs_max(vals, ts, alpha)
+    _assert_pair_max(vals, ts, alpha)
 
 
 def test_pair_max_one_ulp_gap_beside_steepest_gap():
     # the lag-2 chord over [0, t1 + ulp] rounds one ulp above the steepest
-    # adjacent slope, on [0, t1]; only the weight of the one-ulp neighbour
-    # gap keeps alpha = 1 from stopping at lag 1
+    # adjacent slope, on [0, t1], which it cannot exceed in exact arithmetic:
+    # alpha = 1 returns that slope, not the rounded chord
     t1 = 1.3577481395725988
     ts = np.array([-1.0, 0.0, t1, np.nextafter(t1, 2.0), 3.0])
     v1 = 0.9236090362782893 + 0.601959232063568j
     vals = np.array([0, 0, v1, 0.9236090362782893 + 0.6019592320635682j, v1])
     steepest = np.max(np.abs(np.diff(vals)) / np.diff(ts))
     assert _all_pairs_max(vals, ts, 1.0) > steepest
-    assert _pair_max(vals, ts, 1.0) == _all_pairs_max(vals, ts, 1.0)
+    _assert_pair_max(vals, ts, 1.0)
+
+
+_RAMP_CONFIG = {
+    "r": 2, "m": 1, "n": 0, "alpha": 1.0, "interval": [0.0, 1.0],
+    "eps0": 1.0, "coeffs": [[["0"]], [["0"]]], "rhs": ["(1+eps)*t"],
+    "boundary": {"point_terms": [
+        {"order": 0, "point": 0.0, "coeff": [["1"], ["0"]]},
+        {"order": 0, "point": 1.0, "coeff": [["0"], ["1"]]}]},
+    "target": ["0", "1"]}
+
+
+def test_alpha_one_takes_no_block_scan(tmp_path, monkeypatch):
+    # equal steepest adjacent slopes (a ramp, a tent) and the sweep of
+    # y'' = (1 + eps) t, whose perturbation is a ramp: alpha = 1 returns
+    # the adjacent maximum and never builds a block pair
+    def no_block_scan(nb):
+        raise AssertionError("alpha = 1 entered the block scan")
+
+    monkeypatch.setattr(grid, "_block_pairs", no_block_scan)
+    ts = _sample_grid(32, 0.0, 1.0, 1024)[0]
+    P, m = len(ts), len(ts) // 3
+    assert P == 1055
+    for vals in (ts + 0j, (1 + 2j) * ts,
+                 np.where(np.arange(P) <= m, ts, 2 * ts[m] - ts) + 0j):
+        assert _pair_max(vals, ts, 1.0) == np.max(
+            np.abs(np.diff(vals)) / np.diff(ts))
+    config = tmp_path / "ramp.json"
+    config.write_text(json.dumps(_RAMP_CONFIG))
+    assert cli.main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("chunk", [grid._PAIR_CHUNK, 1])
@@ -215,8 +268,7 @@ def test_pair_max_huge_slope_is_exact_and_silent(alpha, jump, steps):
     # t = 0.5.  At alpha = 0.5 the adjacent slope |dv|/dt overflows while
     # every quotient is finite; at alpha = 1 the quotient is that slope, so
     # the jump is the largest that keeps it finite.  The bound must neither
-    # warn nor prune.  Two steps leave alpha = 1 without a lag-one
-    # certificate.
+    # warn nor prune.
     h = 2.0 ** -40 if steps == 2 else 1e-12
     ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101),
                                    0.5 + h * np.arange(1, steps + 1)]))
@@ -268,8 +320,8 @@ def test_pair_max_is_exact_on_the_f6_workload(argv, tmp_path, monkeypatch):
     (8, 64, (0.0, 1.0)), (24, 512, (0.0, 1.0)), (32, 1024, (-1.0, 2.0)),
     (100, 128, (0.0, 1e-3)), (512, 4096, (-5.0, 10.0))])
 def test_seminorm_samples_strictly_increase(N, M, interval):
-    # the seminorm's block bounds and the alpha = 1 adjacent-pair
-    # certificate hold only on sorted, distinct points
+    # the seminorm's block bounds, and alpha = 1's adjacent maximum, hold
+    # only on sorted, distinct points
     g = interpolate("t", interval, N)
     assert np.all(np.diff(_sample_grid(g.N, g.a, g.b, M)[0]) > 0)
 
