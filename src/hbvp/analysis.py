@@ -2,32 +2,39 @@
 
 Implements the discrepancy, the two-sided error/discrepancy sweep,
 monomial coefficient extraction and the criterion-vs-behavior agreement
-suite.  The suite walks the eps sequence once: per eps it instantiates the
-problem and differences its coefficients once, and from those measures the
-Limit Condition I norms, the Condition II probe deviation, Theorem 2's
-operator-distance probe P(eps) and, when Condition (0) holds, the sweep
-row.  Its verdict carries Theorem 2's report.
+suite.  The sweep and the suite share one walk down the eps sequence
+(`_walk`), which instantiates the swept eps, differences their
+coefficients, forms their perturbations and factors their delta solves as
+one stack, with the records per eps.  From each eps's instance and
+differences the suite measures the Limit Condition I norms, the Condition
+II probe deviation and Theorem 2's operator-distance probe P(eps).  Its
+verdict carries Theorem 2's report.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
+from . import chebyshev as cheb
 from . import expr as ex
-from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex,
-                   algebra_constant, holder_norm, interpolate, product)
-from .problem import ProblemFamily, apply_B, instantiate
-from .solver import (ConditionZeroViolated, SolveRejected, apply_L,
-                     solve_bvp_direct)
+from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex, _eval_exprs,
+                   _grid_data, algebra_constant, holder_norm, interpolate,
+                   product, sample_stack)
+from .problem import ProblemFamily, apply_B, instantiate, instantiate_stack
+from .solver import (ConditionZeroViolated, SolveRejected, apply_L, factor,
+                     solve_bvp_direct, stack_size)
 
 ZERO_TAIL_LEN = 5
 ZERO_FINAL_FACTOR = 1e-3
 RATIO_BAND_CAP = 1e4
+NORM_STACK_BYTES = 64 << 10   # samples per stack of sweep norms
 
 
 def geometric_eps(eps0: float, factor: float = 0.5, count: int = 20):
@@ -66,40 +73,44 @@ def default_probes(fam: ProblemFamily, N: int = 32):
             for src in sources for q in range(fam.m)]
 
 
-def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray, fam: ProblemFamily,
-              eps: float, N: int) -> GridFunction:
-    """e(., eps) - e(., 0) with an exact symbolic source."""
+def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
+    """The symbolic e(., eps) - e(., 0), entry by entry."""
     diff = np.empty(e_eps.shape, dtype=object)
     for idx in np.ndindex(e_eps.shape):
         diff[idx] = ex.sub(e_eps[idx], ex.substitute_eps(e_zero[idx], 0.0))
-    return GridFunction.from_exprs(diff, fam.interval, N, eps=eps)
-
-
-def _rhs_diff(fam: ProblemFamily, eps: float, N: int) -> GridFunction:
-    return _eps_diff(fam.rhs_exprs(eps), fam.rhs_exprs(0.0), fam, eps, N)
+    return diff
 
 
 def _all_zero(sources: np.ndarray) -> bool:
     return all(isinstance(e, ex.Const) and e.value == 0 for e in sources.flat)
 
 
-def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
-    """The pairs (j, A_j(., eps) - A_j(., 0)), each with an exact symbolic
-    source, whose difference does not fold to the zero expression.
+def _diff_exprs(fam: ProblemFamily, eps: float):
+    """The symbolic f(., eps) - f(., 0) and the pairs (j, A_j(., eps) -
+    A_j(., 0)) whose difference does not fold to the zero expression: one
+    set for every eps > 0 (`keyed_exprs`), built before any evaluation.
 
     A zero difference has Holder norm 0, and leaving it out keeps a purely
     rough right-hand-side perturbation's symbolic source (and hence its
     exact Holder seminorm) in the perturbation residual.
     """
-    diffs = ((j, _eps_diff(c, z, fam, eps, N)) for j, (c, z) in
-             enumerate(zip(fam.coeff_exprs(eps), fam.coeff_exprs(0.0))))
-    return [(j, d) for j, d in diffs if not _all_zero(d.sources)]
+    coeffs = enumerate(zip(fam.coeff_exprs(eps), fam.coeff_exprs(0.0)))
+    diffs = [(j, _eps_diff(c, z)) for j, (c, z) in coeffs]
+    return (_eps_diff(fam.rhs_exprs(eps), fam.rhs_exprs(0.0)),
+            [(j, d) for j, d in diffs if not _all_zero(d)])
 
 
-def _coeff_diff_action(diffs: list, y: GridFunction,
-                       acc: GridFunction | None = None):
-    """acc - sum_j (A_j(eps) - A_j(0)) y^(j) over the `_coeff_diffs`, acc
-    taken as 0 when None; None when both acc and diffs are empty."""
+def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
+    """The pairs (j, A_j(., eps) - A_j(., 0)) of `_diff_exprs` at degree N,
+    each keeping its exact symbolic source."""
+    return [(j, GridFunction.from_exprs(d, fam.interval, N, eps=eps))
+            for j, d in _diff_exprs(fam, eps)[1]]
+
+
+def _coeff_diff_action(diffs: list, y: GridFunction):
+    """-sum_j (A_j(eps) - A_j(0)) y^(j) over the `_coeff_diffs`; None when
+    there are none."""
+    acc = None
     for j, dA in diffs:
         term = product(dA, y.derivative(j))
         acc = term.scale(-1.0) if acc is None else acc - term
@@ -108,22 +119,56 @@ def _coeff_diff_action(diffs: list, y: GridFunction,
 
 # --- discrepancy and the two-sided sweep -------------------------------------
 
-def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
-    """The residual of y0 in an eps problem with the eps = 0 problem's
-    residual cancelled exactly, as a function of the eps instance and its
-    `_coeff_diffs`.
+def _perturbations(fam: ProblemFamily, inst0, y0: GridFunction):
+    """The residual of y0 in eps problems with the eps = 0 problem's
+    residual cancelled exactly, as a function of instances on one side of
+    eps = 0 and their symbolic `_diff_exprs` rhs_diff and coeff_diffs; y0
+    solves inst0.
 
-    It returns h = (f(eps) - f(0)) - (L(eps) - L(0)) y0 and the boundary
-    data c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0: the right-hand
-    side and boundary data of delta = y(eps) - y(0), whose norms make up
-    the discrepancy.  B(0) y0 is applied once.
+    Per instance it gives h = (f(eps) - f(0)) - (L(eps) - L(0)) y0, h at
+    degree N and c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0, the
+    right-hand side and boundary data of delta = y(eps) - y(0).  h is formed
+    for the stack at degree 2N, the products' exact degree, from one
+    evaluation of each difference with eps as a column, and taken to degree
+    N by one matmul; with no coefficient difference it is the rhs difference
+    at degree N, keeping its source.  B(0) y0 and each y0^(j) at degree 2N
+    are formed once.
     """
-    B0y0 = apply_B(inst0.B, y0)[:, 0]
+    (a, b), N = fam.interval, y0.N
+    nodes, B0y0 = _grid_data(2 * N, a, b)[0], apply_B(inst0.B, y0)[:, 0]
+
+    @lru_cache(maxsize=None)
+    def y0_2N(j):
+        return y0.derivative(j).resample(2 * N).values
+
+    def at(insts, rhs_diff, coeff_diffs):
+        eps = np.array([inst.eps for inst in insts])
+        if coeff_diffs:
+            h = _eval_exprs(rhs_diff, nodes, eps, a, b)
+            for j, d in coeff_diffs:
+                h = h - np.einsum("sikt,kjt->sijt",
+                                  _eval_exprs(d, nodes, eps, a, b), y0_2N(j))
+            hs = [GridFunction(v, fam.interval) for v in h]
+            h = h @ cheb.bary_matrix(nodes, _grid_data(N, a, b)[0]).T
+            rhs = [GridFunction(v, fam.interval) for v in h]
+        else:
+            hs = rhs = GridFunction.from_exprs(rhs_diff, fam.interval, N,
+                                               eps=eps)
+        c_deltas = [(inst.c - inst0.c) - (apply_B(inst.B, y0)[:, 0] - B0y0)
+                    for inst in insts]
+        return hs, rhs, c_deltas
+    return at
+
+
+def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
+    """`_perturbations` of one eps instance, as a function of the instance
+    and its `_coeff_diffs`: h and c_delta."""
+    stack = _perturbations(fam, inst0, y0)
 
     def at(inst, diffs):
-        h = _coeff_diff_action(diffs, y0, _rhs_diff(fam, inst.eps, inst.N))
-        c_delta = (inst.c - inst0.c) - (apply_B(inst.B, y0)[:, 0] - B0y0)
-        return h, c_delta
+        hs, _, c_deltas = stack([inst], _diff_exprs(fam, inst.eps)[0],
+                                [(j, d.sources) for j, d in diffs])
+        return hs[0], c_deltas[0]
     return at
 
 
@@ -202,29 +247,71 @@ def _descending(fam: ProblemFamily, eps_sequence) -> list:
                   else eps_sequence, reverse=True)
 
 
-def _sweep_row(fam: ProblemFamily, inst0, y0: GridFunction, M: int):
-    """The sweep's record at eps, as a function of the eps instance and its
-    `_coeff_diffs`; y0 solves the eps = 0 instance inst0.  Solve failures
-    are recorded as data."""
-    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
-    perturbation = _perturbation(fam, inst0, y0)
+def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
+          y0: GridFunction | None) -> list:
+    """Per eps of eps_sequence, in its order: the instance, its
+    `_coeff_diffs` and, when y0 (the solution of the eps = 0 instance inst0)
+    is given, its sweep record.
 
-    def row(inst, diffs):
-        try:
-            # delta = y(eps) - y(0) from the exactly-cancelled perturbation
-            # data, avoiding loss of significance at tiny eps
-            h, c_delta = perturbation(inst, diffs)
-            delta = solve_bvp_direct(replace(inst, rhs=h.resample(inst.N),
-                                             c=c_delta))
-            error = holder_norm(delta.y, err_idx, M).total
-            d = _discrepancy_norm(h, c_delta, fam.idx, M)
-            ratio = error / d if d > 0 else None
-            return SweepRecord(inst.eps, error, d, ratio, delta.margin,
-                               delta.residual)
-        except (ConditionZeroViolated, SolveRejected) as err:
-            return SweepRecord(inst.eps, None, None, None, None, None,
-                               failure=type(err).__name__)
-    return row
+    The eps on each side of 0 share their differences, built once.  They
+    are walked in stacks of `stack_size` eps (every eps of a default sweep
+    up to N = 128, seven at N = 256, one at N = 512), each instantiated at once
+    (`instantiate_stack`), its differences evaluated with eps as a column,
+    its perturbations formed together (`_perturbations`) and its delta
+    solves factored by one call (`factor`).  A record's delta = y(eps) -
+    y(0) solves the exactly-cancelled perturbation data, avoiding loss of
+    significance at tiny eps; solve failures are recorded as data.
+    """
+    walk, size = [], stack_size(fam.m, N)
+    perturb = _perturbations(fam, inst0, y0) if y0 is not None else None
+    for _, group in itertools.groupby(eps_sequence, lambda e: e == 0.0):
+        group = list(group)
+        rhs_diff, coeff_diffs = _diff_exprs(fam, group[0])
+        for s in range(0, len(group), size):
+            eps = np.array(group[s:s + size])
+            insts = instantiate_stack(fam, eps.tolist(), N)
+            pairs = [(j, GridFunction.from_exprs(d, fam.interval, N,
+                                                 eps=eps))
+                     for j, d in coeff_diffs]
+            diffs = [[(j, g[k]) for j, g in pairs] for k in range(len(eps))]
+            records = [None] * len(eps)
+            if perturb is not None:
+                hs, rhs, c_deltas = perturb(insts, rhs_diff, coeff_diffs)
+                records = _records(fam, factor(
+                    replace(inst, rhs=f, c=c)
+                    for inst, f, c in zip(insts, rhs, c_deltas)), hs, M)
+            walk += zip(insts, diffs, records)
+    return walk
+
+
+def _records(fam: ProblemFamily, deltas: list, hs: list, M: int) -> list:
+    """The sweep records of `Factored` delta instances with perturbations
+    hs, solved and sampled (`sample_stack`) as many rows at a time as have
+    samples within NORM_STACK_BYTES, or one."""
+    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
+    step = max(1, NORM_STACK_BYTES // (16 * fam.m
+                                       * max(M, 2 * deltas[0].N + 1)))
+    out = []
+    for s in range(0, len(deltas), step):
+        rows = []
+        for delta in deltas[s:s + step]:
+            try:
+                rows.append(solve_bvp_direct(delta))
+            except (ConditionZeroViolated, SolveRejected) as err:
+                rows.append(SweepRecord(delta.eps, None, None, None, None,
+                                        None, failure=type(err).__name__))
+        ok = [k for k, r in enumerate(rows) if not isinstance(r, SweepRecord)]
+        if ok:
+            sample_stack([rows[k].y for k in ok], M, err_idx.n)
+            sample_stack([hs[s + k] for k in ok], M, fam.idx.n)
+        for k in ok:
+            error = holder_norm(rows[k].y, err_idx, M).total
+            d = _discrepancy_norm(hs[s + k], deltas[s + k].c, fam.idx, M)
+            rows[k] = SweepRecord(deltas[s + k].eps, error, d,
+                                  error / d if d > 0 else None,
+                                  rows[k].margin, rows[k].residual)
+        out += rows
+    return out
 
 
 def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
@@ -236,9 +323,8 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
     """
     inst0 = instantiate(fam, 0.0, N)
     res0 = solve_bvp_direct(inst0)
-    row = _sweep_row(fam, inst0, res0.y, M)
-    records = [row(instantiate(fam, eps, N), _coeff_diffs(fam, eps, N))
-               for eps in _descending(fam, eps_sequence)]
+    records = [rec for _, _, rec in _walk(
+        fam, _descending(fam, eps_sequence), N, M, inst0, res0.y)]
     ratios = [r.ratio for r in records if r.ratio is not None]
     lo = min(ratios) if ratios else None
     hi = max(ratios) if ratios else None
@@ -286,11 +372,11 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     and II) agrees with the observed solvability-and-convergence side, and
     grade Theorem 2's operator convergence.
 
-    One walk down the eps sequence instantiates each eps and builds its
-    `_coeff_diffs` once.  From them it measures the Condition I norms
+    One `_walk` down the eps sequence instantiates each eps and builds its
+    `_coeff_diffs` once, with the sweep records when Condition (0) holds.
+    From them it measures, eps by eps, the Condition I norms
     ||A_j(eps) - A_j(0)||_{n,alpha}, the Condition II deviation
-    max |(B(eps) - B(0)) y| over the probes y, Theorem 2's P(eps) and,
-    when Condition (0) holds, the sweep row.
+    max |(B(eps) - B(0)) y| over the probes y and Theorem 2's P(eps).
     """
     idx = fam.idx
     eps_sequence = _descending(fam, eps_sequence)
@@ -301,9 +387,9 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     try:
         res0 = solve_bvp_direct(inst0)
     except ConditionZeroViolated as err:
-        margin, row = err.margin, None
+        margin, y0 = err.margin, None
     else:
-        margin, row = res0.margin, _sweep_row(fam, inst0, res0.y, M)
+        margin, y0 = res0.margin, res0.y
     probes = default_probes(fam, N)
     B0_probes = [apply_B(inst0.B, y)[:, 0] for y in probes]
     err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
@@ -313,9 +399,7 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
                       for j in range(fam.r)) for y in probes]
     c2 = max(K * ds / pn for ds, pn in zip(deriv_sums, probe_norms))
     condI, condII, P, records = [], [], [], []
-    for eps in eps_sequence:
-        inst = instantiate(fam, eps, N)
-        diffs = _coeff_diffs(fam, eps, N)
+    for inst, diffs, record in _walk(fam, eps_sequence, N, M, inst0, y0):
         norms = [0.0] * fam.r
         for j, dA in diffs:
             norms[j] = holder_norm(dA, idx, M).total
@@ -329,14 +413,14 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
                 best = max(best, holder_norm(acc, idx, M).total / pn)
         condII.append(dev)
         P.append(best)
-        if row is not None:
-            records.append(row(inst, diffs))
+        if record is not None:
+            records.append(record)
 
     condI_ok = all(tends_to_zero([norms[j] for norms in condI],
                                  criterion_final_factor)
                    for j in range(fam.r))
     condII_ok = tends_to_zero(condII, criterion_final_factor)
-    cond0_ok = row is not None
+    cond0_ok = y0 is not None
     solvable = cond0_ok and not any(r.failure for r in records)
     errors_ok = cond0_ok and tends_to_zero([r.error for r in records])
     criterion = cond0_ok and condI_ok and condII_ok

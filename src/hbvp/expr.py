@@ -205,11 +205,29 @@ def diff_t(e: Expr) -> Expr:
     raise ExprError(f"unknown node {e!r}")
 
 
-def evaluate(e: Expr, t, eps: float):
-    """Evaluate at t (scalar or ndarray) and scalar eps.  Complex output."""
+def evaluate(e: Expr, t, eps):
+    """Evaluate at t (scalar or ndarray) and eps (a float, or an ndarray that
+    broadcasts with t).  Complex output of the broadcast shape."""
     t = np.asarray(t, dtype=float)
-    val = _eval(e, t, eps)
-    return np.asarray(val, dtype=complex) + np.zeros(t.shape, dtype=complex)
+    if isinstance(eps, np.ndarray):
+        val = _eval(_columns(e, eps), t, eps)
+        shape = np.broadcast_shapes(t.shape, eps.shape)
+    else:
+        val, shape = _eval(e, t, eps), t.shape
+    return np.asarray(val, dtype=complex) + np.zeros(shape, dtype=complex)
+
+
+def _columns(e: Expr, eps: np.ndarray) -> Expr:
+    """e with each largest subtree in eps alone replaced by a constant of
+    its values at each eps, each computed as at that one eps: the eps-only
+    arithmetic of an eps array is then Python's, as at a float eps."""
+    if not mentions(e, "t"):
+        if not mentions(e, "eps"):
+            return e
+        vals = [_eval(e, 0.0, x) for x in eps.ravel().tolist()]
+        return Const(np.array(vals).reshape(eps.shape))
+    return type(e)(**{k: _columns(v, eps) if isinstance(v, Expr) else v
+                      for k, v in vars(e).items()})
 
 
 def _eval(e: Expr, t, eps):
@@ -276,11 +294,15 @@ def substitute_eps(e: Expr, value: float) -> Expr:
     raise ExprError(f"unknown node {e!r}")
 
 
-def mentions_t(e: Expr) -> bool:
-    """Whether the variable t occurs in e, even where it cancels."""
+def mentions(e: Expr, name: str) -> bool:
+    """Whether the variable name (t or eps), or for name "powabs" a powabs
+    node, occurs in e, even where it cancels."""
     if isinstance(e, Var):
-        return e.name == "t"
-    return any(mentions_t(c) for c in vars(e).values() if isinstance(c, Expr))
+        return e.name == name
+    if isinstance(e, PowAbs) and name == "powabs":
+        return True
+    return any(mentions(c, name) for c in vars(e).values()
+               if isinstance(c, Expr))
 
 
 def singular_centers(e: Expr, eps: float):

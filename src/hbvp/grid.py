@@ -82,13 +82,28 @@ def _nudge(ts: np.ndarray, centers, a: float, b: float) -> np.ndarray:
     return ts
 
 
-def _eval_exprs(sources: np.ndarray, ts: np.ndarray, eps: float,
+def _eval_exprs(sources: np.ndarray, ts: np.ndarray, eps,
                 a: float, b: float) -> np.ndarray:
-    out = np.empty(sources.shape + (len(ts),), dtype=complex)
+    """The entries' values at ts, (rows, cols, len(ts)) at a float eps.  At
+    a 1-D array of k eps values, one such stack per eps, (k, rows, cols,
+    len(ts)): each entry is evaluated once with eps as a (k, 1) column, at
+    ts nudged per eps (a (k, len(ts)) grid only where some eps has a powabs
+    centre), and an entry that does not mention eps at one eps only."""
+    stack = isinstance(eps, np.ndarray)
+    if stack and len(eps) == 1:   # the bits of the float, at its cost
+        return _eval_exprs(sources, ts, float(eps[0]), a, b)[None]
+    lead, at = (eps.shape, eps.tolist()) if stack else ((), [eps])
+    out = np.empty(lead + sources.shape + (len(ts),), dtype=complex)
     for idx in np.ndindex(sources.shape):
-        e = sources[idx]
-        pts = _nudge(ts, ex.singular_centers(e, eps), a, b)
-        out[idx] = ex.evaluate(e, pts, eps)
+        e, pts = sources[idx], ts
+        by_eps = stack and ex.mentions(e, "eps")
+        if ex.mentions(e, "powabs"):
+            grids = [_nudge(ts, ex.singular_centers(e, x), a, b)
+                     for x in (at if by_eps else at[:1])]
+            pts = (grids[0] if len(grids) == 1 or all(g is ts for g in grids)
+                   else np.array(grids))
+        out[(...,) + idx + (slice(None),)] = ex.evaluate(
+            e, pts, eps[:, None] if by_eps else at[0])
     return out
 
 
@@ -114,8 +129,9 @@ class GridFunction:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_exprs(cls, exprs, interval, N: int,
-                   eps: float = 0.0) -> "GridFunction":
+    def from_exprs(cls, exprs, interval, N: int, eps=0.0):
+        """The interpolant of expressions at a float eps; at a 1-D array of
+        eps, the list of one interpolant per eps (`_eval_exprs`)."""
         if N < 8:
             raise ValueError(f"degree must be >= 8, got {N}")
         srcs = np.asarray(exprs, dtype=object)
@@ -124,6 +140,9 @@ class GridFunction:
         a, b = float(interval[0]), float(interval[1])
         nodes, _ = _grid_data(N, a, b)
         values = _eval_exprs(srcs, nodes, eps, a, b)
+        if isinstance(eps, np.ndarray):
+            return [cls(v, (a, b), sources=srcs, eps=x)
+                    for v, x in zip(values, eps)]
         return cls(values, (a, b), sources=srcs, eps=eps)
 
     @property
@@ -267,6 +286,28 @@ def _sample(g: GridFunction, M: int):
         vals.flags.writeable = False
         g._samples[M] = ts, vals
     return g._samples[M]
+
+
+def sample_stack(gs: list, M: int, n: int = 0) -> None:
+    """Fill the `_sample` memo at M of functions of one degree and interval,
+    and of their derivatives up to order n, for the stack at once: one
+    matmul with the cached ET or, for functions sharing their sources, one
+    `_eval_exprs` with eps as a column.  The derivatives are taken per
+    function."""
+    for order in range(n + 1):
+        g = gs[0]
+        ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1))
+        if g.sources is None:
+            vals = np.array([f.values for f in gs]) @ ET
+        elif all(f.sources is g.sources for f in gs):
+            vals = _eval_exprs(g.sources, ts, np.array([f.eps for f in gs]),
+                               g.a, g.b)
+        else:
+            return
+        for f, v in zip(gs, vals):
+            v.flags.writeable = False
+            f._samples[M] = ts, v
+        gs = [f.derivative() for f in gs]
 
 
 def sup_norm(g: GridFunction, M: int = DEFAULT_SAMPLES) -> float:

@@ -9,7 +9,8 @@ provides six named test families.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +54,7 @@ def _expr_matrix(entries, rows, cols, path="", eps_only=False):
             arr[i, j] = ex.parse_expression(src)
         except ex.ExprError as err:
             raise ConfigError(str(err), at) from err
-        if eps_only and ex.mentions_t(arr[i, j]):
+        if eps_only and ex.mentions(arr[i, j], "t"):
             raise ConfigError(f"{src!r} mentions t; the entry is in eps only",
                               at)
     return arr
@@ -117,7 +118,7 @@ class ProblemFamily:
 
     def target_vector(self, eps: float) -> np.ndarray:
         return _keyed(lambda e: _eval_eps_matrix(e, eps), self.target,
-                      "target", eps)[:, 0]
+                      "target", [eps])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,8 @@ class BoundaryOperator:
     size: int       # rm
     m: int
     interval: tuple
+    # boundary_matrix by degree, each built once
+    matrices: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -163,20 +166,23 @@ def _eval_eps_matrix(exprs: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _keyed(build, exprs: np.ndarray, key: str, eps: float):
-    """build(exprs), the (rows, cols) expressions of config key `key` at
-    eps.  An entry with no value there, as sin(t/eps) at eps = 0, is a
-    ConfigError at its key path (`_entry_path`); at eps = 0 a coeffs or rhs
-    entry also names the _at_zero key that would give its limit."""
+def _keyed(build, exprs: np.ndarray, key: str, eps_list: list):
+    """build(exprs), the (rows, cols) expressions of config key `key` at the
+    eps of eps_list.  At one eps, an entry with no value there, as
+    sin(t/eps) at eps = 0, is a ConfigError at its key path (`_entry_path`);
+    at eps = 0 a coeffs or rhs entry also names the _at_zero key that would
+    give its limit.  At several eps the EvalError stands."""
     try:
         return build(exprs)
     except ex.EvalError as err:
+        if len(eps_list) > 1:
+            raise
         for i, j in np.ndindex(exprs.shape):
             try:
                 build(exprs[i:i + 1, j:j + 1])
             except ex.EvalError:
                 break
-        name = key.split("[")[0]
+        (eps,), name = eps_list, key.split("[")[0]
         hint = (f"; if it has no eps -> 0 limit, give {name}_at_zero"
                 if eps == 0 and name in ("coeffs", "rhs") else "")
         raise ConfigError(f"{err} at eps={eps}{hint}",
@@ -185,31 +191,65 @@ def _keyed(build, exprs: np.ndarray, key: str, eps: float):
 
 def instantiate(fam: ProblemFamily, eps: float, N: int) -> ProblemInstance:
     """Freeze a family at one parameter value and interpolation degree."""
-    if not 0.0 <= eps < fam.eps0:
-        raise ValueError(f"eps={eps} outside [0, {fam.eps0})")
+    return instantiate_stack(fam, [eps], N)[0]
 
-    def grid(exprs):
-        return GridFunction.from_exprs(exprs, fam.interval, N, eps=eps)
 
-    ckey, cexprs = fam.keyed_exprs("coeffs", eps)
-    coeffs = tuple(_keyed(grid, c, f"{ckey}[{j}]", eps)
-                   for j, c in enumerate(cexprs))
-    rkey, rexprs = fam.keyed_exprs("rhs", eps)
-    rhs = _keyed(grid, rexprs, rkey, eps)
-    points = tuple(
-        PointTerm(t.order, t.point,
-                  _keyed(lambda e: _eval_eps_matrix(e, eps), t.coeff,
-                         f"boundary.point_terms[{i}].coeff", eps))
-        for i, t in enumerate(fam.boundary.point_terms))
-    integrals = tuple(
-        IntegralTerm(t.order, _keyed(grid, t.density,
-                                     f"boundary.integral_terms[{i}].density",
-                                     eps))
-        for i, t in enumerate(fam.boundary.integral_terms))
-    B = BoundaryOperator(points, integrals, fam.r * fam.m, fam.m,
-                         fam.interval)
-    return ProblemInstance(fam.r, fam.m, fam.interval, coeffs, rhs, B,
-                           fam.target_vector(eps), eps, N)
+def instantiate_stack(fam: ProblemFamily, eps_list: list, N: int) -> list:
+    """`instantiate` at each eps of eps_list: each coefficient, rhs and
+    density evaluated once on the node grid with eps as a column
+    (`_eval_exprs`, which keeps the bits of each eps alone), and each
+    eps-only matrix at each eps, or once if no entry mentions eps.  Several
+    eps that leave [0, eps0), mix eps = 0 and eps > 0 (two sets of
+    expressions, `keyed_exprs`) or meet an expression with no value are
+    instantiated one at a time, so that the error names the first such
+    eps."""
+    one_side = (all(0.0 <= eps < fam.eps0 for eps in eps_list)
+                and len({eps == 0.0 for eps in eps_list}) == 1)
+    if len(eps_list) > 1:
+        if one_side:
+            with suppress(ex.EvalError):
+                return _instantiate_stack(fam, eps_list, N)
+        return [instantiate(fam, eps, N) for eps in eps_list]
+    if not one_side:
+        raise ValueError(f"eps={eps_list[0]} outside [0, {fam.eps0})")
+    return _instantiate_stack(fam, eps_list, N)
+
+
+def _instantiate_stack(fam: ProblemFamily, eps_list: list, N: int) -> list:
+    def grids(exprs):
+        return GridFunction.from_exprs(exprs, fam.interval, N,
+                                       eps=np.array(eps_list))
+
+    def eps_only(exprs):
+        if len(eps_list) > 1 and any(ex.mentions(e, "eps")
+                                     for e in exprs.flat):
+            return [_eval_eps_matrix(exprs, eps) for eps in eps_list]
+        return [_eval_eps_matrix(exprs, eps_list[0])] * len(eps_list)
+
+    bnd = fam.boundary
+    ckey, cexprs = fam.keyed_exprs("coeffs", eps_list[0])
+    coeffs = [_keyed(grids, c, f"{ckey}[{j}]", eps_list)
+              for j, c in enumerate(cexprs)]
+    rkey, rexprs = fam.keyed_exprs("rhs", eps_list[0])
+    rhs = _keyed(grids, rexprs, rkey, eps_list)
+    points = [_keyed(eps_only, t.coeff, f"boundary.point_terms[{i}].coeff",
+                     eps_list) for i, t in enumerate(bnd.point_terms)]
+    densities = [_keyed(grids, t.density,
+                        f"boundary.integral_terms[{i}].density", eps_list)
+                 for i, t in enumerate(bnd.integral_terms)]
+    targets = _keyed(eps_only, fam.target, "target", eps_list)
+    out = []
+    for k, eps in enumerate(eps_list):
+        B = BoundaryOperator(
+            tuple(PointTerm(t.order, t.point, p[k])
+                  for t, p in zip(bnd.point_terms, points)),
+            tuple(IntegralTerm(t.order, d[k])
+                  for t, d in zip(bnd.integral_terms, densities)),
+            fam.r * fam.m, fam.m, fam.interval)
+        out.append(ProblemInstance(
+            fam.r, fam.m, fam.interval, tuple(c[k] for c in coeffs), rhs[k],
+            B, targets[k][:, 0], eps, N))
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -237,9 +277,12 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
 
     Acts on vec(y) with component-major layout: entry p*(N+1)+i holds
     component p at node i.  Shape (rm, m*(N+1)).  A term of order q applies
-    D to its rows q times, as _bordered_solve does: O(q N^2) per row, and
-    more accurate than one row times D^q.
+    D to its rows q times, as `solver.factor` does: O(q N^2) per row, and
+    more accurate than one row times D^q.  Built once per B and N, and
+    read-only.
     """
+    if N in B.matrices:
+        return B.matrices[N]
     a, b = map(float, B.interval)
     nodes, D = _grid_data(N, a, b)
     w = _quadrature(N, a, b)[1]
@@ -254,7 +297,10 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
         for _ in range(term.order):
             rows = rows @ D
         out += rows
-    return out.reshape(B.size, -1)
+    out = out.reshape(B.size, -1)
+    out.flags.writeable = False
+    B.matrices[N] = out
+    return out
 
 
 def boundedness_certificate(B: BoundaryOperator) -> float:

@@ -4,12 +4,15 @@ Two routes share one bordered collocation solve.  The direct route
 applies it to the r-th order system with its boundary rows; the companion
 route to the first-order system x' + A x = g with x(a) given (r = 1), and
 closes B's conditions through the fundamental and characteristic matrices.
+The bordered solve factors a stack of instances of one shape in one call
+(`factor`); a single solve is the stack of one.
 Each returns one SolveResult: the solution y, the matrix solution Z (L Z =
 0, B Z = I) and the Condition (0) margin its gate decided on.  Differing in
 formulation and boundary handling, they cross-validate field for field.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,7 @@ from .problem import (BoundaryOperator, PointTerm, ProblemInstance, apply_B,
 
 RESIDUAL_RTOL = 1e-6
 CONDITION_ZERO_RTOL = 1e-10
+STACK_BYTES = 8 << 20   # collocation matrices of a stack (`stack_size`)
 
 
 class ConditionZeroViolated(RuntimeError):
@@ -60,6 +64,28 @@ class FundamentalMatrix:
 class CharacteristicMatrix:
     M: np.ndarray     # (rm, rm)
     margin: float     # sigma_min(M) / ||M||_2, the Condition (0) margin
+
+
+@dataclass(frozen=True)
+class InstanceStack:
+    """Instances of one r, m and degree N, factored in one call."""
+    instances: tuple
+
+    @property
+    def N(self) -> int:
+        return self.instances[0].N
+
+
+@dataclass(frozen=True)
+class Factored:
+    """An instance with its row of a stack's factorization (`factor`), which
+    `solve_bvp_direct` reads instead of factoring again."""
+    instance: ProblemInstance
+    margin: float             # 0 where the system is singular
+    cols: np.ndarray          # (m, N+1, 1 + rm), zeros where singular
+
+    def __getattr__(self, name):   # eps, N, ...: the instance's
+        return getattr(self.instance, name)
 
 
 @dataclass(frozen=True)
@@ -104,9 +130,10 @@ def fundamental_matrix(cs: CompanionSystem) -> FundamentalMatrix:
     """X and x_p from one bordered solve of the first-order instance: x_p
     solves it with x_p(a) = 0, and X the homogeneous system with X(a) = I.
     A singular collocation matrix raises LinAlgError."""
-    cols = _bordered_solve(_first_order(cs))[1]
-    if cols is None:
+    f = factor([_first_order(cs)])[0]
+    if f.margin == 0.0:
         raise np.linalg.LinAlgError("singular first-order collocation matrix")
+    cols = f.cols
     return FundamentalMatrix(
         GridFunction(cols[:, :, 1:].transpose(0, 2, 1), cs.A.interval),
         cols[:, None, :, 0])
@@ -118,13 +145,14 @@ def characteristic_matrix(B: BoundaryOperator, X: GridFunction) -> Characteristi
     m = B.m
     Ytop = GridFunction(X.values[:m, :], X.interval)
     M = apply_B(B, Ytop)
-    return CharacteristicMatrix(M, _margin(M))
+    return CharacteristicMatrix(M, float(_margin(M)))
 
 
-def _margin(M: np.ndarray) -> float:
-    """sigma_min(M) / sigma_max(M), which M^{-1} shares with M."""
+def _margin(M: np.ndarray) -> np.ndarray:
+    """sigma_min(M) / sigma_max(M), which M^{-1} shares with M, for each of
+    a stack of square matrices."""
     sigma = np.linalg.svd(M, compute_uv=False)
-    return float(sigma[-1] / max(sigma[0], 1e-300))
+    return sigma[..., -1] / np.maximum(sigma[..., 0], 1e-300)
 
 
 def _require_condition_zero(margin: float, N: int) -> None:
@@ -177,24 +205,30 @@ def _result(instance: ProblemInstance, y: GridFunction, Z: GridFunction,
     return SolveResult(y, Z, residual, instance.N, route, margin)
 
 
-def collocation_matrix(instance: ProblemInstance) -> np.ndarray:
-    """Square collocation matrix of (L, B) with boundary bordering.
+def collocation_matrix(instance) -> np.ndarray:
+    """Square collocation matrix of (L, B) with boundary bordering, of an
+    instance, or the stack of an InstanceStack's: one einsum per coefficient
+    over the stacked coefficient values, with D's powers computed once.
 
     Component-major layout; collocation rows at ceil(r/2) leading and
     floor(r/2) trailing nodes are replaced by the rm boundary rows.
     """
-    r, m, N = instance.r, instance.m, instance.N
-    D = instance.coeffs[0].diffmat
+    insts = getattr(instance, "instances", (instance,))
+    r, m, N = insts[0].r, insts[0].m, insts[0].N
+    D = insts[0].coeffs[0].diffmat
     powers = [np.eye(N + 1), D]
     for _ in range(r - 1):
         powers.append(D @ powers[-1])
-    big = np.kron(np.eye(m), powers[r]).astype(complex)
-    big = big.reshape(m, N + 1, m, N + 1)
+    big = np.empty((len(insts), m, N + 1, m, N + 1), dtype=complex)
+    big[:] = np.kron(np.eye(m), powers[r]).reshape(m, N + 1, m, N + 1)
     for j in range(r):
-        big += np.einsum("pqi,ik->piqk", instance.coeffs[j].values, powers[j])
-    big = big.reshape(m * (N + 1), m * (N + 1))
-    keep = _kept_rows(r, m, N)
-    return np.vstack([big[keep], boundary_matrix(instance.B, N)])
+        A = np.stack([inst.coeffs[j].values for inst in insts])
+        big += np.einsum("spqi,ik->spiqk", A, powers[j])
+    big = big.reshape(len(insts), m * (N + 1), m * (N + 1))
+    mats = np.concatenate(
+        [big[:, _kept_rows(r, m, N)],
+         np.stack([boundary_matrix(inst.B, N) for inst in insts])], axis=1)
+    return mats if isinstance(instance, InstanceStack) else mats[0]
 
 
 def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
@@ -202,41 +236,59 @@ def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
     return np.concatenate([p * (N + 1) + node_keep for p in range(m)])
 
 
-def _bordered_solve(instance: ProblemInstance):
-    """The Condition (0) margin and the columns (m, N+1, 1 + rm) of one
-    factorization of [K; Bmat] solved for [f; c] and [0; I_rm].
+def stack_size(m: int, N: int) -> int:
+    """The most instances with m components at degree N whose complex
+    collocation matrices fit in STACK_BYTES, one at least."""
+    return max(1, STACK_BYTES // (16 * (m * (N + 1)) ** 2))
+
+
+def factor(instances) -> list:
+    """Each instance (of one r, m and N) as a `Factored`: the Condition (0)
+    margin and the columns (m, N+1, 1 + rm) of its system [K; Bmat], solved
+    for [f; c] and [0; I_rm] by one np.linalg.solve call for them all.
 
     Column 0 is y.  The rest, Z, has K Z = 0 and Bmat Z = I, so its initial
-    rows E Z (y^(k)(a), k < r) are M^{-1}.  A singular matrix has margin 0.
+    rows E Z (y^(k)(a), k < r) are M^{-1}.  Where the stacked solve raises,
+    the systems are solved one by one, and a singular one keeps zero
+    columns, so margin 0.
     """
-    r, m, N = instance.r, instance.m, instance.N
-    mat = collocation_matrix(instance)
-    f = instance.rhs.values[:, 0, :].reshape(-1)[_kept_rows(r, m, N)]
-    rhs = np.zeros((mat.shape[0], 1 + r * m), dtype=complex)
-    rhs[:, 0] = np.concatenate([f, instance.c])
-    rhs[-r * m:, 1:] = np.eye(r * m)
+    stack = InstanceStack(tuple(instances))
+    insts = stack.instances
+    r, m, N = insts[0].r, insts[0].m, insts[0].N
+    mats = collocation_matrix(stack)
+    keep = _kept_rows(r, m, N)
+    rhs = np.zeros(mats.shape[:2] + (1 + r * m,), dtype=complex)
+    rhs[:, :, 0] = [np.concatenate([inst.rhs.values[:, 0, :].reshape(-1)[keep],
+                                    inst.c]) for inst in insts]
+    rhs[:, -r * m:, 1:] = np.eye(r * m)
     try:
-        cols = np.linalg.solve(mat, rhs).reshape(m, N + 1, 1 + r * m)
+        sol = np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError:
-        return 0.0, None
+        sol = np.zeros_like(rhs)
+        for i in range(len(insts)):
+            with suppress(np.linalg.LinAlgError):
+                sol[i] = np.linalg.solve(mats[i], rhs[i])
+    cols = sol.reshape(len(insts), m, N + 1, 1 + r * m)
     row = np.eye(1, N + 1)[0]   # node 0 is t = a
     EZ = []
     for _ in range(r):
-        EZ.append(row @ cols[:, :, 1:])
-        row = row @ instance.coeffs[0].diffmat
-    return _margin(np.concatenate(EZ)), cols
+        EZ.append(row @ cols[..., 1:])
+        row = row @ insts[0].coeffs[0].diffmat
+    margins = _margin(np.concatenate(EZ, axis=1)).tolist()
+    return list(map(Factored, insts, margins, cols))
 
 
-def solve_bvp_direct(instance: ProblemInstance) -> SolveResult:
+def solve_bvp_direct(instance) -> SolveResult:
     """Square collocation of the r-th order system itself, at the
     instance's degree, gated by Condition (0) from the same factorization,
-    which also gives the matrix solution Z."""
-    margin, cols = _bordered_solve(instance)
-    _require_condition_zero(margin, instance.N)
-    y = GridFunction(cols[:, None, :, 0].copy(), instance.interval)
-    Z = GridFunction(cols[:, :, 1:].transpose(0, 2, 1).copy(),
-                     instance.interval)
-    return _result(instance, y, Z, _residual(instance, y), "direct", margin)
+    which also gives the matrix solution Z.  A ProblemInstance is factored
+    as a stack of one; a `Factored` one is read from its stack's."""
+    f = instance if isinstance(instance, Factored) else factor([instance])[0]
+    inst, cols = f.instance, f.cols
+    _require_condition_zero(f.margin, inst.N)
+    y = GridFunction(cols[:, None, :, 0].copy(), inst.interval)
+    Z = GridFunction(cols[:, :, 1:].transpose(0, 2, 1).copy(), inst.interval)
+    return _result(inst, y, Z, _residual(inst, y), "direct", f.margin)
 
 
 def solve_bvp(instance: ProblemInstance) -> SolveResult:

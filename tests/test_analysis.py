@@ -1,7 +1,6 @@
 """Limit conditions, sweeps, criterion agreement, operator convergence."""
 import json
-from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,8 +9,9 @@ from hbvp import analysis as an
 from hbvp import cli
 from hbvp import solver as solver_mod
 from hbvp.grid import HolderIndex, holder_norm
-from hbvp.problem import (_gallery_config, apply_B, boundedness_certificate,
-                          family_from_config, gallery, instantiate)
+from hbvp.problem import (GALLERY_NAMES, _gallery_config, apply_B,
+                          boundedness_certificate, family_from_config,
+                          gallery, instantiate, instantiate_stack)
 from hbvp.solver import ConditionZeroViolated, solve_bvp_direct
 
 EPS_SHORT = an.geometric_eps(1.0, 0.5, 10)
@@ -89,74 +89,135 @@ def test_limit_conditions_eps_independent_family_all_zero():
     assert max(flat + v.condII_probe) < 1e-12
 
 
-def _count_B_applications(monkeypatch):
-    """Make analysis record the eps = 0 operators it builds (zero_B) and,
-    per apply_B call, whether that call applies one of them (seen)."""
-    zero_B, seen = [], []
+def _count_instantiations(monkeypatch):
+    """Make analysis record, per instantiate or instantiate_stack call, the
+    eps it instantiates (calls), and the eps = 0 operators it builds
+    (zero_B)."""
+    calls, zero_B = [], []
 
-    def instantiating(fam, eps, N):
-        inst = instantiate(fam, eps, N)
-        if eps == 0.0:
-            zero_B.append(inst.B)
-        return inst
+    def recording(insts):
+        calls.append([inst.eps for inst in insts])
+        zero_B.extend(inst.B for inst in insts if inst.eps == 0.0)
+        return insts
+
+    monkeypatch.setattr(an, "instantiate", lambda fam, eps, N: recording(
+        [instantiate(fam, eps, N)])[0])
+    monkeypatch.setattr(an, "instantiate_stack", lambda fam, eps, N:
+                        recording(instantiate_stack(fam, eps, N)))
+    return calls, zero_B
+
+
+def _count_B_applications(monkeypatch):
+    """`_count_instantiations`, and per apply_B call whether that call
+    applies one of the eps = 0 operators (seen)."""
+    calls, zero_B = _count_instantiations(monkeypatch)
+    seen = []
 
     def counting(B, y):
         seen.append(any(B is B0 for B0 in zero_B))
         return apply_B(B, y)
 
-    monkeypatch.setattr(an, "instantiate", instantiating)
     monkeypatch.setattr(an, "apply_B", counting)
-    return zero_B, seen
+    return calls, zero_B, seen
 
 
 def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
     # B(0) y is the same vector at every eps: 7 probes, 7 applications, and
-    # one more for the eps = 0 solution y0 where Condition (0) gives one
+    # one more for the eps = 0 solution y0 where Condition (0) gives one;
+    # eps = 0 is instantiated alone, the 20 swept eps once each, in a stack
     for name, solved in (("F1_smooth_perturb", 1), ("F3_cond0_violated", 0)):
         fam = gallery(name)
-        zero_B, seen = _count_B_applications(monkeypatch)
+        calls, zero_B, seen = _count_B_applications(monkeypatch)
         v = an.main_theorem_suite(fam, N=16, M=256)
         assert len(an.default_probes(fam, 16)) == 7
         assert len(v.eps_sequence) == 20
+        assert calls == [[0.0], v.eps_sequence]
         assert len(zero_B) == 1
         per_eps = 7 + solved
         assert seen.count(True) == per_eps
         assert len(seen) == per_eps * (1 + 20)
 
 
-def _count_calls(monkeypatch, *names):
-    """Make analysis count its calls of the named functions."""
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(an, name, counting(name, getattr(an, name)))
-    return calls
-
-
 def test_verify_all_instantiates_and_differences_each_eps_once(monkeypatch,
                                                                capsys):
     # one eps walk per family: eps = 0 and the 20 swept eps are instantiated
-    # once each, and the 20 coefficient differences built once each
-    calls = _count_calls(monkeypatch, "instantiate", "_coeff_diffs")
+    # once each, and the coefficient differences built once per walk
+    calls, _ = _count_instantiations(monkeypatch)
+    built = []
+    diff_exprs = an._diff_exprs
+    monkeypatch.setattr(an, "_diff_exprs", lambda fam, eps: built.append(
+        fam.name) or diff_exprs(fam, eps))
     assert cli.main(["verify", "--all", "--degree", "24",
                      "--samples", "512"]) == 0
     assert capsys.readouterr().out.count("AGREEMENT") == 6
-    assert calls["instantiate"] <= 6 * 21 and calls["_coeff_diffs"] <= 6 * 20
+    eps = [e for c in calls for e in c]
+    assert len(eps) == 6 * 21 and eps.count(0.0) == 6
+    assert len(calls) == 6 * 2
+    assert sorted(built) == sorted(GALLERY_NAMES)
 
 
 def test_two_sided_sweep_applies_B0_once(monkeypatch):
     # B(0) y0 is the same vector at every eps: one application per sweep
     fam = gallery("F1_smooth_perturb")
-    zero_B, seen = _count_B_applications(monkeypatch)
+    calls, zero_B, seen = _count_B_applications(monkeypatch)
     rep = an.two_sided_sweep(fam, N=16, M=256)
     assert len(rep.records) == 20 and len(zero_B) == 1
+    assert calls == [[0.0], [r.eps for r in rep.records]]
     assert seen.count(True) == 1 and len(seen) == 1 + 20
+
+
+def _singular_config():
+    """F1 with y(0)'s point coefficient 1 - 2 eps: B(0.5) drops y(0)."""
+    cfg = _gallery_config("F1_smooth_perturb")
+    cfg["boundary"]["point_terms"][0]["coeff"] = [["1-2*eps"], ["0"]]
+    return cfg
+
+
+@pytest.mark.parametrize("config", [
+    *(pytest.param(lambda n=name: _gallery_config(n), id=name[:2])
+      for name in ("F1_smooth_perturb", "F2_boundary_perturb",
+                   "F4_limitI_violated", "F5_multipoint_integral",
+                   "F6_holder_rough")),
+    pytest.param(_singular_config, id="singular")])
+def test_stacked_sweep_is_the_sweeps_of_one_eps(config):
+    # stacking is invisible: every field of every record has the bits of
+    # the sweep of its eps alone, a singular eps in the stack included
+    fam = family_from_config(config())
+    stacked = an.two_sided_sweep(fam, N=16, M=256).records
+    alone = [an.two_sided_sweep(fam, [rec.eps], N=16, M=256).records[0]
+             for rec in stacked]
+    assert [repr(astuple(r)) for r in stacked] == [
+        repr(astuple(r)) for r in alone]
+    failures = [rec.failure for rec in stacked]
+    assert failures == [None] * 20 or failures == (
+        ["ConditionZeroViolated"] + [None] * 19)
+
+
+def _count_factorizations(monkeypatch):
+    """Record the shape of each np.linalg.solve call's matrix argument."""
+    shapes, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(
+        a.shape) or solve(a, b))
+    return shapes
+
+
+def test_default_sweep_makes_two_factorization_calls(monkeypatch):
+    # eps = 0 alone, then the 20 swept eps as one stack, not one per eps
+    shapes = _count_factorizations(monkeypatch)
+    rep = an.two_sided_sweep(gallery("F1_smooth_perturb"))
+    assert len(rep.records) == 20
+    assert shapes == [(1, 33, 33), (20, 33, 33)]
+
+
+def test_a_stack_chunked_under_the_byte_budget_is_invisible(monkeypatch):
+    fam = gallery("F1_smooth_perturb")
+    whole = an.two_sided_sweep(fam, N=16, M=256).records
+    monkeypatch.setattr(solver_mod, "STACK_BYTES", 3 * 16 * 17 ** 2 + 1)
+    shapes = _count_factorizations(monkeypatch)
+    chunked = an.two_sided_sweep(fam, N=16, M=256).records
+    assert [repr(astuple(r)) for r in chunked] == [
+        repr(astuple(r)) for r in whole]
+    assert shapes == [(1, 17, 17)] + [(3, 17, 17)] * 6 + [(2, 17, 17)]
 
 
 def test_two_sided_sweep_f1_band():
@@ -266,20 +327,21 @@ def test_main_theorem_suite_positive_and_negative():
 
 def test_main_theorem_suite_factors_eps_zero_once(monkeypatch):
     # Condition (0) is read from the sweep's eps = 0 solve, so the eps = 0
-    # bordered matrix is built once: 1 of 21 collocation matrices
+    # bordered matrix is built once: 1 of 21 collocation matrices, the other
+    # 20 built as one stack
     fam = gallery("F1_smooth_perturb")
     margin = solve_bvp_direct(instantiate(fam, 0.0, 24)).margin
     seen = []
     real = solver_mod.collocation_matrix
 
-    def counting(inst):
-        seen.append(inst.eps)
-        return real(inst)
+    def counting(stack):
+        seen.append([inst.eps for inst in stack.instances])
+        return real(stack)
 
     monkeypatch.setattr(solver_mod, "collocation_matrix", counting)
     v = an.main_theorem_suite(fam, N=24, M=512)
     assert v.cond0_ok and v.cond0_margin == margin
-    assert seen.count(0.0) == 1 and len(seen) == 21
+    assert seen == [[0.0], v.eps_sequence]
 
 
 def test_main_theorem_suite_condition_zero_violation_keeps_its_margin():

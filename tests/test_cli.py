@@ -531,3 +531,37 @@ def test_sweep_records_a_rejected_solve(tmp_path, monkeypatch):
     rows = (out / "sweep.csv").read_text().splitlines()
     (row,) = [r for r in rows if r.startswith("0.25,")]
     assert row.endswith(",SolveRejected")
+
+
+def _config_file(tmp_path, **changes):
+    """F1's config with the given keys changed, written to a file."""
+    cfg = dict(_gallery_config("F1_smooth_perturb"), **changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_sweep_records_a_singular_eps_of_a_stack(tmp_path):
+    # y(0)'s coefficient 1 - 2 eps vanishes at eps = 0.5: that row fails,
+    # and the rest of its stack keeps the values of a sweep eps by eps
+    point_terms = _gallery_config("F1_smooth_perturb")["boundary"][
+        "point_terms"]
+    point_terms[0]["coeff"] = [["1-2*eps"], ["0"]]
+    path = _config_file(tmp_path, boundary={"point_terms": point_terms})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", path, "--count", "4",
+                "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[1] == "0.5,,,,,,ConditionZeroViolated"
+    assert rows[2].startswith("0.25,0.6753641113068124,")
+    assert [r.split(",")[-1] for r in rows[3:]] == ["", ""]
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_a_pole_in_a_stack_names_its_key_and_eps(command, tmp_path, capsys):
+    path = _config_file(tmp_path, rhs=["exp(t)/(eps-0.125)"],
+                        rhs_at_zero=["-8*exp(t)"])
+    assert run([command, "--config", path,
+                "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: rhs[0]: division by zero at eps=0.125\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hbvp import cli, grid
+from hbvp import expr as ex
 from hbvp.analysis import two_sided_sweep
 from hbvp.chebyshev import bary_matrix
 from hbvp.grid import (_PAIR_BLOCK, GridFunction, HolderIndex, ShapeError,
@@ -653,3 +654,21 @@ def test_norms_of_a_product_sample_at_least_at_its_degree(M):
     idx = HolderIndex(1, 0.5)
     assert fg.N == 128
     assert holder_norm(fg, idx, M) == holder_norm(fg, idx, 129)
+
+
+@pytest.mark.parametrize("src", [
+    "(2+eps)/(3+eps)", "(1+eps)/(7+eps)*exp(t)", "(1+2*i*eps)*(3-i*eps)*t",
+    "sin(t/eps)", "(1+eps)*powabs(t-eps, 0.5)", "powabs(t-0.5, 0.5)",
+    "exp(t)"])
+def test_an_eps_array_evaluates_as_each_eps_alone(src):
+    # a stack's rows have the bits of each eps evaluated alone: eps-only
+    # quotients and products in Python's arithmetic, the powabs nudge per
+    # eps (the points include each eps and 0.5)
+    sources = np.array([[ex.parse_expression(src)]], dtype=object)
+    eps = [0.5, 0.3, 0.25, 1e-3]
+    ts = np.unique(np.concatenate([grid._grid_data(32, 0.0, 1.0)[0], eps]))
+    stacked = grid._eval_exprs(sources, ts, np.array(eps), 0.0, 1.0)
+    assert stacked.shape == (4, 1, 1, len(ts))
+    for row, x in zip(stacked, eps):
+        alone = grid._eval_exprs(sources, ts, x, 0.0, 1.0)
+        assert row.tobytes() == alone.tobytes()

@@ -243,7 +243,7 @@ def test_solve_result_margin_is_the_characteristic_margin():
         inst = instantiate(gallery(name), 0.2, 32)
         direct = solve_bvp_direct(inst).margin
         companion = solve_bvp(inst).margin
-        assert direct == solver_mod._bordered_solve(inst)[0]
+        assert direct == solver_mod.factor([inst])[0].margin
         assert companion == _margin(inst)
         assert abs(direct - companion) <= 1e-8 * companion
 
@@ -326,7 +326,7 @@ def test_direct_residual_is_L_at_the_collocation_nodes(cfg, N):
         inst = instantiate(gallery(cfg), 0.2, N)
     else:
         inst = instantiate(_family(cfg), 0.0, N)
-    y = GridFunction(solver_mod._bordered_solve(inst)[1][:, None, :, 0].copy(),
+    y = GridFunction(solver_mod.factor([inst])[0].cols[:, None, :, 0].copy(),
                      inst.interval)
     keep = solver_mod._kept_rows(inst.r, 1, N)
     gap = (apply_L(inst, y).eval_at(inst.rhs.nodes[keep])
