@@ -25,16 +25,16 @@ import numpy as np
 from . import chebyshev as cheb
 from . import expr as ex
 from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex, _eval_exprs,
-                   _grid_data, algebra_constant, holder_norm, interpolate,
-                   product, sample_stack)
-from .problem import ProblemFamily, apply_B, instantiate, instantiate_stack
+                   _grid_data, algebra_constant, holder_norms, interpolate,
+                   product)
+from .problem import (ProblemFamily, apply_B, boundary_matrix, instantiate,
+                      instantiate_stack)
 from .solver import (ConditionZeroViolated, SolveRejected, apply_L, factor,
                      solve_bvp_direct, stack_size)
 
 ZERO_TAIL_LEN = 5
 ZERO_FINAL_FACTOR = 1e-3
 RATIO_BAND_CAP = 1e4
-NORM_STACK_BYTES = 64 << 10   # samples per stack of sweep norms
 
 
 def geometric_eps(eps0: float, factor: float = 0.5, count: int = 20):
@@ -107,32 +107,23 @@ def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
             for j, d in _diff_exprs(fam, eps)[1]]
 
 
-def _coeff_diff_action(diffs: list, y: GridFunction):
-    """-sum_j (A_j(eps) - A_j(0)) y^(j) over the `_coeff_diffs`; None when
-    there are none."""
-    acc = None
-    for j, dA in diffs:
-        term = product(dA, y.derivative(j))
-        acc = term.scale(-1.0) if acc is None else acc - term
-    return acc
-
-
 # --- discrepancy and the two-sided sweep -------------------------------------
 
 def _perturbations(fam: ProblemFamily, inst0, y0: GridFunction):
     """The residual of y0 in eps problems with the eps = 0 problem's
     residual cancelled exactly, as a function of instances on one side of
-    eps = 0 and their symbolic `_diff_exprs` rhs_diff and coeff_diffs; y0
-    solves inst0.
+    eps = 0, their symbolic `_diff_exprs` rhs_diff and their coefficient
+    differences dA2N, pairs (j, A_j(eps) - A_j(0) at the degree-2N nodes,
+    stacked along eps); y0 solves inst0.
 
     Per instance it gives h = (f(eps) - f(0)) - (L(eps) - L(0)) y0, h at
     degree N and c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0, the
     right-hand side and boundary data of delta = y(eps) - y(0).  h is formed
     for the stack at degree 2N, the products' exact degree, from one
-    evaluation of each difference with eps as a column, and taken to degree
-    N by one matmul; with no coefficient difference it is the rhs difference
-    at degree N, keeping its source.  B(0) y0 and each y0^(j) at degree 2N
-    are formed once.
+    evaluation of the rhs difference with eps as a column, and taken to
+    degree N by one matmul; with no coefficient difference it is the rhs
+    difference at degree N, keeping its source.  B(0) y0 and each y0^(j)
+    at degree 2N are formed once.
     """
     (a, b), N = fam.interval, y0.N
     nodes, B0y0 = _grid_data(2 * N, a, b)[0], apply_B(inst0.B, y0)[:, 0]
@@ -141,13 +132,12 @@ def _perturbations(fam: ProblemFamily, inst0, y0: GridFunction):
     def y0_2N(j):
         return y0.derivative(j).resample(2 * N).values
 
-    def at(insts, rhs_diff, coeff_diffs):
+    def at(insts, rhs_diff, dA2N):
         eps = np.array([inst.eps for inst in insts])
-        if coeff_diffs:
+        if dA2N:
             h = _eval_exprs(rhs_diff, nodes, eps, a, b)
-            for j, d in coeff_diffs:
-                h = h - np.einsum("sikt,kjt->sijt",
-                                  _eval_exprs(d, nodes, eps, a, b), y0_2N(j))
+            for j, dA in dA2N:
+                h = h - np.einsum("sikt,kjt->sijt", dA, y0_2N(j))
             hs = [GridFunction(v, fam.interval) for v in h]
             h = h @ cheb.bary_matrix(nodes, _grid_data(N, a, b)[0]).T
             rhs = [GridFunction(v, fam.interval) for v in h]
@@ -167,14 +157,17 @@ def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
 
     def at(inst, diffs):
         hs, _, c_deltas = stack([inst], _diff_exprs(fam, inst.eps)[0],
-                                [(j, d.sources) for j, d in diffs])
+                                [(j, d.resample(2 * d.N).values[None])
+                                 for j, d in diffs])
         return hs[0], c_deltas[0]
     return at
 
 
-def _discrepancy_norm(resid: GridFunction, bvec: np.ndarray,
-                      idx: HolderIndex, M: int) -> float:
-    return holder_norm(resid, idx, M).total + float(np.linalg.norm(bvec))
+def _discrepancy_norms(resids: list, bvecs: list, idx: HolderIndex,
+                       M: int) -> list:
+    """||resid||_{n,alpha} + |bvec| of each pair, the norms as one stack."""
+    return [v.total + float(np.linalg.norm(bvec))
+            for v, bvec in zip(holder_norms(resids, idx, M), bvecs)]
 
 
 def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
@@ -195,7 +188,7 @@ def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
     else:
         resid, bvec = _perturbation(fam, instantiate(fam, 0.0, N), y0)(
             inst, _coeff_diffs(fam, eps, N))
-    return _discrepancy_norm(resid, bvec, fam.idx, M)
+    return _discrepancy_norms([resid], [bvec], fam.idx, M)[0]
 
 
 @dataclass
@@ -248,10 +241,12 @@ def _descending(fam: ProblemFamily, eps_sequence) -> list:
 
 
 def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
-          y0: GridFunction | None) -> list:
-    """Per eps of eps_sequence, in its order: the instance, its
-    `_coeff_diffs` and, when y0 (the solution of the eps = 0 instance inst0)
-    is given, its sweep record.
+          y0: GridFunction | None):
+    """Per stack of eps of eps_sequence, in its order: the instances, the
+    pairs (j, [A_j(eps) - A_j(0) at degree N, per eps]) and (j, the same at
+    the degree-2N nodes, (k, m, m, 2N+1)) of the coefficient differences that
+    do not fold to zero, and, when y0 (the solution of the eps = 0 instance
+    inst0) is given, the stack's sweep records.
 
     The eps on each side of 0 share their differences, built once.  They
     are walked in stacks of `stack_size` eps (every eps of a default sweep
@@ -262,7 +257,8 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
     y(0) solves the exactly-cancelled perturbation data, avoiding loss of
     significance at tiny eps; solve failures are recorded as data.
     """
-    walk, size = [], stack_size(fam.m, N)
+    size, (a, b) = stack_size(fam.m, N), fam.interval
+    nodes = _grid_data(2 * N, a, b)[0]
     perturb = _perturbations(fam, inst0, y0) if y0 is not None else None
     for _, group in itertools.groupby(eps_sequence, lambda e: e == 0.0):
         group = list(group)
@@ -270,48 +266,40 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
         for s in range(0, len(group), size):
             eps = np.array(group[s:s + size])
             insts = instantiate_stack(fam, eps.tolist(), N)
-            pairs = [(j, GridFunction.from_exprs(d, fam.interval, N,
-                                                 eps=eps))
+            diffs = [(j, GridFunction.from_exprs(d, fam.interval, N, eps=eps))
                      for j, d in coeff_diffs]
-            diffs = [[(j, g[k]) for j, g in pairs] for k in range(len(eps))]
-            records = [None] * len(eps)
+            dA2N = [(j, _eval_exprs(d, nodes, eps, a, b))
+                    for j, d in coeff_diffs]
+            records = []
             if perturb is not None:
-                hs, rhs, c_deltas = perturb(insts, rhs_diff, coeff_diffs)
+                hs, rhs, c_deltas = perturb(insts, rhs_diff, dA2N)
                 records = _records(fam, factor(
                     replace(inst, rhs=f, c=c)
                     for inst, f, c in zip(insts, rhs, c_deltas)), hs, M)
-            walk += zip(insts, diffs, records)
-    return walk
+            yield insts, diffs, dA2N, records
 
 
 def _records(fam: ProblemFamily, deltas: list, hs: list, M: int) -> list:
     """The sweep records of `Factored` delta instances with perturbations
-    hs, solved and sampled (`sample_stack`) as many rows at a time as have
-    samples within NORM_STACK_BYTES, or one."""
-    err_idx = HolderIndex(fam.idx.n + fam.r, fam.idx.alpha)
-    step = max(1, NORM_STACK_BYTES // (16 * fam.m
-                                       * max(M, 2 * deltas[0].N + 1)))
-    out = []
-    for s in range(0, len(deltas), step):
-        rows = []
-        for delta in deltas[s:s + step]:
-            try:
-                rows.append(solve_bvp_direct(delta))
-            except (ConditionZeroViolated, SolveRejected) as err:
-                rows.append(SweepRecord(delta.eps, None, None, None, None,
-                                        None, failure=type(err).__name__))
-        ok = [k for k, r in enumerate(rows) if not isinstance(r, SweepRecord)]
-        if ok:
-            sample_stack([rows[k].y for k in ok], M, err_idx.n)
-            sample_stack([hs[s + k] for k in ok], M, fam.idx.n)
-        for k in ok:
-            error = holder_norm(rows[k].y, err_idx, M).total
-            d = _discrepancy_norm(hs[s + k], deltas[s + k].c, fam.idx, M)
-            rows[k] = SweepRecord(deltas[s + k].eps, error, d,
-                                  error / d if d > 0 else None,
-                                  rows[k].margin, rows[k].residual)
-        out += rows
-    return out
+    hs, solved one by one, their error and discrepancy norms taken as two
+    stacks (`holder_norms`)."""
+    rows = []
+    for delta in deltas:
+        try:
+            rows.append(solve_bvp_direct(delta))
+        except (ConditionZeroViolated, SolveRejected) as err:
+            rows.append(SweepRecord(delta.eps, None, None, None, None, None,
+                                    failure=type(err).__name__))
+    ok = [k for k, r in enumerate(rows) if not isinstance(r, SweepRecord)]
+    errors = holder_norms([rows[k].y for k in ok],
+                          HolderIndex(fam.idx.n + fam.r, fam.idx.alpha), M)
+    ds = _discrepancy_norms([hs[k] for k in ok], [deltas[k].c for k in ok],
+                            fam.idx, M)
+    for k, error, d in zip(ok, errors, ds):
+        rows[k] = SweepRecord(deltas[k].eps, error.total, d,
+                              error.total / d if d > 0 else None,
+                              rows[k].margin, rows[k].residual)
+    return rows
 
 
 def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
@@ -323,8 +311,9 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
     """
     inst0 = instantiate(fam, 0.0, N)
     res0 = solve_bvp_direct(inst0)
-    records = [rec for _, _, rec in _walk(
-        fam, _descending(fam, eps_sequence), N, M, inst0, res0.y)]
+    records = [rec for *_, stack in _walk(
+        fam, _descending(fam, eps_sequence), N, M, inst0, res0.y)
+        for rec in stack]
     ratios = [r.ratio for r in records if r.ratio is not None]
     lo = min(ratios) if ratios else None
     hi = max(ratios) if ratios else None
@@ -354,8 +343,8 @@ class MainTheoremVerdict:
     condI_ok: bool
     condII_ok: bool
     criterion: bool
-    solvable: bool              # empirical (*): every swept solve succeeded
-    errors_tend_to_zero: bool   # empirical (**)
+    solvable: bool              # (*): ZERO_TAIL_LEN solves after failures
+    errors_tend_to_zero: bool   # empirical (**), on those solves
     behavior: bool
     agreement: bool
     eps_sequence: list = field(repr=False)     # largest eps first
@@ -373,10 +362,14 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     grade Theorem 2's operator convergence.
 
     One `_walk` down the eps sequence instantiates each eps and builds its
-    `_coeff_diffs` once, with the sweep records when Condition (0) holds.
-    From them it measures, eps by eps, the Condition I norms
-    ||A_j(eps) - A_j(0)||_{n,alpha}, the Condition II deviation
-    max |(B(eps) - B(0)) y| over the probes y and Theorem 2's P(eps).
+    coefficient differences once, with the sweep records when Condition (0)
+    holds.  From each stack of eps it measures the Condition I norms
+    ||A_j(eps) - A_j(0)||_{n,alpha} (one `holder_norms` stack per j), the
+    Condition II deviation max |(B(eps) - B(0)) y| over the probes y (one
+    matmul of B(eps)'s matrix by the probe stack per eps) and Theorem 2's
+    P(eps): the actions -(L(eps) - L(0)) y of every eps and probe, one einsum
+    per j of the degree-2N differences and probe derivatives, normed as one
+    stack.
     """
     idx = fam.idx
     eps_sequence = _descending(fam, eps_sequence)
@@ -391,38 +384,55 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     else:
         margin, y0 = res0.margin, res0.y
     probes = default_probes(fam, N)
-    B0_probes = [apply_B(inst0.B, y)[:, 0] for y in probes]
+    # each probe's component-major node values, as apply_B reads them
+    Y = np.array([y.values.reshape(-1, 1) for y in probes])
+    B0Y = (boundary_matrix(inst0.B, N) @ Y)[:, :, 0]
     err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
-    probe_norms = [holder_norm(y, err_idx, M).total for y in probes]
+    probe_norms = [v.total for v in holder_norms(probes, err_idx, M)]
     K = algebra_constant(idx)
-    deriv_sums = [max(holder_norm(y.derivative(j), idx, M).total
-                      for j in range(fam.r)) for y in probes]
+    deriv_norms = [[v.total for v in holder_norms(
+        [y.derivative(j) for y in probes], idx, M)] for j in range(fam.r)]
+    deriv_sums = [max(col) for col in zip(*deriv_norms)]
     c2 = max(K * ds / pn for ds, pn in zip(deriv_sums, probe_norms))
+
+    @lru_cache(maxsize=None)
+    def probes_2N(j):   # y^(j) of every probe at the degree-2N nodes
+        return np.array([y.derivative(j).resample(2 * N).values
+                          for y in probes])
+
     condI, condII, P, records = [], [], [], []
-    for inst, diffs, record in _walk(fam, eps_sequence, N, M, inst0, y0):
-        norms = [0.0] * fam.r
-        for j, dA in diffs:
-            norms[j] = holder_norm(dA, idx, M).total
-        condI.append(norms)
-        dev = best = 0.0
-        for y, B0y, pn in zip(probes, B0_probes, probe_norms):
-            delta = apply_B(inst.B, y)[:, 0] - B0y
-            dev = max(dev, float(np.linalg.norm(delta)))
-            acc = _coeff_diff_action(diffs, y)   # -(L(eps) - L(0)) y
-            if acc is not None:
-                best = max(best, holder_norm(acc, idx, M).total / pn)
-        condII.append(dev)
-        P.append(best)
-        if record is not None:
-            records.append(record)
+    for insts, diffs, dA2N, recs in _walk(fam, eps_sequence, N, M, inst0,
+                                          y0):
+        rows = [[0.0] * fam.r for _ in insts]
+        for j, gs in diffs:
+            for row, v in zip(rows, holder_norms(gs, idx, M)):
+                row[j] = v.total
+        condI += rows
+        for inst in insts:
+            dev = (boundary_matrix(inst.B, N) @ Y)[:, :, 0] - B0Y
+            condII.append(max([0.0] + [float(np.linalg.norm(d))
+                                       for d in dev]))
+        acts = []   # -(L(eps) - L(0)) y, (eps, probe, m, 1, 2N+1)
+        for n, (j, dA) in enumerate(dA2N):
+            term = np.einsum("eikt,pkjt->epijt", dA, probes_2N(j))
+            acts = acts - term if n else term * -1.0
+        act_norms = holder_norms([GridFunction(v, fam.interval)
+                                  for a in acts for v in a], idx, M)
+        for k in range(len(insts)):
+            P.append(max([0.0] + [v.total / pn for v, pn in zip(
+                act_norms[k * len(probes):], probe_norms)]))
+        records += recs
 
     condI_ok = all(tends_to_zero([norms[j] for norms in condI],
                                  criterion_final_factor)
                    for j in range(fam.r))
     condII_ok = tends_to_zero(condII, criterion_final_factor)
     cond0_ok = y0 is not None
-    solvable = cond0_ok and not any(r.failure for r in records)
-    errors_ok = cond0_ok and tends_to_zero([r.error for r in records])
+    # the theorem speaks of small eps: read the rows after the last failure
+    last = max((k for k, r in enumerate(records) if r.failure), default=-1)
+    tail = records[last + 1:]
+    solvable = cond0_ok and len(tail) >= ZERO_TAIL_LEN
+    errors_ok = solvable and tends_to_zero([r.error for r in tail])
     criterion = cond0_ok and condI_ok and condII_ok
     behavior = solvable and errors_ok
     # S(eps) = sum_j ||A_j(eps) - A_j(0)||_{n,alpha} dominates P(eps) up

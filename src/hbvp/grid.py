@@ -23,6 +23,7 @@ DEFAULT_SAMPLES = 1024
 MIN_SEMINORM_SAMPLES = 64
 NUDGE_FRACTION = 1e-12
 _ROUNDOFF_SLACK = 64 * np.finfo(float).eps
+NORM_STACK_BYTES = 64 << 10   # sampled values per stack of `holder_norms`
 
 
 class ShapeError(ValueError):
@@ -107,6 +108,14 @@ def _eval_exprs(sources: np.ndarray, ts: np.ndarray, eps,
     return out
 
 
+def _derived(sources: np.ndarray) -> np.ndarray:
+    """The t-derivative of an object array of expressions, entrywise."""
+    out = np.empty(sources.shape, dtype=object)
+    for idx in np.ndindex(sources.shape):
+        out[idx] = ex.diff_t(sources[idx])
+    return out
+
+
 class GridFunction:
     """Immutable interpolant of shape (rows, cols) on [a, b]."""
 
@@ -183,10 +192,8 @@ class GridFunction:
             return self
         if self._deriv is None:
             if self.sources is not None:
-                dsrc = np.empty(self.sources.shape, dtype=object)
-                for idx in np.ndindex(self.sources.shape):
-                    dsrc[idx] = ex.diff_t(self.sources[idx])
-                d = GridFunction.from_exprs(dsrc, self.interval, self.N,
+                d = GridFunction.from_exprs(_derived(self.sources),
+                                            self.interval, self.N,
                                             eps=self.eps)
             else:
                 d = GridFunction(self.values @ self.diffmat.T, self.interval)
@@ -288,28 +295,6 @@ def _sample(g: GridFunction, M: int):
     return g._samples[M]
 
 
-def sample_stack(gs: list, M: int, n: int = 0) -> None:
-    """Fill the `_sample` memo at M of functions of one degree and interval,
-    and of their derivatives up to order n, for the stack at once: one
-    matmul with the cached ET or, for functions sharing their sources, one
-    `_eval_exprs` with eps as a column.  The derivatives are taken per
-    function."""
-    for order in range(n + 1):
-        g = gs[0]
-        ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1))
-        if g.sources is None:
-            vals = np.array([f.values for f in gs]) @ ET
-        elif all(f.sources is g.sources for f in gs):
-            vals = _eval_exprs(g.sources, ts, np.array([f.eps for f in gs]),
-                               g.a, g.b)
-        else:
-            return
-        for f, v in zip(gs, vals):
-            v.flags.writeable = False
-            f._samples[M] = ts, v
-        gs = [f.derivative() for f in gs]
-
-
 def sup_norm(g: GridFunction, M: int = DEFAULT_SAMPLES) -> float:
     """Entrywise-sum of max absolute values at _sample's points."""
     return float(np.sum(np.max(np.abs(_sample(g, M)[1]), axis=-1)))
@@ -383,29 +368,81 @@ def _pair_max(vals: np.ndarray, ts: np.ndarray, alpha: float) -> float:
 
 def holder_seminorm(g: GridFunction, idx: HolderIndex,
                     M: int = DEFAULT_SAMPLES) -> float:
-    """Entrywise-sum sup of |g^(n)(t2)-g^(n)(t1)| / |t2-t1|^alpha.
-
-    The maximum over all pairs of _sample's points, a lower bound of the true
-    seminorm: at alpha = 1 the largest adjacent slope (a brute-force chord
-    scan may round an ulp above it), for alpha < 1 found exactly by
-    _pair_max's branch and bound over blocks of samples (spread over distance
-    and slope, real-valued for real samples) in O((P/16)**2 + 16**3) memory
-    for P points, not O(P**2).
-    """
-    ts, vals = _sample(g.derivative(idx.n), M)
-    total = 0.0
-    for i, j in np.ndindex(g.shape):
-        total += _pair_max(vals[i, j], ts, idx.alpha)
-    return total
+    """Entrywise-sum sup of |g^(n)(t2)-g^(n)(t1)| / |t2-t1|^alpha over the
+    pairs of _sample's points, the seminorm part of `holder_norm`."""
+    return holder_norm(g, idx, M).seminorm
 
 
 def holder_norm(g: GridFunction, idx: HolderIndex,
                 M: int = DEFAULT_SAMPLES) -> NormValue:
-    """Sum of derivative sup-norms j=0..n plus the Holder seminorm; g^(n)'s
-    sup part and the seminorm read the same memoized samples of _sample."""
-    sup_parts = tuple(sup_norm(g.derivative(j), M) for j in range(idx.n + 1))
-    semi = holder_seminorm(g, idx, M)
-    return NormValue(sup_parts, semi, float(sum(sup_parts) + semi))
+    """Sum of derivative sup-norms j=0..n plus the Holder seminorm of g^(n):
+    `holder_norms` of the stack of one."""
+    return holder_norms([g], idx, M)[0]
+
+
+def holder_norms(gs: list, idx: HolderIndex,
+                 M: int = DEFAULT_SAMPLES) -> list:
+    """The `holder_norm` of each function of gs, which share one degree,
+    interval and shape and all keep expressions or none, in stacks of as
+    many as have samples within NORM_STACK_BYTES; each value has the bits
+    of its function's norm alone.
+
+    Each derivative order of a stack is sampled at _sample's points at once:
+    one matmul of the stacked node values by the cached ET (derivatives by
+    D), one `_eval_exprs` with eps as a column for functions sharing their
+    sources, else function by function (derivatives symbolic).  Order 0
+    reads the `_sample` memo, and a stack of one fills it.  Each order's sup
+    parts take one max over the stack.  The seminorm, the maximum over all
+    pairs of points and so a lower bound of the true one, is at alpha = 1
+    the largest adjacent slope (a brute-force chord scan may round an ulp
+    above it), and for alpha < 1 `_pair_max`'s exact branch and bound per
+    function and entry.
+    """
+    if M < MIN_SEMINORM_SAMPLES:
+        raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
+    if not gs:
+        return []
+    g = gs[0]
+    ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1))
+    step = max(1, NORM_STACK_BYTES // (16 * len(ts) * np.prod(g.shape)))
+    if len(gs) > step:
+        return [v for s in range(0, len(gs), step)
+                for v in holder_norms(gs[s:s + step], idx, M)]
+    srcs = [f.sources for f in gs]
+    shared = len(gs) > 1 and all(s is srcs[0] for s in srcs)
+    vals = np.array([f.values for f in gs]) if srcs[0] is None else None
+    sups = []
+    for order in range(idx.n + 1):
+        if order == 0 and all(M in f._samples for f in gs):
+            S = np.array([f._samples[M][1] for f in gs])
+        elif vals is not None:
+            S = vals @ ET
+        elif shared:
+            S = _eval_exprs(srcs[0], ts, np.array([f.eps for f in gs]),
+                            g.a, g.b)
+        else:
+            S = np.array([_eval_exprs(src, ts, f.eps, g.a, g.b)
+                          for src, f in zip(srcs, gs)])
+        if order == 0 and len(gs) == 1:   # a stack's samples are transient
+            S.flags.writeable = False
+            g._samples.setdefault(M, (ts, S[0]))
+        sups.append(np.sum(np.max(np.abs(S), axis=-1), axis=(1, 2)))
+        if order < idx.n and vals is not None:
+            vals = vals @ g.diffmat.T
+        elif order < idx.n:
+            srcs = ([_derived(srcs[0])] * len(gs) if shared
+                    else [_derived(src) for src in srcs])
+    if idx.alpha == 1.0:
+        semis = np.max(np.abs(np.diff(S)) / np.diff(ts), axis=-1, initial=0.0)
+    else:
+        semis = np.array([[[_pair_max(v, ts, idx.alpha) for v in row]
+                           for row in rows] for rows in S])
+    semi = 0.0   # entry by entry, in the order of a one-function sum
+    for part in semis.reshape(len(gs), -1).T:
+        semi = semi + part
+    total = sum(sups) + semi
+    return [NormValue(tuple(map(float, parts)), float(sm), float(tot))
+            for parts, sm, tot in zip(zip(*sups), semi, total)]
 
 
 def algebra_constant(idx: HolderIndex) -> float:

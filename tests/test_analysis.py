@@ -7,11 +7,14 @@ import pytest
 
 from hbvp import analysis as an
 from hbvp import cli
+from hbvp import expr as ex
+from hbvp import grid
 from hbvp import solver as solver_mod
 from hbvp.grid import HolderIndex, holder_norm
 from hbvp.problem import (GALLERY_NAMES, _gallery_config, apply_B,
-                          boundedness_certificate, family_from_config,
-                          gallery, instantiate, instantiate_stack)
+                          boundary_matrix, boundedness_certificate,
+                          family_from_config, gallery, instantiate,
+                          instantiate_stack)
 from hbvp.solver import ConditionZeroViolated, solve_bvp_direct
 
 EPS_SHORT = an.geometric_eps(1.0, 0.5, 10)
@@ -108,22 +111,26 @@ def _count_instantiations(monkeypatch):
 
 
 def _count_B_applications(monkeypatch):
-    """`_count_instantiations`, and per apply_B call whether that call
-    applies one of the eps = 0 operators (seen)."""
+    """`_count_instantiations`, and per apply_B or boundary_matrix call
+    whether that call applies one of the eps = 0 operators (seen)."""
     calls, zero_B = _count_instantiations(monkeypatch)
     seen = []
 
-    def counting(B, y):
-        seen.append(any(B is B0 for B0 in zero_B))
-        return apply_B(B, y)
+    def counting(apply):
+        def call(B, arg):
+            seen.append(any(B is B0 for B0 in zero_B))
+            return apply(B, arg)
+        return call
 
-    monkeypatch.setattr(an, "apply_B", counting)
+    monkeypatch.setattr(an, "apply_B", counting(apply_B))
+    monkeypatch.setattr(an, "boundary_matrix", counting(boundary_matrix))
     return calls, zero_B, seen
 
 
 def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
-    # B(0) y is the same vector at every eps: 7 probes, 7 applications, and
-    # one more for the eps = 0 solution y0 where Condition (0) gives one;
+    # B(0) y is the same vector at every eps: the 7 probes take one matmul
+    # by B(0)'s matrix, and the eps = 0 solution y0 one application where
+    # Condition (0) gives one; each swept B(eps) is applied the same way;
     # eps = 0 is instantiated alone, the 20 swept eps once each, in a stack
     for name, solved in (("F1_smooth_perturb", 1), ("F3_cond0_violated", 0)):
         fam = gallery(name)
@@ -133,7 +140,7 @@ def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
         assert len(v.eps_sequence) == 20
         assert calls == [[0.0], v.eps_sequence]
         assert len(zero_B) == 1
-        per_eps = 7 + solved
+        per_eps = 1 + solved
         assert seen.count(True) == per_eps
         assert len(seen) == per_eps * (1 + 20)
 
@@ -191,6 +198,64 @@ def test_stacked_sweep_is_the_sweeps_of_one_eps(config):
     failures = [rec.failure for rec in stacked]
     assert failures == [None] * 20 or failures == (
         ["ConditionZeroViolated"] + [None] * 19)
+
+
+@pytest.mark.parametrize("count, solvable", [(5, False), (6, True),
+                                              (20, True)])
+def test_solvability_reads_the_rows_after_the_last_failed_eps(count,
+                                                              solvable):
+    # the theorem speaks of small eps: the singular eps = 0.5 leaves the
+    # rows after it, which count only when ZERO_TAIL_LEN of them exist
+    fam = family_from_config(_singular_config())
+    v = an.main_theorem_suite(fam, an.geometric_eps(1.0, 0.5, count), N=16,
+                              M=256)
+    assert v.solvable is solvable
+    assert v.errors_tend_to_zero is v.behavior is (count == 20)
+    assert v.agreement
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_main_theorem_suite_evaluates_the_2N_grid_once_per_walk(name,
+                                                                monkeypatch):
+    # F1 and F4 evaluate their one coefficient difference and their rhs
+    # difference once for the stack of 20 eps, and the 7 probes' y^(j) once,
+    # not once per (probe, eps) pair; the others have no coefficient
+    # difference, so no product at degree 2N
+    seen, evaluate = [], grid._eval_exprs
+    nodes = grid._grid_data(48, 0.0, 1.0)[0]
+
+    def counting(sources, ts, eps, a, b):
+        if np.array_equal(ts, nodes):
+            seen.append(sources.shape)
+        return evaluate(sources, ts, eps, a, b)
+
+    monkeypatch.setattr(grid, "_eval_exprs", counting)
+    monkeypatch.setattr(an, "_eval_exprs", counting)
+    an.main_theorem_suite(gallery(name), N=24, M=512)
+    diffs = name.startswith(("F1", "F4"))
+    assert len(seen) == (2 + 7 if diffs else 0)
+
+
+def test_default_f6_sweep_norms_take_no_derivative(monkeypatch):
+    # F6's discrepancies are C^{0,1/2} norms of h, which need no h', and
+    # the errors' three orders are differentiated as one stack, so no norm
+    # takes a derivative: what remains is apply_L's y, y' and y'' in each
+    # of the 21 residual gates, and the powabs centres per evaluation
+    calls = {"derivative": 0, "diff_t": 0}
+    derivative, diff_t = grid.GridFunction.derivative, ex.diff_t
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(grid.GridFunction, "derivative",
+                        counting("derivative", derivative))
+    monkeypatch.setattr(ex, "diff_t", counting("diff_t", diff_t))
+    rep = an.two_sided_sweep(gallery("F6_holder_rough"))
+    assert len(rep.records) == 20
+    assert calls["derivative"] == 6 * 21 and calls["diff_t"] <= 303
 
 
 def _count_factorizations(monkeypatch):

@@ -541,13 +541,18 @@ def _config_file(tmp_path, **changes):
     return str(path)
 
 
-def test_sweep_records_a_singular_eps_of_a_stack(tmp_path):
-    # y(0)'s coefficient 1 - 2 eps vanishes at eps = 0.5: that row fails,
-    # and the rest of its stack keeps the values of a sweep eps by eps
+def _singular_config_file(tmp_path):
+    """F1's config with y(0)'s coefficient 1 - 2 eps, zero at eps = 0.5."""
     point_terms = _gallery_config("F1_smooth_perturb")["boundary"][
         "point_terms"]
     point_terms[0]["coeff"] = [["1-2*eps"], ["0"]]
-    path = _config_file(tmp_path, boundary={"point_terms": point_terms})
+    return _config_file(tmp_path, boundary={"point_terms": point_terms})
+
+
+def test_sweep_records_a_singular_eps_of_a_stack(tmp_path):
+    # y(0)'s coefficient 1 - 2 eps vanishes at eps = 0.5: that row fails,
+    # and the rest of its stack keeps the values of a sweep eps by eps
+    path = _singular_config_file(tmp_path)
     out = tmp_path / "out"
     assert run(["sweep", "--config", path, "--count", "4",
                 "--out", str(out)]) == 0
@@ -555,6 +560,20 @@ def test_sweep_records_a_singular_eps_of_a_stack(tmp_path):
     assert rows[1] == "0.5,,,,,,ConditionZeroViolated"
     assert rows[2].startswith("0.25,0.6753641113068124,")
     assert [r.split(",")[-1] for r in rows[3:]] == ["", ""]
+
+
+def test_verify_of_a_singular_eps_reads_the_smaller_eps(tmp_path, capsys):
+    # the one singular eps = 0.5 fails its solve; the 19 smaller eps solve
+    # and converge, so the behavior side holds and agrees with the criterion
+    path = _singular_config_file(tmp_path)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "criterion=True behavior=True operator_equivalence=True "
+        "-> AGREEMENT\n")
+    with open(out / "verify.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["solvable"] == row["errors_to_zero"] == row["ok"] == "true"
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])

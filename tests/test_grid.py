@@ -366,6 +366,68 @@ def test_sup_norm_reads_a_maximum_at_a_node_off_the_uniform_grid(node):
     assert holder_norm(g, HolderIndex(0, 1.0), M).sup_parts[0] == 1.0
 
 
+def _norm_stack(kind, shape, N=24, interval=(0.0, 2.0)):
+    """Functions of one degree, interval and shape, built afresh per call:
+    node values (real, complex, imaginary parts -0.0, a NaN and an inf row),
+    expressions sharing their sources (an eps column) or not."""
+    size = shape[0] * shape[1]
+    if kind == "values":
+        t = grid._grid_data(N, *interval)[0]
+        base = np.sin(np.outer(np.arange(1, size + 1), t))
+        rows = [base, base * (1 + 0.5j) + 1j * np.cos(t), base + 0j,
+                np.abs(base - 0.3) ** 0.6, base.copy(), base.copy(),
+                np.cos(base)]
+        rows[2].imag = -0.0
+        rows[4][-1, 3], rows[5][0, 7] = np.nan, np.inf
+        return [GridFunction(np.reshape(r, shape + (N + 1,)), interval)
+                for r in rows]
+    srcs = ["(1+eps)*sin(3*t)", "eps*powabs(t-0.5, 1.5)",
+            "exp(eps*t)+i*eps", "t^2-eps*cos(t)"][:size]
+    if kind == "shared":
+        exprs = np.reshape([ex.parse_expression(e) for e in srcs], shape)
+        return GridFunction.from_exprs(exprs, interval, N, eps=np.array(
+            [0.5, 0.25, 0.125, 1e-3, 0.0]))
+    return [interpolate(np.reshape([e.replace("eps", str(x)) for e in srcs],
+                                   shape).tolist(), interval, N)
+            for x in ("0.5", "(-2)", "0", "1e-3")]
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("kind", ["values", "shared", "distinct"])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.77])
+def test_holder_norms_have_the_bits_of_each_norm_alone(alpha, n, shape, kind,
+                                                       chunk, monkeypatch):
+    # a stacked norm samples, differentiates and reduces its functions
+    # together (in stacks of `chunk` where given); each value, sup parts
+    # and seminorm included, has the bits of the function's norm alone
+    idx, M = HolderIndex(n, alpha), 128
+    if chunk:
+        P = len(_sample_grid(24, 0.0, 2.0, M)[0])
+        monkeypatch.setattr(grid, "NORM_STACK_BYTES",
+                            chunk * 16 * P * shape[0] * shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = grid.holder_norms(_norm_stack(kind, shape), idx, M)
+        alone = [holder_norm(g, idx, M) for g in _norm_stack(kind, shape)]
+        defined = [_norm_by_definition(g, idx, M)
+                   for g in _norm_stack(kind, shape)]
+    assert repr(stacked) == repr(alone) == repr(defined)
+    assert len(stacked) > 3
+
+
+def _norm_by_definition(g, idx, M):
+    """holder_norm row by row from the memoized samples of each derivative
+    object: sup_norm per order, _pair_max per entry of g^(n), summed in
+    order."""
+    sup_parts = tuple(sup_norm(g.derivative(j), M) for j in range(idx.n + 1))
+    ts, vals = grid._sample(g.derivative(idx.n), M)
+    semi = 0.0
+    for v in vals.reshape(-1, len(ts)):
+        semi += _pair_max(v, ts, idx.alpha)
+    return grid.NormValue(sup_parts, semi, float(sum(sup_parts) + semi))
+
+
 def test_holder_norm_samples_each_expression_once(monkeypatch):
     g = interpolate("sin(3*t) + powabs(t-0.3, 0.5)", (0.0, 1.0), 24)
     calls, eval_exprs = [], grid._eval_exprs
