@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import chebyshev as cheb
-from .grid import GridFunction, product
+from .grid import GridFunction, _grid_data, product
 from .problem import (BoundaryOperator, PointTerm, ProblemInstance, apply_B,
                       boundary_matrix)
 
@@ -205,25 +206,40 @@ def _result(instance: ProblemInstance, y: GridFunction, Z: GridFunction,
     return SolveResult(y, Z, residual, instance.N, route, margin)
 
 
+@lru_cache(maxsize=16)
+def _diff_power(N: int, a: float, b: float, j: int) -> np.ndarray:
+    """D^j (j >= 1) at degree N on [a, b], read-only: each power built once
+    per degree, as `grid._grid_data` builds D."""
+    D = _grid_data(N, a, b)[1]
+    if j == 1:
+        return D
+    out = D @ _diff_power(N, a, b, j - 1)
+    out.flags.writeable = False
+    return out
+
+
 def collocation_matrix(instance) -> np.ndarray:
     """Square collocation matrix of (L, B) with boundary bordering, of an
-    instance, or the stack of an InstanceStack's: one einsum per coefficient
-    over the stacked coefficient values, with D's powers computed once.
+    instance, or the stack of an InstanceStack's: A_0 on the diagonal, and
+    one einsum per higher coefficient over the stacked coefficient values
+    with D's cached power (`_diff_power`).
 
     Component-major layout; collocation rows at ceil(r/2) leading and
     floor(r/2) trailing nodes are replaced by the rm boundary rows.
     """
     insts = getattr(instance, "instances", (instance,))
     r, m, N = insts[0].r, insts[0].m, insts[0].N
-    D = insts[0].coeffs[0].diffmat
-    powers = [np.eye(N + 1), D]
-    for _ in range(r - 1):
-        powers.append(D @ powers[-1])
+    a, b = insts[0].coeffs[0].interval
     big = np.empty((len(insts), m, N + 1, m, N + 1), dtype=complex)
-    big[:] = np.kron(np.eye(m), powers[r]).reshape(m, N + 1, m, N + 1)
+    big[:] = np.kron(np.eye(m), _diff_power(N, a, b, r)).reshape(
+        m, N + 1, m, N + 1)
+    node = np.arange(N + 1)
     for j in range(r):
         A = np.stack([inst.coeffs[j].values for inst in insts])
-        big += np.einsum("spqi,ik->spiqk", A, powers[j])
+        if j:
+            big += np.einsum("spqi,ik->spiqk", A, _diff_power(N, a, b, j))
+        else:   # (s, p, i, q, i), indexed as (i, s, p, q)
+            big[:, :, node, :, node] += A.transpose(3, 0, 1, 2)
     big = big.reshape(len(insts), m * (N + 1), m * (N + 1))
     mats = np.concatenate(
         [big[:, _kept_rows(r, m, N)],
