@@ -243,10 +243,11 @@ def _descending(fam: ProblemFamily, eps_sequence) -> list:
 def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
           y0: GridFunction | None):
     """Per stack of eps of eps_sequence, in its order: the instances, the
-    pairs (j, [A_j(eps) - A_j(0) at degree N, per eps]) and (j, the same at
-    the degree-2N nodes, (k, m, m, 2N+1)) of the coefficient differences that
-    do not fold to zero, and, when y0 (the solution of the eps = 0 instance
-    inst0) is given, the stack's sweep records.
+    pairs (j, A_j(., eps) - A_j(., 0)) of the symbolic coefficient
+    differences that do not fold to zero (`_diff_exprs`) and (j, their
+    values at the degree-2N nodes, (k, m, m, 2N+1)), and, when y0 (the
+    solution of the eps = 0 instance inst0) is given, the stack's sweep
+    records.
 
     The eps on each side of 0 share their differences, built once.  They
     are walked in stacks of `stack_size` eps (every eps of a default sweep
@@ -266,8 +267,6 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
         for s in range(0, len(group), size):
             eps = np.array(group[s:s + size])
             insts = instantiate_stack(fam, eps.tolist(), N)
-            diffs = [(j, GridFunction.from_exprs(d, fam.interval, N, eps=eps))
-                     for j, d in coeff_diffs]
             dA2N = [(j, _eval_exprs(d, nodes, eps, a, b))
                     for j, d in coeff_diffs]
             records = []
@@ -276,7 +275,7 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
                 records = _records(fam, factor(
                     replace(inst, rhs=f, c=c)
                     for inst, f, c in zip(insts, rhs, c_deltas)), hs, M)
-            yield insts, diffs, dA2N, records
+            yield insts, coeff_diffs, dA2N, records
 
 
 def _records(fam: ProblemFamily, deltas: list, hs: list, M: int) -> list:
@@ -404,7 +403,9 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     for insts, diffs, dA2N, recs in _walk(fam, eps_sequence, N, M, inst0,
                                           y0):
         rows = [[0.0] * fam.r for _ in insts]
-        for j, gs in diffs:
+        eps = np.array([inst.eps for inst in insts])
+        for j, d in diffs:
+            gs = GridFunction.from_exprs(d, fam.interval, N, eps=eps)
             for row, v in zip(rows, holder_norms(gs, idx, M)):
                 row[j] = v.total
         condI += rows

@@ -169,11 +169,14 @@ class GridFunction:
     # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, ts) -> np.ndarray:
-        """Values at arbitrary points, shape (rows, cols, len(ts))."""
+        """Values at arbitrary points, shape (rows, cols, len(ts)); node
+        values with a zero imaginary part are interpolated in real
+        arithmetic, to real values, with no complex copy of the matrix."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self.sources is not None:
             return _eval_exprs(self.sources, ts, self.eps, self.a, self.b)
-        return self.values @ cheb.bary_matrix(self.nodes, ts).T
+        v = self.values if self.values.imag.any() else self.values.real
+        return v @ cheb.bary_matrix(self.nodes, ts).T
 
     def resample(self, N: int) -> "GridFunction":
         if N == self.N:

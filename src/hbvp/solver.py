@@ -69,8 +69,9 @@ class CharacteristicMatrix:
 
 @dataclass(frozen=True)
 class InstanceStack:
-    """Instances of one r, m and degree N, factored in one call."""
+    """Instances of one r, m, degree N and `_dtype`, factored in one call."""
     instances: tuple
+    dtype: type
 
     @property
     def N(self) -> int:
@@ -211,18 +212,26 @@ def _diff_power(N: int, a: float, b: float, j: int) -> np.ndarray:
     """D^j (j >= 1) at degree N on [a, b], read-only: each power built once
     per degree, as `grid._grid_data` builds D."""
     D = _grid_data(N, a, b)[1]
-    if j == 1:
-        return D
-    out = D @ _diff_power(N, a, b, j - 1)
+    out = D if j == 1 else D @ _diff_power(N, a, b, j - 1)
     out.flags.writeable = False
     return out
 
 
+def _dtype(instances) -> type:
+    """float where every coefficient value, rhs value, boundary row and
+    target of the instances has a zero imaginary part, else complex: the
+    one arithmetic of their collocation matrices, factorization and solve."""
+    parts = (p for inst in instances for p in (
+        *(c.values for c in inst.coeffs), inst.rhs.values, inst.c,
+        boundary_matrix(inst.B, inst.N)))
+    return complex if any(p.imag.any() for p in parts) else float
+
+
 def collocation_matrix(instance) -> np.ndarray:
     """Square collocation matrix of (L, B) with boundary bordering, of an
-    instance, or the stack of an InstanceStack's: A_0 on the diagonal, and
-    one einsum per higher coefficient over the stacked coefficient values
-    with D's cached power (`_diff_power`).
+    instance, or the stack of an InstanceStack's, in the stack's `_dtype`:
+    A_0 on the diagonal, and one einsum per higher coefficient over the
+    stacked coefficient values with D's cached power (`_diff_power`).
 
     Component-major layout; collocation rows at ceil(r/2) leading and
     floor(r/2) trailing nodes are replaced by the rm boundary rows.
@@ -230,12 +239,14 @@ def collocation_matrix(instance) -> np.ndarray:
     insts = getattr(instance, "instances", (instance,))
     r, m, N = insts[0].r, insts[0].m, insts[0].N
     a, b = insts[0].coeffs[0].interval
-    big = np.empty((len(insts), m, N + 1, m, N + 1), dtype=complex)
+    dtype = getattr(instance, "dtype", None) or _dtype(insts)
+    part = np.real if dtype is float else np.asarray   # the zero imag dropped
+    big = np.empty((len(insts), m, N + 1, m, N + 1), dtype=dtype)
     big[:] = np.kron(np.eye(m), _diff_power(N, a, b, r)).reshape(
         m, N + 1, m, N + 1)
     node = np.arange(N + 1)
     for j in range(r):
-        A = np.stack([inst.coeffs[j].values for inst in insts])
+        A = part(np.stack([inst.coeffs[j].values for inst in insts]))
         if j:
             big += np.einsum("spqi,ik->spiqk", A, _diff_power(N, a, b, j))
         else:   # (s, p, i, q, i), indexed as (i, s, p, q)
@@ -243,7 +254,8 @@ def collocation_matrix(instance) -> np.ndarray:
     big = big.reshape(len(insts), m * (N + 1), m * (N + 1))
     mats = np.concatenate(
         [big[:, _kept_rows(r, m, N)],
-         np.stack([boundary_matrix(inst.B, N) for inst in insts])], axis=1)
+         part(np.stack([boundary_matrix(inst.B, N) for inst in insts]))],
+        axis=1)
     return mats if isinstance(instance, InstanceStack) else mats[0]
 
 
@@ -253,8 +265,8 @@ def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
 
 
 def stack_size(m: int, N: int) -> int:
-    """The most instances with m components at degree N whose complex
-    collocation matrices fit in STACK_BYTES, one at least."""
+    """The most instances with m components at degree N whose collocation
+    matrices fit in STACK_BYTES when complex, one at least."""
     return max(1, STACK_BYTES // (16 * (m * (N + 1)) ** 2))
 
 
@@ -266,16 +278,22 @@ def factor(instances) -> list:
     Column 0 is y.  The rest, Z, has K Z = 0 and Bmat Z = I, so its initial
     rows E Z (y^(k)(a), k < r) are M^{-1}.  Where the stacked solve raises,
     the systems are solved one by one, and a singular one keeps zero
-    columns, so margin 0.
+    columns, so margin 0.  Real and complex instances (`_dtype`) are
+    factored as two stacks, so that each keeps the bits of its solve alone.
     """
-    stack = InstanceStack(tuple(instances))
-    insts = stack.instances
+    insts = tuple(instances)
+    kinds = [_dtype([inst]) for inst in insts]
+    if len(set(kinds)) > 1:
+        parts = {k: iter(factor(i for i, ki in zip(insts, kinds) if ki is k))
+                 for k in set(kinds)}
+        return [next(parts[k]) for k in kinds]
     r, m, N = insts[0].r, insts[0].m, insts[0].N
-    mats = collocation_matrix(stack)
+    mats = collocation_matrix(InstanceStack(insts, kinds[0]))
     keep = _kept_rows(r, m, N)
-    rhs = np.zeros(mats.shape[:2] + (1 + r * m,), dtype=complex)
-    rhs[:, :, 0] = [np.concatenate([inst.rhs.values[:, 0, :].reshape(-1)[keep],
-                                    inst.c]) for inst in insts]
+    f = np.array([np.concatenate([inst.rhs.values[:, 0, :].reshape(-1)[keep],
+                                  inst.c]) for inst in insts])
+    rhs = np.zeros(mats.shape[:2] + (1 + r * m,), dtype=mats.dtype)
+    rhs[:, :, 0] = f.real if kinds[0] is float else f
     rhs[:, -r * m:, 1:] = np.eye(r * m)
     try:
         sol = np.linalg.solve(mats, rhs)

@@ -513,3 +513,27 @@ def test_sweep_report_serialization(tmp_path):
     for line in lines[1:]:
         eps, err = line.split(",")[:2]
         float(eps), float(err)
+
+
+def test_a_stack_of_real_and_complex_deltas_keeps_each_sweep_alone(
+        monkeypatch):
+    # A_0 = 1 + i (eps - 0.25), with limit 1: the delta system at eps = 0.25
+    # is real and those at 0.5 and 0.125 complex, so one stack mixes both
+    # and each row must still read as its one-eps sweep
+    cfg = dict(_gallery_config("F1_smooth_perturb"),
+               coeffs=[[["1+i*(eps-0.25)"]], [["0"]]],
+               coeffs_at_zero=[[["1"]], [["0"]]])
+    fam = family_from_config(cfg)
+    kinds, factor = [], solver_mod.factor
+
+    def recording(instances):
+        insts = list(instances)
+        kinds.append([solver_mod._dtype([inst]) for inst in insts])
+        return factor(insts)
+
+    monkeypatch.setattr(an, "factor", recording)
+    eps = [0.5, 0.25, 0.125]
+    stacked = an.two_sided_sweep(fam, eps, N=24, M=256).records
+    assert kinds == [[complex, float, complex]]
+    alone = [an.two_sided_sweep(fam, [e], N=24, M=256).records[0] for e in eps]
+    assert repr(stacked) == repr(alone)

@@ -558,7 +558,11 @@ def test_sweep_records_a_singular_eps_of_a_stack(tmp_path):
                 "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[1] == "0.5,,,,,,ConditionZeroViolated"
-    assert rows[2].startswith("0.25,0.6753641113068124,")
+    alone = tmp_path / "alone"
+    assert run(["sweep", "--config", path, "--eps", "0.25",
+                "--out", str(alone)]) == 0
+    assert rows[2] == (alone / "sweep.csv").read_text().splitlines()[1]
+    assert rows[2].startswith("0.25,0.675364111")
     assert [r.split(",")[-1] for r in rows[3:]] == ["", ""]
 
 

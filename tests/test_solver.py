@@ -537,3 +537,67 @@ def test_collocation_matrix_square():
     inst = instantiate(gallery("F5_multipoint_integral"), 0.0, 20)
     mat = collocation_matrix(inst)
     assert mat.shape == (21, 21)
+
+
+def _dtypes_solved(monkeypatch):
+    """The dtype of every matrix that reaches np.linalg.solve."""
+    seen, solve = [], np.linalg.solve
+
+    def recording(a, b):
+        seen.append(a.dtype)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return seen
+
+
+def test_real_data_factor_in_float64(monkeypatch, tmp_path):
+    from hbvp.cli import main
+    seen = _dtypes_solved(monkeypatch)
+    for argv in (["sweep", "--gallery", "F1_smooth_perturb"],
+                 ["solve", "--gallery", "F1_smooth_perturb", "--eps", "0.25"]):
+        seen.clear()
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        assert seen and set(seen) == {np.dtype(float)}
+
+
+def _explicit_solve(inst, dtype):
+    """[f; c] and [0; I] solved by np.linalg.solve of the instance's
+    collocation matrix in dtype, as (m, N+1, 1 + rm) columns."""
+    r, m, N = inst.r, inst.m, inst.N
+    keep = solver_mod._kept_rows(r, m, N)
+    mat = collocation_matrix(inst).astype(dtype)
+    rhs = np.zeros((m * (N + 1), 1 + r * m), dtype=dtype)
+    rhs[:, 0] = np.concatenate(
+        [inst.rhs.values[:, 0, :].reshape(-1)[keep], inst.c]).astype(dtype)
+    rhs[-r * m:, 1:] = np.eye(r * m)
+    return np.linalg.solve(mat, rhs).reshape(m, N + 1, 1 + r * m)
+
+
+COMPLEX_CFG = {
+    "r": 1, "m": 2, "n": 1, "alpha": 0.5, "interval": [0.0, 1.0],
+    "eps0": 1.0, "coeffs": [[["2+i*eps", "eps*t"], ["0", "1"]]],
+    "rhs": ["exp(t)", "1+eps*powabs(t-0.3, 2.5)"],
+    "boundary": {"point_terms": [
+        {"order": 0, "point": 0.0, "coeff": [["1", "0"], ["0", "1"]]}]},
+    "target": ["1", "0"]}
+
+
+def test_complex_stack_factors_in_complex128():
+    from hbvp.problem import instantiate_stack
+    insts = instantiate_stack(_family(COMPLEX_CFG), [0.5, 0.25, 0.125], 32)
+    assert collocation_matrix(insts[0]).dtype == np.complex128
+    for f, inst in zip(solver_mod.factor(insts), insts):
+        assert f.cols.dtype == np.complex128
+        assert np.array_equal(f.cols, _explicit_solve(inst, np.complex128))
+
+
+@pytest.mark.parametrize("N", [32, 128, 512])
+@pytest.mark.parametrize("name", ["F1_smooth_perturb",
+                                  "F5_multipoint_integral", "F6_holder_rough"])
+def test_real_and_complex_factorizations_agree(name, N):
+    inst = instantiate(gallery(name), 0.2, N)
+    cols = solver_mod.factor([inst])[0].cols
+    assert cols.dtype == np.float64
+    want = _explicit_solve(inst, np.complex128)
+    assert np.max(np.abs(cols - want)) <= 1e-9 * np.max(np.abs(want))
