@@ -84,7 +84,8 @@ class Factored:
     `solve_bvp_direct` reads instead of factoring again."""
     instance: ProblemInstance
     margin: float             # 0 where the system is singular
-    cols: np.ndarray          # (m, N+1, 1 + rm), zeros where singular
+    cols: np.ndarray          # (m, N+1, 1 + rm) in its `_dtype`, zeros
+                              # where singular
 
     def __getattr__(self, name):   # eps, N, ...: the instance's
         return getattr(self.instance, name)
@@ -239,7 +240,8 @@ def collocation_matrix(instance) -> np.ndarray:
     insts = getattr(instance, "instances", (instance,))
     r, m, N = insts[0].r, insts[0].m, insts[0].N
     a, b = insts[0].coeffs[0].interval
-    dtype = getattr(instance, "dtype", None) or _dtype(insts)
+    stacked = isinstance(instance, InstanceStack)
+    dtype = instance.dtype if stacked else _dtype(insts)
     part = np.real if dtype is float else np.asarray   # the zero imag dropped
     big = np.empty((len(insts), m, N + 1, m, N + 1), dtype=dtype)
     big[:] = np.kron(np.eye(m), _diff_power(N, a, b, r)).reshape(
@@ -256,7 +258,7 @@ def collocation_matrix(instance) -> np.ndarray:
         [big[:, _kept_rows(r, m, N)],
          part(np.stack([boundary_matrix(inst.B, N) for inst in insts]))],
         axis=1)
-    return mats if isinstance(instance, InstanceStack) else mats[0]
+    return mats if stacked else mats[0]
 
 
 def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
