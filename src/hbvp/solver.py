@@ -86,6 +86,8 @@ class Factored:
     margin: float             # 0 where the system is singular
     cols: np.ndarray          # (m, N+1, 1 + rm) in its `_dtype`, zeros
                               # where singular
+    mat: np.ndarray           # its system [K; Bmat] and column 0's right-
+    b: np.ndarray             # hand side [f; c], for `_refined`
 
     def __getattr__(self, name):   # eps, N, ...: the instance's
         return getattr(self.instance, name)
@@ -311,20 +313,37 @@ def factor(instances) -> list:
         EZ.append(row @ cols[..., 1:])
         row = row @ insts[0].coeffs[0].diffmat
     margins = _margin(np.concatenate(EZ, axis=1)).tolist()
-    return list(map(Factored, insts, margins, cols))
+    return list(map(Factored, insts, margins, cols, mats, rhs[..., 0]))
+
+
+def _refined(f: Factored) -> np.ndarray:
+    """Column 0 of f after one step of iterative refinement: its residual
+    on [K; Bmat] y = [f; c] formed in extended precision, and the
+    correction solved for with K in f's dtype."""
+    y = f.cols[..., 0]
+    ext = np.longdouble if f.mat.dtype == float else np.clongdouble
+    res = f.b - f.mat.astype(ext) @ y.reshape(-1)
+    d = np.linalg.solve(f.mat, res.astype(f.mat.dtype))
+    return y + d.reshape(y.shape)
 
 
 def solve_bvp_direct(instance) -> SolveResult:
     """Square collocation of the r-th order system itself, at the
     instance's degree, gated by Condition (0) from the same factorization,
     which also gives the matrix solution Z.  A ProblemInstance is factored
-    as a stack of one; a `Factored` one is read from its stack's."""
+    as a stack of one; a `Factored` one is read from its stack's.  A y
+    over the residual gate is refined once (`_refined`) and judged again:
+    at high N the LU's own backward error reaches the gate."""
     f = instance if isinstance(instance, Factored) else factor([instance])[0]
     inst, cols = f.instance, f.cols
     _require_condition_zero(f.margin, inst.N)
     y = GridFunction(cols[:, None, :, 0].copy(), inst.interval)
+    residual = _residual(inst, y)
+    if not _accept(residual, float(np.max(np.abs(inst.rhs.values)))):
+        y = GridFunction(_refined(f)[:, None], inst.interval)
+        residual = _residual(inst, y)
     Z = GridFunction(cols[:, :, 1:].transpose(0, 2, 1).copy(), inst.interval)
-    return _result(inst, y, Z, _residual(inst, y), "direct", f.margin)
+    return _result(inst, y, Z, residual, "direct", f.margin)
 
 
 def solve_bvp(instance: ProblemInstance) -> SolveResult:

@@ -302,8 +302,9 @@ def _count_fundamental_matrices(monkeypatch):
 def test_direct_route_decides_condition_zero_once(monkeypatch):
     # F6 at N = 512 sits at the residual gate's roundoff level (rejected on
     # one BLAS thread, accepted on two), so the gate is made to reject; the
-    # solve is rejected at the requested degree after one factorization,
-    # which also decides Condition (0), with no retry at a higher degree
+    # solve is rejected at the requested degree after one collocation
+    # matrix, whose factorization also decides Condition (0), with no retry
+    # at a higher degree
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
     fundamentals = _count_fundamental_matrices(monkeypatch)
     collocations = _count_calls(monkeypatch, "collocation_matrix",
@@ -341,6 +342,25 @@ def test_direct_solve_warns_at_no_degree(N):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert solve_bvp_direct(inst).N == N
+
+
+def test_direct_solve_refines_a_y_over_the_gate_once(monkeypatch):
+    # the gate rejects the factored y, then judges y after one refinement
+    # step, whose residual on [K; Bmat] is smaller
+    verdicts = iter([False, True])
+    monkeypatch.setattr(solver_mod, "_accept", lambda *a: next(verdicts))
+    inst = instantiate(gallery("F1_smooth_perturb"), 0.2, 512)
+    f = solver_mod.factor([inst])[0]
+    res = solve_bvp_direct(f)
+    assert np.array_equal(res.y.values[:, 0], solver_mod._refined(f))
+    assert res.residual == solver_mod._residual(inst, res.y)
+
+    def backward_error(y):
+        ext = f.mat.astype(np.longdouble) @ y.reshape(-1)
+        return np.max(np.abs(f.b - ext))
+
+    assert backward_error(solver_mod._refined(f)) < backward_error(
+        f.cols[..., 0])
 
 
 def _count_collocation_matrices(monkeypatch):
