@@ -303,70 +303,110 @@ def sup_norm(g: GridFunction, M: int = DEFAULT_SAMPLES) -> float:
     return float(np.sum(np.max(np.abs(_sample(g, M)[1]), axis=-1)))
 
 
-_PAIR_BLOCK = 16   # points per block of the seminorm's branch-and-bound
-_PAIR_CHUNK = 16   # block pairs evaluated per step
+_PAIR_BLOCK = 32    # points per block of the seminorm's branch and bound
+_PAIR_CHUNK = 64    # block pairs per batch: 32 KiB per (pair, side, point) array
 _TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=8)
-def _block_pairs(nb: int):
-    """np.triu_indices(nb), read-only: the block pairs I <= J of _pair_max."""
-    I, J = np.triu_indices(nb)
-    I.flags.writeable = J.flags.writeable = False
-    return I, J
+def _pair_grid(key: bytes, alpha: float):
+    """_pair_max's read-only data of the points ts (as bytes): the gaps h,
+    block indices pad (the last padded with the last point) and times T,
+    (1 + 64u) / gap**alpha of block pairs (0 below the diagonal), the seed's
+    anchors reps and their distances**alpha to both ends."""
+    ts = np.frombuffer(key)
+    h, P, B = np.diff(ts), len(ts), _PAIR_BLOCK
+    pad = np.minimum(np.arange(-(-P // B) * B), P - 1).reshape(-1, B)
+    T, reps = ts[pad], np.append(pad[:, 0], P - 1)
+    I, J = np.indices((len(T), len(T)))
+    gap = np.where(I < J, T[J, 0] - T[I, -1], np.where(I == J, h.min(), np.inf))
+    d = np.abs(ts[reps] - ts[::P - 1, None])
+    out = (h, pad, T, (1.0 + _ROUNDOFF_SLACK) / gap**alpha, reps,
+           np.power(np.where(d > 0, d, np.inf), alpha))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _pair_max(vals: np.ndarray, ts: np.ndarray, alpha: float) -> float:
-    """max over i < j of |vals[j] - vals[i]| / (ts[j] - ts[i])**alpha.
+def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
+    """Row by row, max over i < j of |V[:, j] - V[:, i]| / (ts[j] - ts[i])**alpha.
 
-    ts must increase strictly.  Real samples are scanned as reals; a NaN one
-    gives NaN, an infinite one inf.  At alpha = 1 this is the largest adjacent
-    slope s_k, as |v_j - v_i| <= sum |dv_k| <= max s_k (t_j - t_i), returned
-    as rounded: a chord's computed quotient may round about one ulp above it.
-    For alpha < 1 the adjacent pairs seed the best ratio.  Over blocks of
-    _PAIR_BLOCK points (the last padded with the last sample), block pair
-    I <= J has ratios <= (1 + 64u) min(S / gap**alpha, L**alpha S**(1-alpha)),
-    as |dv| <= min(S, L d) at distance d: S = spread of Re + spread of Im over
-    both blocks, gap = ts[first of J] - ts[last of I] (the least spacing if
-    I = J), L = the largest gap slope from I's first point to J's last (L,
-    S >= the least normal float in the second term).  Block pairs are evaluated
-    _PAIR_CHUNK at a time in descending bound, as an all-pairs scan would,
-    until no bound beats the best: the exact all-pairs maximum, in
-    O((P/16)**2) memory.
+    ts must increase strictly.  Rows are scanned as reals if no imaginary
+    part is nonzero; a NaN sample gives NaN, an infinite one inf.  At alpha =
+    1: the largest adjacent slope s_k, as |v_j - v_i| <= sum |dv_k| <= max s_k
+    (t_j - t_i) (a chord's computed quotient may round an ulp above it).
+    Else the adjacent pairs and the chords from both ends to each block's
+    first point seed the best, and over blocks of _PAIR_BLOCK points block
+    pair I <= J has ratios <= (1 + 64u) S / gap**alpha (S: hypot of the
+    spreads of Re and Im over both blocks; gap: from I's last point to J's
+    first, the least spacing if I = J), and if J - I <= 1 <= (1 + 64u)
+    L**alpha S**(1-alpha), as |dv| <= min(S, L d) at distance d (L: the
+    largest slope of the gaps from their points; L, S >= the least normal
+    float).  Pairs whose bound beats their row's best go _PAIR_CHUNK at a
+    time, in descending bound over best; a point of one block is evaluated
+    against all of the other if its value's distance to that block's box
+    over its distance to that block, to the alpha, times 1 + 64u beats the
+    best, on the side with fewer such points.  Each row has the bits of its
+    exact all-pairs maximum alone.  Rows go in groups, and points in slices,
+    whose arrays take no more bytes than 4 and 1 of a batch's arrays.
     """
-    vals = vals if vals.imag.any() else vals.real
-    h, dv = np.diff(ts), np.abs(np.diff(vals))
-    best = float((dv / np.power(h, alpha)).max(initial=0.0))
-    if alpha == 1.0 or len(ts) < 3 or not np.isfinite(best):
+    P, B = len(ts), _PAIR_BLOCK
+    nb = -(-P // B)
+    step = max(1, 4 * _PAIR_CHUNK * B // max(P, nb * nb))   # rows per group
+    if len(V) > step:
+        return np.concatenate([_pair_max(V[s:s + step], ts, alpha)
+                               for s in range(0, len(V), step)])
+    V = V if V.imag.any() else V.real
+    dv = np.abs(np.diff(V))
+    best = (dv / np.power(np.diff(ts), alpha)).max(1, initial=0.0)
+    if alpha == 1.0 or P < 3:
         return best
-    nb = -(-len(ts) // _PAIR_BLOCK)
-    pad = np.minimum(np.arange(nb * _PAIR_BLOCK), len(ts) - 1)
-    V, T = vals[pad].reshape(nb, -1), ts[pad].reshape(nb, -1)
-    I, J = _block_pairs(nb)
-    spread = 0.0
-    for part in (V.real, V.imag) if np.iscomplexobj(V) else (V,):
-        hi, lo = part.max(1), part.min(1)
-        spread = spread + (np.maximum(hi[I], hi[J]) - np.minimum(lo[I], lo[J]))
-    gap = np.power(np.where(I < J, T[J, 0] - T[I, -1], h.min()), alpha)
-    with np.errstate(over="ignore"):   # an inf slope or bound prunes nothing
-        s = np.maximum(np.append(dv / h, 0.0)[pad], _TINY).reshape(nb, -1)
-        g = np.append(0.0, s[:-1].max(1))[:, None]
-        L = np.maximum.accumulate(np.tril(np.broadcast_to(g, (nb, nb)), -1))
-        L = np.maximum(L[J, I], s[:, :-1].max(1)[J])
-        S = np.maximum(spread, _TINY)
-        bound = np.fmin(spread / gap, L**alpha * (S / S**alpha))
-        bound *= 1.0 + _ROUNDOFF_SLACK
-    order = np.flatnonzero(~(bound <= best))   # a NaN bound prunes nothing
-    order = order[np.argsort(bound[order])[::-1]]
-    for k in range(0, len(order), _PAIR_CHUNK):
-        c = order[k:k + _PAIR_CHUNK]
-        if bound[c[0]] <= best:
-            break
-        d = T[J[c], None, :] - T[I[c], :, None]
-        d = np.power(np.where(d > 0, d, np.inf), alpha)
-        q = np.abs(V[J[c], None, :] - V[I[c], :, None]) / d
-        best = max(best, float(q.max()))
-    return best
+    h, pad, T, slack, reps, ends = _pair_grid(ts.tobytes(), alpha)
+    box = np.array([[f.reduceat(p, pad[:, 0], 1) for f in (np.maximum, np.minimum)]
+                    for p in ((V.real, V.imag) if np.iscomplexobj(V) else (V,))])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        L = np.maximum.reduceat(dv / h, np.minimum(pad[:, 0], P - 2), 1)
+        L = [np.maximum(x, _TINY)**alpha for x in (L, np.maximum(L[:, :-1], L[:, 1:]))]
+        S = np.maximum(box[:, 0, :, :, None], box[:, 0, :, None]) - np.minimum(
+            box[:, 1, :, :, None], box[:, 1, :, None])
+        S = (np.hypot(*S) if len(S) == 2 else S[0]).reshape(len(V), -1)
+        bound = S * slack.ravel()
+        for k in (0, 1):   # the diagonal and the first superdiagonal
+            Sk = np.maximum(S[:, k::nb + 1], _TINY)
+            bound[:, k::nb + 1] = np.fmin(bound[:, k::nb + 1], L[k] * (
+                Sk / Sk**alpha) * (1.0 + _ROUNDOFF_SLACK))
+        sub = np.where(np.isfinite(best), np.maximum(best, (np.abs(V[
+            :, None, reps] - V[:, ::P - 1, None]) / ends).max((1, 2))), best)
+        f = np.flatnonzero(bound > sub[:, None])   # a NaN bound is 0 * inf
+        (r, pq), b = np.divmod(f, nb * nb), bound.ravel()[f]
+        del dv, bound, S
+        o = np.argsort(sub[r] / b)
+        for j in range(0, len(o), _PAIR_CHUNK):
+            c = o[j:j + _PAIR_CHUNK]
+            c = c[b[c] > sub[r[c]]]   # not pruned by the batches before
+            e, blk = r[c], np.stack(np.divmod(pq[c], nb), 1)   # I <= J
+            X = V[e[:, None, None], pad[blk]]          # (pair, side, point)
+            D = [np.maximum(hl[0] - x, x - hl[1]) for hl, x in zip(
+                box[:, :, e[:, None], blk[:, ::-1], None], (X.real, X.imag)
+                if len(box) == 2 else (X,))]
+            D = np.hypot(*D) if len(D) == 2 else D[0]
+            far = T[blk] - T[blk[:, ::-1], [0, -1]][..., None]
+            D /= np.power(np.abs(far, out=far), alpha, out=far)
+            live = ~(D * (1.0 + _ROUNDOFF_SLACK) <= sub[e, None, None])
+            live |= (blk[:, :1] == blk[:, 1:])[..., None]
+            cnt = live.sum(2)
+            live[np.arange(len(c)), (cnt[:, 0] <= cnt[:, 1]).astype(int)] = 0
+            row, x = np.divmod(np.flatnonzero(live), B)   # 2 pair + side, point
+            del D, far, live
+            for i in range(0, len(row), 2 * _PAIR_CHUNK):
+                i = slice(i, i + 2 * _PAIR_CHUNK)
+                d = np.abs(T[blk.ravel()[row[i] ^ 1]]
+                           - T[blk.ravel()[row[i]], x[i], None])
+                q = X.reshape(-1, B)[row[i] ^ 1]
+                q -= X.ravel()[row[i] * B + x[i], None]
+                q = np.abs(q) / np.power(np.where(d > 0, d, np.inf), alpha)
+                np.maximum.at(sub, e[row[i] // 2], q.max(1))
+    return sub
 
 
 def holder_seminorm(g: GridFunction, idx: HolderIndex,
@@ -397,9 +437,9 @@ def holder_norms(gs: list, idx: HolderIndex,
     reads the `_sample` memo, and a stack of one fills it.  Each order's sup
     parts take one max over the stack.  The seminorm, the maximum over all
     pairs of points and so a lower bound of the true one, is at alpha = 1
-    the largest adjacent slope (a brute-force chord scan may round an ulp
-    above it), and for alpha < 1 `_pair_max`'s exact branch and bound per
-    function and entry.
+    the largest adjacent slope, stack by stack (a brute-force chord scan may
+    round an ulp above it), and for alpha < 1 `_pair_max`'s exact branch and
+    bound, one call for every function and entry of gs.
     """
     if M < MIN_SEMINORM_SAMPLES:
         raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
@@ -408,38 +448,37 @@ def holder_norms(gs: list, idx: HolderIndex,
     g = gs[0]
     ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1))
     step = max(1, NORM_STACK_BYTES // (16 * len(ts) * np.prod(g.shape)))
-    if len(gs) > step:
-        return [v for s in range(0, len(gs), step)
-                for v in holder_norms(gs[s:s + step], idx, M)]
-    srcs = [f.sources for f in gs]
-    shared = len(gs) > 1 and all(s is srcs[0] for s in srcs)
-    vals = np.array([f.values for f in gs]) if srcs[0] is None else None
-    sups = []
-    for order in range(idx.n + 1):
-        if order == 0 and all(M in f._samples for f in gs):
-            S = np.array([f._samples[M][1] for f in gs])
-        elif vals is not None:
-            S = vals @ ET
-        elif shared:
-            S = _eval_exprs(srcs[0], ts, np.array([f.eps for f in gs]),
-                            g.a, g.b)
-        else:
-            S = np.array([_eval_exprs(src, ts, f.eps, g.a, g.b)
-                          for src, f in zip(srcs, gs)])
-        if order == 0 and len(gs) == 1:   # a stack's samples are transient
-            S.flags.writeable = False
-            g._samples.setdefault(M, (ts, S[0]))
-        sups.append(np.sum(np.max(np.abs(S), axis=-1), axis=(1, 2)))
-        if order < idx.n and vals is not None:
-            vals = vals @ g.diffmat.T
-        elif order < idx.n:
-            srcs = ([_derived(srcs[0])] * len(gs) if shared
-                    else [_derived(src) for src in srcs])
-    if idx.alpha == 1.0:
-        semis = np.max(np.abs(np.diff(S)) / np.diff(ts), axis=-1, initial=0.0)
-    else:
-        semis = np.array([[[_pair_max(v, ts, idx.alpha) for v in row]
-                           for row in rows] for rows in S])
+    sups, last = [], []
+    for stack in (gs[s:s + step] for s in range(0, len(gs), step)):
+        srcs = [f.sources for f in stack]
+        shared = len(stack) > 1 and all(s is srcs[0] for s in srcs)
+        vals = np.array([f.values for f in stack]) if srcs[0] is None else None
+        for order in range(idx.n + 1):
+            if order == 0 and all(M in f._samples for f in stack):
+                S = np.array([f._samples[M][1] for f in stack])
+            elif vals is not None:
+                S = vals @ ET
+            elif shared:
+                S = _eval_exprs(srcs[0], ts, np.array([f.eps for f in stack]),
+                                g.a, g.b)
+            else:
+                S = np.array([_eval_exprs(src, ts, f.eps, g.a, g.b)
+                              for src, f in zip(srcs, stack)])
+            if order == 0 and len(stack) == 1:   # a stack's samples are transient
+                S.flags.writeable = False
+                stack[0]._samples.setdefault(M, (ts, S[0]))
+            sups.append(np.sum(np.max(np.abs(S), axis=-1), axis=(1, 2)))
+            if order < idx.n and vals is not None:
+                vals = vals @ g.diffmat.T
+            elif order < idx.n:
+                srcs = ([_derived(srcs[0])] * len(stack) if shared
+                        else [_derived(src) for src in srcs])
+        S = S.reshape(-1, len(ts))
+        last.append(_pair_max(S, ts, 1.0) if idx.alpha == 1.0 else
+                    S if S.imag.any() else S.real.copy())
+    sups = [np.concatenate(sups[k::idx.n + 1]) for k in range(idx.n + 1)]
+    semis = np.concatenate(last)
+    semis = semis if idx.alpha == 1.0 else _pair_max(semis, ts, idx.alpha)
     semi = 0.0   # entry by entry, in the order of a one-function sum
     for part in semis.reshape(len(gs), -1).T:
         semi = semi + part

@@ -10,7 +10,7 @@ from hbvp import expr as ex
 from hbvp.analysis import two_sided_sweep
 from hbvp.chebyshev import bary_matrix
 from hbvp.grid import (_PAIR_BLOCK, GridFunction, HolderIndex, ShapeError,
-                       _pair_max, _point_row, _sample_grid, algebra_constant,
+                       _point_row, _sample_grid, algebra_constant,
                        holder_norm, holder_seminorm, interpolate, product,
                        sup_norm)
 from hbvp.problem import (_gallery_config, boundary_matrix,
@@ -104,6 +104,11 @@ def test_seminorm_refinement_flag():
     assert abs(holder_seminorm(g, HolderIndex(0, 1.0), 256) - 3.0) < 1e-2
 
 
+def _pair_max(vals, ts, alpha):
+    """grid._pair_max of the one row vals."""
+    return float(grid._pair_max(np.asarray(vals)[None], ts, alpha)[0])
+
+
 def _all_pairs_max(vals, ts, alpha):
     """Reference seminorm scan: every ordered pair, one P x P block."""
     dv = np.abs(vals[:, None] - vals[None, :])
@@ -186,11 +191,11 @@ _RAMP_CONFIG = {
 def test_alpha_one_takes_no_block_scan(tmp_path, monkeypatch):
     # equal steepest adjacent slopes (a ramp, a tent) and the sweep of
     # y'' = (1 + eps) t, whose perturbation is a ramp: alpha = 1 returns
-    # the adjacent maximum and never builds a block pair
-    def no_block_scan(nb):
+    # the adjacent maximum and never builds the blocks
+    def no_block_scan(key, alpha):
         raise AssertionError("alpha = 1 entered the block scan")
 
-    monkeypatch.setattr(grid, "_block_pairs", no_block_scan)
+    monkeypatch.setattr(grid, "_pair_grid", no_block_scan)
     ts = _sample_grid(32, 0.0, 1.0, 1024)[0]
     P, m = len(ts), len(ts) // 3
     assert P == 1055
@@ -204,13 +209,13 @@ def test_alpha_one_takes_no_block_scan(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("chunk", [grid._PAIR_CHUNK, 1])
+@pytest.mark.parametrize("chunk", [16, 1])
 @pytest.mark.parametrize("alpha", [1.0, 0.77, 0.5, 0.3, 0.1])
 def test_pair_max_block_edges(alpha, chunk, monkeypatch):
     # shapes around the block size, then unevenly spaced points whose
     # maximum (for alpha < 1) is a chord of lag 8 through a dense cluster,
-    # inside one block or across a block seam; a chunk of one block pair
-    # leaves every pruning decision to the bound alone
+    # inside one block or across a block seam; batches of 16 block pairs or
+    # of one raise the best between more pruning decisions than the default
     monkeypatch.setattr(grid, "_PAIR_CHUNK", chunk)
     rng = np.random.default_rng(7)
     B = _PAIR_BLOCK
@@ -298,23 +303,68 @@ def test_pair_max_nan_sample_gives_nan():
     assert _pair_max(vals, ts, 0.5) == np.inf
 
 
+def _mixed_rows(ts):
+    """Rows of every kind a stack of `grid._pair_max` can mix: real, complex,
+    real stored complex (imaginary parts 0 or -0.0), constant, NaN, +-inf,
+    tiny and huge; cusps (about 35 live block pairs each on 1055 points)
+    and smooth rows (a few)."""
+    rng = np.random.default_rng(11)
+    P = len(ts)
+    negzero = np.cos(2 * ts) + 0j
+    negzero.imag = -0.0
+    nan, inf, neginf = (np.sin(3 * ts) + 0j for _ in range(3))
+    nan[P // 3], inf[P // 2], neginf[-1] = np.nan, np.inf, -np.inf
+    rows = [np.abs(ts - ts[P // 2]) ** 0.5, np.abs(ts - 0.3) ** 0.25,
+            ts ** 0.5, np.sin(3 * ts), np.exp(5j * ts),
+            np.abs(ts - 0.6) ** 0.5 * np.exp(2j * ts), np.cos(2 * ts) + 0j,
+            negzero, np.full(P, 2.0), np.full(P, 1 + 2j), nan, inf, neginf,
+            rng.standard_normal(P), rng.standard_normal(P) + 1j * rng.
+            standard_normal(P), ts, np.where(ts < 0.4, 0.0, 1.0),
+            1e-300 * np.sin(ts), 1e300 * np.sin(ts),
+            np.minimum(ts, 0.7 - ts)]
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, 6])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.77, 0.9])
+def test_pair_max_rows_keep_their_bits_in_any_stack(alpha, chunk,
+                                                    monkeypatch):
+    # stacks of 1, 3 and 20 rows of mixed kinds; with batches of 6 block
+    # pairs a cusp row alone takes 6 batches, exp(5it) 42, a smooth or noisy
+    # row 1 to 4, a constant one none; each row has the bits of the
+    # all-pairs scan and of its scan alone
+    if chunk:
+        monkeypatch.setattr(grid, "_PAIR_CHUNK", chunk)
+    ts = _sample_grid(32, 0.0, 1.0, 1024)[0]
+    V = _mixed_rows(ts)
+    with np.errstate(invalid="ignore"):
+        want = np.array([_all_pairs_max(v, ts, alpha) for v in V])
+    assert np.isnan(want).sum() == 1 and np.isinf(want).sum() == 2
+    for k in (1, 3, 20):
+        got = np.concatenate([grid._pair_max(V[s:s + k], ts, alpha)
+                              for s in range(0, len(V), k)])
+        assert repr(got.tolist()) == repr(want.tolist()), k
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--gallery", "F6_holder_rough", "--count", "4"],
     ["verify", "--gallery", "F6_holder_rough"],
     ["sweep", "--gallery", "F6_holder_rough", "--count", "2",
      "--degree", "64", "--samples", "2048"]])
 def test_pair_max_is_exact_on_the_f6_workload(argv, tmp_path, monkeypatch):
-    calls = []
+    calls, pair_max = [], grid._pair_max
 
-    def recording(vals, ts, alpha):
-        calls.append((vals, ts, alpha, _pair_max(vals, ts, alpha)))
+    def recording(V, ts, alpha):
+        calls.append((V, ts, alpha, pair_max(V, ts, alpha)))
         return calls[-1][-1]
 
     monkeypatch.setattr(grid, "_pair_max", recording)
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert any(alpha < 1.0 for _, _, alpha, _ in calls)
-    for vals, ts, alpha, got in calls:
-        assert got == _all_pairs_max(vals, ts, alpha)
+    for V, ts, alpha, got in calls:
+        for vals, row in zip(V, got):
+            assert row == _all_pairs_max(vals, ts, alpha)
 
 
 @pytest.mark.parametrize("N, M, interval", [
