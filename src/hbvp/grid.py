@@ -312,8 +312,9 @@ _TINY = np.finfo(float).tiny
 def _pair_grid(key: bytes, alpha: float):
     """_pair_max's read-only data of the points ts (as bytes): the gaps h,
     block indices pad (the last padded with the last point) and times T,
-    (1 + 64u) / gap**alpha of block pairs (0 below the diagonal), the seed's
-    anchors reps and their distances**alpha to both ends."""
+    (1 + 64u) / gap**alpha of block pairs (0 below the diagonal) and the flat
+    indices near of those with J - I <= 1, the seed's anchors reps and their
+    distances**alpha to both ends."""
     ts = np.frombuffer(key)
     h, P, B = np.diff(ts), len(ts), _PAIR_BLOCK
     pad = np.minimum(np.arange(-(-P // B) * B), P - 1).reshape(-1, B)
@@ -321,7 +322,8 @@ def _pair_grid(key: bytes, alpha: float):
     I, J = np.indices((len(T), len(T)))
     gap = np.where(I < J, T[J, 0] - T[I, -1], np.where(I == J, h.min(), np.inf))
     d = np.abs(ts[reps] - ts[::P - 1, None])
-    out = (h, pad, T, (1.0 + _ROUNDOFF_SLACK) / gap**alpha, reps,
+    out = (h, pad, T, (1.0 + _ROUNDOFF_SLACK) / gap**alpha,
+           np.append(np.flatnonzero(I == J), np.flatnonzero(J == I + 1)), reps,
            np.power(np.where(d > 0, d, np.inf), alpha))
     for a in out:
         a.flags.writeable = False
@@ -361,30 +363,29 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
     best = (dv / np.power(np.diff(ts), alpha)).max(1, initial=0.0)
     if alpha == 1.0 or P < 3:
         return best
-    h, pad, T, slack, reps, ends = _pair_grid(ts.tobytes(), alpha)
+    h, pad, T, slack, near, reps, ends = _pair_grid(ts.tobytes(), alpha)
     box = np.array([[f.reduceat(p, pad[:, 0], 1) for f in (np.maximum, np.minimum)]
                     for p in ((V.real, V.imag) if np.iscomplexobj(V) else (V,))])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         L = np.maximum.reduceat(dv / h, np.minimum(pad[:, 0], P - 2), 1)
-        L = [np.maximum(x, _TINY)**alpha for x in (L, np.maximum(L[:, :-1], L[:, 1:]))]
+        L = np.maximum(np.append(L, np.maximum(L[:, :-1], L[:, 1:]), 1), _TINY)
         S = np.maximum(box[:, 0, :, :, None], box[:, 0, :, None]) - np.minimum(
             box[:, 1, :, :, None], box[:, 1, :, None])
         S = (np.hypot(*S) if len(S) == 2 else S[0]).reshape(len(V), -1)
         bound = S * slack.ravel()
-        for k in (0, 1):   # the diagonal and the first superdiagonal
-            Sk = np.maximum(S[:, k::nb + 1], _TINY)
-            bound[:, k::nb + 1] = np.fmin(bound[:, k::nb + 1], L[k] * (
-                Sk / Sk**alpha) * (1.0 + _ROUNDOFF_SLACK))
+        Sk = np.maximum(S[:, near], _TINY)
+        bound[:, near] = np.fmin(bound[:, near], L**alpha * (
+            Sk / Sk**alpha) * (1.0 + _ROUNDOFF_SLACK))
         sub = np.where(np.isfinite(best), np.maximum(best, (np.abs(V[
             :, None, reps] - V[:, ::P - 1, None]) / ends).max((1, 2))), best)
         f = np.flatnonzero(bound > sub[:, None])   # a NaN bound is 0 * inf
         (r, pq), b = np.divmod(f, nb * nb), bound.ravel()[f]
         del dv, bound, S
-        o = np.argsort(sub[r] / b)
+        o, pq = np.argsort(sub[r] / b), np.stack(np.divmod(pq, nb), 1)
         for j in range(0, len(o), _PAIR_CHUNK):
             c = o[j:j + _PAIR_CHUNK]
             c = c[b[c] > sub[r[c]]]   # not pruned by the batches before
-            e, blk = r[c], np.stack(np.divmod(pq[c], nb), 1)   # I <= J
+            e, blk = r[c], pq[c]                       # block pairs I <= J
             X = V[e[:, None, None], pad[blk]]          # (pair, side, point)
             D = [np.maximum(hl[0] - x, x - hl[1]) for hl, x in zip(
                 box[:, :, e[:, None], blk[:, ::-1], None], (X.real, X.imag)
