@@ -310,11 +310,8 @@ _TINY = np.finfo(float).tiny
 
 @lru_cache(maxsize=8)
 def _pair_grid(key: bytes, alpha: float):
-    """_pair_max's read-only data of the points ts (as bytes): the gaps h,
-    block indices pad (the last padded with the last point) and times T,
-    (1 + 64u) / gap**alpha of block pairs (0 below the diagonal) and the flat
-    indices near of those with J - I <= 1, the seed's anchors reps and their
-    distances**alpha to both ends."""
+    """_pair_max's read-only data of the points ts (as bytes): gaps h, h**alpha,
+    blocks pad and T, (1 + 64u) / gap**alpha, pairs near and seed anchors."""
     ts = np.frombuffer(key)
     h, P, B = np.diff(ts), len(ts), _PAIR_BLOCK
     pad = np.minimum(np.arange(-(-P // B) * B), P - 1).reshape(-1, B)
@@ -322,7 +319,7 @@ def _pair_grid(key: bytes, alpha: float):
     I, J = np.indices((len(T), len(T)))
     gap = np.where(I < J, T[J, 0] - T[I, -1], np.where(I == J, h.min(), np.inf))
     d = np.abs(ts[reps] - ts[::P - 1, None])
-    out = (h, pad, T, (1.0 + _ROUNDOFF_SLACK) / gap**alpha,
+    out = (h, np.power(h, alpha), pad, T, (1.0 + _ROUNDOFF_SLACK) / gap**alpha,
            np.append(np.flatnonzero(I == J), np.flatnonzero(J == I + 1)), reps,
            np.power(np.where(d > 0, d, np.inf), alpha))
     for a in out:
@@ -331,39 +328,30 @@ def _pair_grid(key: bytes, alpha: float):
 
 
 def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
-    """Row by row, max over i < j of |V[:, j] - V[:, i]| / (ts[j] - ts[i])**alpha.
+    """Row by row, max over i < j of |V[:, j] - V[:, i]| / (ts[j] - ts[i])**alpha,
+    with the bits of each row's exact all-pairs maximum alone.
 
-    ts must increase strictly.  Rows are scanned as reals if no imaginary
-    part is nonzero; a NaN sample gives NaN, an infinite one inf.  At alpha =
-    1: the largest adjacent slope s_k, as |v_j - v_i| <= sum |dv_k| <= max s_k
-    (t_j - t_i) (a chord's computed quotient may round an ulp above it).
-    Else the adjacent pairs and the chords from both ends to each block's
-    first point seed the best, and over blocks of _PAIR_BLOCK points block
-    pair I <= J has ratios <= (1 + 64u) S / gap**alpha (S: hypot of the
-    spreads of Re and Im over both blocks; gap: from I's last point to J's
-    first, the least spacing if I = J), and if J - I <= 1 <= (1 + 64u)
-    L**alpha S**(1-alpha), as |dv| <= min(S, L d) at distance d (L: the
-    largest slope of the gaps from their points; L, S >= the least normal
-    float).  Pairs whose bound beats their row's best go _PAIR_CHUNK at a
-    time, in descending bound over best; a point of one block is evaluated
-    against all of the other if its value's distance to that block's box
-    over its distance to that block, to the alpha, times 1 + 64u beats the
-    best, on the side with fewer such points.  Each row has the bits of its
-    exact all-pairs maximum alone.  Rows go in groups, and points in slices,
-    whose arrays take no more bytes than 4 and 1 of a batch's arrays.
+    ts must increase strictly; rows with no nonzero imaginary part are
+    scanned as reals; a NaN sample gives NaN, an infinite one inf.  At alpha
+    = 1: the largest adjacent slope, as no chord is steeper than its gaps.
+    Else, after a seed of adjacent pairs and chords from both ends, block
+    pairs I <= J of _PAIR_BLOCK points go _PAIR_CHUNK at a time while their
+    bound, times 1 + 64u, beats their row's best: |dv| <= S / gap**alpha and,
+    if J - I <= 1, L**alpha S**(1-alpha) (S: hypot of the spreads of Re and
+    Im, L: the largest adjacent slope, over both blocks).  Only points whose
+    own bound, the farthest reach of the other block's box over the distance
+    to it**alpha, beats the best are evaluated, on the side with fewer.  Rows
+    go in groups of at most 4 _PAIR_CHUNK _PAIR_BLOCK values per array.
     """
-    P, B = len(ts), _PAIR_BLOCK
-    nb = -(-P // B)
-    step = max(1, 4 * _PAIR_CHUNK * B // max(P, nb * nb))   # rows per group
-    if len(V) > step:
+    P, B, nb = len(ts), _PAIR_BLOCK, -(-len(ts) // _PAIR_BLOCK)
+    if len(V) > (step := max(1, 4 * _PAIR_CHUNK * B // max(P, nb * nb))):
         return np.concatenate([_pair_max(V[s:s + step], ts, alpha)
                                for s in range(0, len(V), step)])
-    V = V if V.imag.any() else V.real
-    dv = np.abs(np.diff(V))
-    best = (dv / np.power(np.diff(ts), alpha)).max(1, initial=0.0)
+    V = V if np.iscomplexobj(V) and V.imag.any() else V.real
+    dv = np.abs(V[:, 1:] - V[:, :-1])
     if alpha == 1.0 or P < 3:
-        return best
-    h, pad, T, slack, near, reps, ends = _pair_grid(ts.tobytes(), alpha)
+        return (dv / np.power(np.diff(ts), alpha)).max(1, initial=0.0)
+    h, ha, pad, T, slack, near, reps, ends = _pair_grid(ts.tobytes(), alpha)
     box = np.array([[f.reduceat(p, pad[:, 0], 1) for f in (np.maximum, np.minimum)]
                     for p in ((V.real, V.imag) if np.iscomplexobj(V) else (V,))])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -376,36 +364,33 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
         Sk = np.maximum(S[:, near], _TINY)
         bound[:, near] = np.fmin(bound[:, near], L**alpha * (
             Sk / Sk**alpha) * (1.0 + _ROUNDOFF_SLACK))
+        best = (dv / ha).max(1, initial=0.0)
         sub = np.where(np.isfinite(best), np.maximum(best, (np.abs(V[
             :, None, reps] - V[:, ::P - 1, None]) / ends).max((1, 2))), best)
         f = np.flatnonzero(bound > sub[:, None])   # a NaN bound is 0 * inf
-        (r, pq), b = np.divmod(f, nb * nb), bound.ravel()[f]
-        del dv, bound, S
-        o, pq = np.argsort(sub[r] / b), np.stack(np.divmod(pq, nb), 1)
+        r, *IJ = np.unravel_index(f, (len(V), nb, nb))
+        b, pq = bound.ravel()[f], np.array(IJ).T
+        o = np.argsort(sub[r] / b)
         for j in range(0, len(o), _PAIR_CHUNK):
             c = o[j:j + _PAIR_CHUNK]
             c = c[b[c] > sub[r[c]]]   # not pruned by the batches before
             e, blk = r[c], pq[c]                       # block pairs I <= J
-            X = V[e[:, None, None], pad[blk]]          # (pair, side, point)
+            X, Tb = V[e[:, None, None], pad[blk]], T[blk]   # (pair, side, point)
             D = [np.maximum(hl[0] - x, x - hl[1]) for hl, x in zip(
                 box[:, :, e[:, None], blk[:, ::-1], None], (X.real, X.imag)
                 if len(box) == 2 else (X,))]
             D = np.hypot(*D) if len(D) == 2 else D[0]
-            far = T[blk] - T[blk[:, ::-1], [0, -1]][..., None]
-            D /= np.power(np.abs(far, out=far), alpha, out=far)
+            D /= np.abs(Tb - Tb[:, [1, 0], [0, -1], None]) ** alpha
             live = ~(D * (1.0 + _ROUNDOFF_SLACK) <= sub[e, None, None])
             live |= (blk[:, :1] == blk[:, 1:])[..., None]
-            cnt = live.sum(2)
-            live[np.arange(len(c)), (cnt[:, 0] <= cnt[:, 1]).astype(int)] = 0
+            live[np.arange(len(c)), live.sum(2).argmax(1)] = 0
             row, x = np.divmod(np.flatnonzero(live), B)   # 2 pair + side, point
-            del D, far, live
             for i in range(0, len(row), 2 * _PAIR_CHUNK):
                 i = slice(i, i + 2 * _PAIR_CHUNK)
-                d = np.abs(T[blk.ravel()[row[i] ^ 1]]
-                           - T[blk.ravel()[row[i]], x[i], None])
-                q = X.reshape(-1, B)[row[i] ^ 1]
-                q -= X.ravel()[row[i] * B + x[i], None]
-                q = np.abs(q) / np.power(np.where(d > 0, d, np.inf), alpha)
+                n, m = row[i] ^ 1, row[i] * B + x[i]
+                d = np.abs(Tb.reshape(-1, B)[n] - Tb.ravel()[m, None])
+                q = np.abs(X.reshape(-1, B)[n] - X.ravel()[m, None])
+                q /= np.power(np.where(d > 0, d, np.inf), alpha)
                 np.maximum.at(sub, e[row[i] // 2], q.max(1))
     return sub
 
@@ -437,10 +422,8 @@ def holder_norms(gs: list, idx: HolderIndex,
     sources, else function by function (derivatives symbolic).  Order 0
     reads the `_sample` memo, and a stack of one fills it.  Each order's sup
     parts take one max over the stack.  The seminorm, the maximum over all
-    pairs of points and so a lower bound of the true one, is at alpha = 1
-    the largest adjacent slope, stack by stack (a brute-force chord scan may
-    round an ulp above it), and for alpha < 1 `_pair_max`'s exact branch and
-    bound, one call for every function and entry of gs.
+    pairs of points and so a lower bound of the true one, is `_pair_max`'s,
+    one call for every function and entry of gs.
     """
     if M < MIN_SEMINORM_SAMPLES:
         raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
@@ -474,12 +457,9 @@ def holder_norms(gs: list, idx: HolderIndex,
             elif order < idx.n:
                 srcs = ([_derived(srcs[0])] * len(stack) if shared
                         else [_derived(src) for src in srcs])
-        S = S.reshape(-1, len(ts))
-        last.append(_pair_max(S, ts, 1.0) if idx.alpha == 1.0 else
-                    S if S.imag.any() else S.real.copy())
+        last.append((S if S.imag.any() else S.real.copy()).reshape(-1, len(ts)))
     sups = [np.concatenate(sups[k::idx.n + 1]) for k in range(idx.n + 1)]
-    semis = np.concatenate(last)
-    semis = semis if idx.alpha == 1.0 else _pair_max(semis, ts, idx.alpha)
+    semis = _pair_max(np.concatenate(last), ts, idx.alpha)
     semi = 0.0   # entry by entry, in the order of a one-function sum
     for part in semis.reshape(len(gs), -1).T:
         semi = semi + part
