@@ -318,10 +318,9 @@ def _pair_grid(key: bytes, alpha: float):
     T, reps = ts[pad], np.append(pad[:, 0], P - 1)
     I, J = np.indices((len(T), len(T)))
     gap = np.where(I < J, T[J, 0] - T[I, -1], np.where(I == J, h.min(), np.inf))
-    d = np.abs(ts[reps] - ts[::P - 1, None])
     out = (h, np.power(h, alpha), pad, T, (1.0 + _ROUNDOFF_SLACK) / gap**alpha,
            np.append(np.flatnonzero(I == J), np.flatnonzero(J == I + 1)), reps,
-           np.power(np.where(d > 0, d, np.inf), alpha))
+           np.power(np.abs(ts[reps] - ts[::P - 1, None]), alpha))
     for a in out:
         a.flags.writeable = False
     return out
@@ -339,9 +338,9 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
     bound, times 1 + 64u, beats their row's best: |dv| <= S / gap**alpha and,
     if J - I <= 1, L**alpha S**(1-alpha) (S: hypot of the spreads of Re and
     Im, L: the largest adjacent slope, over both blocks).  Only points whose
-    own bound, the farthest reach of the other block's box over the distance
-    to it**alpha, beats the best are evaluated, on the side with fewer.  Rows
-    go in groups of at most 4 _PAIR_CHUNK _PAIR_BLOCK values per array.
+    own bound (the farthest reach of the other block's box over the distance
+    to it**alpha; NaN if I = J) beats the best are evaluated, on the side with
+    fewer.  Rows go in groups of 4 _PAIR_CHUNK _PAIR_BLOCK values per array.
     """
     P, B, nb = len(ts), _PAIR_BLOCK, -(-len(ts) // _PAIR_BLOCK)
     if len(V) > (step := max(1, 4 * _PAIR_CHUNK * B // max(P, nb * nb))):
@@ -365,33 +364,31 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
         bound[:, near] = np.fmin(bound[:, near], L**alpha * (
             Sk / Sk**alpha) * (1.0 + _ROUNDOFF_SLACK))
         best = (dv / ha).max(1, initial=0.0)
-        sub = np.where(np.isfinite(best), np.maximum(best, (np.abs(V[
-            :, None, reps] - V[:, ::P - 1, None]) / ends).max((1, 2))), best)
+        sub = np.where(np.isfinite(best), np.maximum(best, np.fmax.reduce(np.abs(
+            V[:, None, reps] - V[:, ::P - 1, None]) / ends, (1, 2))), best)
         f = np.flatnonzero(bound > sub[:, None])   # a NaN bound is 0 * inf
-        r, *IJ = np.unravel_index(f, (len(V), nb, nb))
-        b, pq = bound.ravel()[f], np.array(IJ).T
-        o = np.argsort(sub[r] / b)
-        for j in range(0, len(o), _PAIR_CHUNK):
-            c = o[j:j + _PAIR_CHUNK]
-            c = c[b[c] > sub[r[c]]]   # not pruned by the batches before
-            e, blk = r[c], pq[c]                       # block pairs I <= J
+        b = bound.ravel()[f]
+        del bound, S, dv
+        o = np.argsort(sub[f // (nb * nb)] / b)
+        for c in np.split(o, np.arange(_PAIR_CHUNK, len(o), _PAIR_CHUNK)):
+            c = c[b[c] > sub[f[c] // (nb * nb)]]   # still above the best
+            e, *blk = np.unravel_index(f[c], (len(V), nb, nb))
+            blk = np.stack(blk, 1)                     # block pairs I <= J
             X, Tb = V[e[:, None, None], pad[blk]], T[blk]   # (pair, side, point)
             D = [np.maximum(hl[0] - x, x - hl[1]) for hl, x in zip(
                 box[:, :, e[:, None], blk[:, ::-1], None], (X.real, X.imag)
                 if len(box) == 2 else (X,))]
             D = np.hypot(*D) if len(D) == 2 else D[0]
-            D /= np.abs(Tb - Tb[:, [1, 0], [0, -1], None]) ** alpha
+            D /= np.maximum(Tb[:, ::-1, :1] - Tb, Tb - Tb[:, ::-1, -1:]) ** alpha
             live = ~(D * (1.0 + _ROUNDOFF_SLACK) <= sub[e, None, None])
-            live |= (blk[:, :1] == blk[:, 1:])[..., None]
-            live[np.arange(len(c)), live.sum(2).argmax(1)] = 0
-            row, x = np.divmod(np.flatnonzero(live), B)   # 2 pair + side, point
-            for i in range(0, len(row), 2 * _PAIR_CHUNK):
-                i = slice(i, i + 2 * _PAIR_CHUNK)
-                n, m = row[i] ^ 1, row[i] * B + x[i]
-                d = np.abs(Tb.reshape(-1, B)[n] - Tb.ravel()[m, None])
-                q = np.abs(X.reshape(-1, B)[n] - X.ravel()[m, None])
+            live[np.arange(len(e)), live.sum(2).argmax(1)] = 0
+            pts = np.flatnonzero(live)   # flat (pair, side, point) of live points
+            for m in np.split(pts, range(2 * _PAIR_CHUNK, len(pts),
+                                         2 * _PAIR_CHUNK)):
+                d = np.abs(Tb.reshape(-1, B)[m // B ^ 1] - Tb.ravel()[m, None])
+                q = np.abs(X.reshape(-1, B)[m // B ^ 1] - X.ravel()[m, None])
                 q /= np.power(np.where(d > 0, d, np.inf), alpha)
-                np.maximum.at(sub, e[row[i] // 2], q.max(1))
+                np.maximum.at(sub, e[m // (2 * B)], q.max(1))
     return sub
 
 
@@ -457,9 +454,12 @@ def holder_norms(gs: list, idx: HolderIndex,
             elif order < idx.n:
                 srcs = ([_derived(srcs[0])] * len(stack) if shared
                         else [_derived(src) for src in srcs])
-        last.append((S if S.imag.any() else S.real.copy()).reshape(-1, len(ts)))
+        S = S.reshape(-1, len(ts))   # alpha < 1: every stack's rows, one scan
+        last.append(_pair_max(S, ts, 1.0) if idx.alpha == 1.0 else
+                    S if S.imag.any() else S.real.copy())
     sups = [np.concatenate(sups[k::idx.n + 1]) for k in range(idx.n + 1)]
-    semis = _pair_max(np.concatenate(last), ts, idx.alpha)
+    last = np.concatenate(last)
+    semis = last if idx.alpha == 1.0 else _pair_max(last, ts, idx.alpha)
     semi = 0.0   # entry by entry, in the order of a one-function sum
     for part in semis.reshape(len(gs), -1).T:
         semi = semi + part
