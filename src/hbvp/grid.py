@@ -370,7 +370,7 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
         b = bound.ravel()[f]
         del bound, S, dv
         o = np.argsort(sub[f // (nb * nb)] / b)
-        for c in np.split(o, np.arange(_PAIR_CHUNK, len(o), _PAIR_CHUNK)):
+        for c in (o[j:j + _PAIR_CHUNK] for j in range(0, len(o), _PAIR_CHUNK)):
             c = c[b[c] > sub[f[c] // (nb * nb)]]   # still above the best
             e, *blk = np.unravel_index(f[c], (len(V), nb, nb))
             blk = np.stack(blk, 1)                     # block pairs I <= J
@@ -383,8 +383,8 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
             live = ~(D * (1.0 + _ROUNDOFF_SLACK) <= sub[e, None, None])
             live[np.arange(len(e)), live.sum(2).argmax(1)] = 0
             pts = np.flatnonzero(live)   # flat (pair, side, point) of live points
-            for m in np.split(pts, range(2 * _PAIR_CHUNK, len(pts),
-                                         2 * _PAIR_CHUNK)):
+            for m in (pts[i:i + 2 * _PAIR_CHUNK]
+                      for i in range(0, len(pts), 2 * _PAIR_CHUNK)):
                 d = np.abs(Tb.reshape(-1, B)[m // B ^ 1] - Tb.ravel()[m, None])
                 q = np.abs(X.reshape(-1, B)[m // B ^ 1] - X.ravel()[m, None])
                 q /= np.power(np.where(d > 0, d, np.inf), alpha)
@@ -419,8 +419,8 @@ def holder_norms(gs: list, idx: HolderIndex,
     sources, else function by function (derivatives symbolic).  Order 0
     reads the `_sample` memo, and a stack of one fills it.  Each order's sup
     parts take one max over the stack.  The seminorm, the maximum over all
-    pairs of points and so a lower bound of the true one, is `_pair_max`'s,
-    one call for every function and entry of gs.
+    pairs of points and so a lower bound of the true one, is `_pair_max`'s:
+    by stack at alpha = 1, else one call for every function and entry of gs.
     """
     if M < MIN_SEMINORM_SAMPLES:
         raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
