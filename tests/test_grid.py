@@ -466,6 +466,25 @@ def test_holder_norms_have_the_bits_of_each_norm_alone(alpha, n, shape, kind,
     assert len(stacked) > 3
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_holder_norms_scan_every_row_in_one_call(alpha, monkeypatch):
+    # 7 functions of shape (2, 1) in stacks of 2: below alpha = 1 one
+    # seminorm scan takes all 14 rows, at alpha = 1 each stack its own
+    P = len(_sample_grid(24, 0.0, 2.0, 128)[0])
+    monkeypatch.setattr(grid, "NORM_STACK_BYTES", 2 * 16 * P * 2)
+    calls, pair_max = [], grid._pair_max
+
+    def recording(V, ts, a):
+        calls.append(len(V))
+        return pair_max(V, ts, a)
+
+    monkeypatch.setattr(grid, "_pair_max", recording)
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid.holder_norms(_norm_stack("values", (2, 1)),
+                          HolderIndex(0, alpha), 128)
+    assert calls == ([14] if alpha < 1.0 else [4, 4, 4, 2])
+
+
 def _norm_by_definition(g, idx, M):
     """holder_norm row by row from the memoized samples of each derivative
     object: sup_norm per order, _pair_max per entry of g^(n), summed in
