@@ -100,11 +100,13 @@ def _diff_exprs(fam: ProblemFamily, eps: float):
             [(j, d) for j, d in diffs if not _all_zero(d)])
 
 
-def _coeff_diffs(fam: ProblemFamily, eps: float, N: int) -> list:
-    """The pairs (j, A_j(., eps) - A_j(., 0)) of `_diff_exprs` at degree N,
-    each keeping its exact symbolic source."""
-    return [(j, GridFunction.from_exprs(d, fam.interval, N, eps=eps))
-            for j, d in _diff_exprs(fam, eps)[1]]
+def _diffs_2N(fam: ProblemFamily, diffs: list, eps: np.ndarray,
+              N: int) -> list:
+    """The pairs (j, d) of `_diff_exprs` as (j, d's values at the degree-2N
+    nodes at each eps of the 1-D array eps, (k, m, m, 2N+1)), each entry
+    evaluated once with eps as a column (`_eval_exprs`)."""
+    (a, b), nodes = fam.interval, _grid_data(2 * N, *fam.interval)[0]
+    return [(j, _eval_exprs(d, nodes, eps, a, b)) for j, d in diffs]
 
 
 # --- discrepancy and the two-sided sweep -------------------------------------
@@ -150,19 +152,6 @@ def _perturbations(fam: ProblemFamily, inst0, y0: GridFunction):
     return at
 
 
-def _perturbation(fam: ProblemFamily, inst0, y0: GridFunction):
-    """`_perturbations` of one eps instance, as a function of the instance
-    and its `_coeff_diffs`: h and c_delta."""
-    stack = _perturbations(fam, inst0, y0)
-
-    def at(inst, diffs):
-        hs, _, c_deltas = stack([inst], _diff_exprs(fam, inst.eps)[0],
-                                [(j, d.resample(2 * d.N).values[None])
-                                 for j, d in diffs])
-        return hs[0], c_deltas[0]
-    return at
-
-
 def _discrepancy_norms(resids: list, bvecs: list, idx: HolderIndex,
                        M: int) -> list:
     """||resid||_{n,alpha} + |bvec| of each pair, the norms as one stack."""
@@ -179,15 +168,18 @@ def discrepancy(fam: ProblemFamily, eps: float, y0: GridFunction,
     problem it was computed from, i.e. L(0) y0 - f(0) and B(0) y0 - c(0)
     are cancelled symbolically before taking norms; this keeps tiny-eps
     discrepancies free of the base solve's truncation noise.  Pass
-    direct=True for the literal definition.
+    direct=True for the literal definition.  The cancelled residual is the
+    sweep's perturbation h (`_perturbations`) of the stack of one eps.
     """
     inst = instantiate(fam, eps, N)
     if direct:
         resid = apply_L(inst, y0) - inst.rhs
         bvec = apply_B(inst.B, y0)[:, 0] - inst.c
     else:
-        resid, bvec = _perturbation(fam, instantiate(fam, 0.0, N), y0)(
-            inst, _coeff_diffs(fam, eps, N))
+        rhs_diff, diffs = _diff_exprs(fam, eps)
+        hs, _, bvecs = _perturbations(fam, instantiate(fam, 0.0, N), y0)(
+            [inst], rhs_diff, _diffs_2N(fam, diffs, np.array([eps]), N))
+        resid, bvec = hs[0], bvecs[0]
     return _discrepancy_norms([resid], [bvec], fam.idx, M)[0]
 
 
@@ -252,14 +244,13 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
     The eps on each side of 0 share their differences, built once.  They
     are walked in stacks of `stack_size` eps (every eps of a default sweep
     up to N = 128, seven at N = 256, one at N = 512), each instantiated at once
-    (`instantiate_stack`), its differences evaluated with eps as a column,
-    its perturbations formed together (`_perturbations`) and its delta
-    solves factored by one call (`factor`).  A record's delta = y(eps) -
-    y(0) solves the exactly-cancelled perturbation data, avoiding loss of
-    significance at tiny eps; solve failures are recorded as data.
+    (`instantiate_stack`), its differences evaluated with eps as a column
+    (`_diffs_2N`), its perturbations formed together (`_perturbations`) and
+    its delta solves factored by one call (`factor`).  A record's delta =
+    y(eps) - y(0) solves the exactly-cancelled perturbation data, avoiding
+    loss of significance at tiny eps; solve failures are recorded as data.
     """
-    size, (a, b) = stack_size(fam.m, N), fam.interval
-    nodes = _grid_data(2 * N, a, b)[0]
+    size = stack_size(fam.m, N)
     perturb = _perturbations(fam, inst0, y0) if y0 is not None else None
     for _, group in itertools.groupby(eps_sequence, lambda e: e == 0.0):
         group = list(group)
@@ -267,8 +258,7 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
         for s in range(0, len(group), size):
             eps = np.array(group[s:s + size])
             insts = instantiate_stack(fam, eps.tolist(), N)
-            dA2N = [(j, _eval_exprs(d, nodes, eps, a, b))
-                    for j, d in coeff_diffs]
+            dA2N = _diffs_2N(fam, coeff_diffs, eps, N)
             records = []
             if perturb is not None:
                 hs, rhs, c_deltas = perturb(insts, rhs_diff, dA2N)
@@ -316,7 +306,8 @@ def two_sided_sweep(fam: ProblemFamily, eps_sequence=None, N: int = 32,
     ratios = [r.ratio for r in records if r.ratio is not None]
     lo = min(ratios) if ratios else None
     hi = max(ratios) if ratios else None
-    violation = bool(ratios) and hi / lo > RATIO_BAND_CAP
+    # a ratio of 0 (an exactly zero error) breaks the lower estimate
+    violation = bool(ratios) and (lo == 0.0 or hi / lo > RATIO_BAND_CAP)
     return SweepReport(fam.name, records, lo, hi, violation)
 
 
@@ -450,14 +441,6 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
         eps_sequence=eps_sequence, condI_norms=condI, condII_probe=condII,
         theorem2=Theorem2Report(list(eps_sequence), S, P, c2, holds, s_zero,
                                 p_zero, s_zero == p_zero))
-
-
-def theorem2_equivalence_check(fam: ProblemFamily, eps_sequence=None,
-                               N: int = 32, M: int = DEFAULT_SAMPLES
-                               ) -> Theorem2Report:
-    """Probe operator-norm lower bounds P(eps) against the coefficient
-    aggregate S(eps); the Theorem 2 part of `main_theorem_suite`."""
-    return main_theorem_suite(fam, eps_sequence, N, M).theorem2
 
 
 def extract_coefficients_monomials(fam: ProblemFamily, eps: float,

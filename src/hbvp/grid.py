@@ -133,7 +133,6 @@ class GridFunction:
         self.sources = sources
         self.eps = float(eps)
         self._deriv = None
-        self._samples = {}
 
     # -- construction ------------------------------------------------------
 
@@ -284,25 +283,6 @@ def _sample_grid(N: int, a: float, b: float, M: int):
     return ts, ET
 
 
-def _sample(g: GridFunction, M: int):
-    """The points of _sample_grid at max(M, N+1), more than the degree-N g
-    has coefficients, and g's read-only values there, once per g and M."""
-    if M < MIN_SEMINORM_SAMPLES:
-        raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
-    if M not in g._samples:
-        ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1))
-        vals = (g.values @ ET if g.sources is None
-                else _eval_exprs(g.sources, ts, g.eps, g.a, g.b))
-        vals.flags.writeable = False
-        g._samples[M] = ts, vals
-    return g._samples[M]
-
-
-def sup_norm(g: GridFunction, M: int = DEFAULT_SAMPLES) -> float:
-    """Entrywise-sum of max absolute values at _sample's points."""
-    return float(np.sum(np.max(np.abs(_sample(g, M)[1]), axis=-1)))
-
-
 _PAIR_BLOCK = 32    # points per block of the seminorm's branch and bound
 _PAIR_CHUNK = 64    # block pairs per batch: 32 KiB per (pair, side, point) array
 _TINY = np.finfo(float).tiny
@@ -392,13 +372,6 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
     return sub
 
 
-def holder_seminorm(g: GridFunction, idx: HolderIndex,
-                    M: int = DEFAULT_SAMPLES) -> float:
-    """Entrywise-sum sup of |g^(n)(t2)-g^(n)(t1)| / |t2-t1|^alpha over the
-    pairs of _sample's points, the seminorm part of `holder_norm`."""
-    return holder_norm(g, idx, M).seminorm
-
-
 def holder_norm(g: GridFunction, idx: HolderIndex,
                 M: int = DEFAULT_SAMPLES) -> NormValue:
     """Sum of derivative sup-norms j=0..n plus the Holder seminorm of g^(n):
@@ -413,14 +386,15 @@ def holder_norms(gs: list, idx: HolderIndex,
     many as have samples within NORM_STACK_BYTES; each value has the bits
     of its function's norm alone.
 
-    Each derivative order of a stack is sampled at _sample's points at once:
-    one matmul of the stacked node values by the cached ET (derivatives by
-    D), one `_eval_exprs` with eps as a column for functions sharing their
-    sources, else function by function (derivatives symbolic).  Order 0
-    reads the `_sample` memo, and a stack of one fills it.  Each order's sup
-    parts take one max over the stack.  The seminorm, the maximum over all
-    pairs of points and so a lower bound of the true one, is `_pair_max`'s:
-    by stack at alpha = 1, else one call for every function and entry of gs.
+    Each derivative order of a stack is sampled at once at the points of
+    _sample_grid at max(M, N+1), more than a degree-N function has
+    coefficients: one matmul of the stacked node values by the cached ET
+    (derivatives by D), one `_eval_exprs` with eps as a column for functions
+    sharing their sources, else function by function (derivatives
+    symbolic).  Each order's sup parts take one max over the stack.  The
+    seminorm, the maximum over all pairs of points and so a lower bound of
+    the true one, is `_pair_max`'s: by stack at alpha = 1, else one call for
+    every function and entry of gs.
     """
     if M < MIN_SEMINORM_SAMPLES:
         raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
@@ -435,9 +409,7 @@ def holder_norms(gs: list, idx: HolderIndex,
         shared = len(stack) > 1 and all(s is srcs[0] for s in srcs)
         vals = np.array([f.values for f in stack]) if srcs[0] is None else None
         for order in range(idx.n + 1):
-            if order == 0 and all(M in f._samples for f in stack):
-                S = np.array([f._samples[M][1] for f in stack])
-            elif vals is not None:
+            if vals is not None:
                 S = vals @ ET
             elif shared:
                 S = _eval_exprs(srcs[0], ts, np.array([f.eps for f in stack]),
@@ -445,9 +417,6 @@ def holder_norms(gs: list, idx: HolderIndex,
             else:
                 S = np.array([_eval_exprs(src, ts, f.eps, g.a, g.b)
                               for src, f in zip(srcs, stack)])
-            if order == 0 and len(stack) == 1:   # a stack's samples are transient
-                S.flags.writeable = False
-                stack[0]._samples.setdefault(M, (ts, S[0]))
             sups.append(np.sum(np.max(np.abs(S), axis=-1), axis=(1, 2)))
             if order < idx.n and vals is not None:
                 vals = vals @ g.diffmat.T

@@ -116,10 +116,6 @@ class ProblemFamily:
     def rhs_exprs(self, eps: float):
         return self.keyed_exprs("rhs", eps)[1]
 
-    def target_vector(self, eps: float) -> np.ndarray:
-        return _keyed(lambda e: _eval_eps_matrix(e, eps), self.target,
-                      "target", [eps])[:, 0]
-
 
 @dataclass(frozen=True)
 class PointTerm:
@@ -202,7 +198,9 @@ def instantiate_stack(fam: ProblemFamily, eps_list: list, N: int) -> list:
     eps that leave [0, eps0), mix eps = 0 and eps > 0 (two sets of
     expressions, `keyed_exprs`) or meet an expression with no value are
     instantiated one at a time, so that the error names the first such
-    eps."""
+    eps.  A degree below the order r leaves no equation row to collocate."""
+    if N < fam.r:
+        raise ValueError(f"degree must be >= r = {fam.r}, got {N}")
     one_side = (all(0.0 <= eps < fam.eps0 for eps in eps_list)
                 and len({eps == 0.0 for eps in eps_list}) == 1)
     if len(eps_list) > 1:

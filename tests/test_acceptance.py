@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hbvp import analysis as an
-from hbvp.grid import GridFunction, HolderIndex, holder_norm, holder_seminorm, interpolate
+from hbvp.grid import GridFunction, HolderIndex, holder_norm, interpolate
 from hbvp.problem import GALLERY_NAMES, family_from_config, gallery, instantiate
 from hbvp.solver import (CompanionSystem, ConditionZeroViolated,
                          build_companion, characteristic_matrix,
@@ -132,7 +132,7 @@ def test_acceptance_05_holder_norm_correctness():
     """sqrt seminorm, ramp norm, homogeneity, triangle inequality."""
     idx_h = HolderIndex(0, 0.5)
     g = interpolate("powabs(t, 0.5)", (0.0, 1.0), 32)
-    semi = holder_seminorm(g, idx_h, 4096)
+    semi = holder_norm(g, idx_h, 4096).seminorm
     assert abs(semi - 1.0) <= 1e-3
 
     ramp = interpolate("t", (0.0, 1.0), 8)
@@ -190,14 +190,14 @@ def test_acceptance_07_main_theorem_agreement():
 
 def test_acceptance_08_theorem2_consistency():
     """P(eps) <= c2 * S(eps) on F1; tails move together; F4 stalls."""
-    r1 = an.theorem2_equivalence_check(gallery("F1_smooth_perturb"),
-                                       an.geometric_eps(1.0, 0.5, 12),
-                                       N=16, M=512)
+    r1 = an.main_theorem_suite(gallery("F1_smooth_perturb"),
+                               an.geometric_eps(1.0, 0.5, 12),
+                               N=16, M=512).theorem2
     assert r1.bound_holds
     assert r1.S_tends_to_zero and r1.P_tends_to_zero
-    r4 = an.theorem2_equivalence_check(gallery("F4_limitI_violated"),
-                                       an.geometric_eps(1.0, 0.5, 12),
-                                       N=32, M=512)
+    r4 = an.main_theorem_suite(gallery("F4_limitI_violated"),
+                               an.geometric_eps(1.0, 0.5, 12),
+                               N=32, M=512).theorem2
     assert not r4.S_tends_to_zero and not r4.P_tends_to_zero
     assert r4.joint
     _report(8, "operator-convergence consistency",

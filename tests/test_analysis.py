@@ -297,8 +297,12 @@ def test_two_sided_sweep_f1_band():
         assert rep.kappa_hat_low <= r.ratio <= rep.kappa_hat_high
 
 
-@pytest.mark.parametrize("name", ["F1_smooth_perturb", "F6_holder_rough"])
+@pytest.mark.parametrize("name", [
+    "F1_smooth_perturb", "F2_boundary_perturb", "F4_limitI_violated",
+    "F5_multipoint_integral", "F6_holder_rough"])
 def test_sweep_discrepancy_equals_public_discrepancy(name):
+    # coefficient (F1, F4), boundary (F2), rhs and integral density (F5) and
+    # rough rhs (F6) perturbations: the stack of one has the sweep's bits
     fam = gallery(name)
     rep = an.two_sided_sweep(fam, [0.5, 0.125], N=16, M=256)
     y0 = solve_bvp_direct(instantiate(fam, 0.0, 16)).y
@@ -333,9 +337,11 @@ def test_sweep_delta_is_the_difference_of_the_discrete_solves(family, N, eps):
     fam = family_from_config(family())
     inst0, inst = instantiate(fam, 0.0, N), instantiate(fam, eps, N)
     y0 = solve_bvp_direct(inst0).y
-    h, c_delta = an._perturbation(fam, inst0, y0)(
-        inst, an._coeff_diffs(fam, eps, N))
-    delta = solve_bvp_direct(replace(inst, rhs=h.resample(N), c=c_delta)).y
+    rhs_diff, diffs = an._diff_exprs(fam, eps)
+    hs, _, c_deltas = an._perturbations(fam, inst0, y0)(
+        [inst], rhs_diff, an._diffs_2N(fam, diffs, np.array([eps]), N))
+    delta = solve_bvp_direct(
+        replace(inst, rhs=hs[0].resample(N), c=c_deltas[0])).y
     want = solve_bvp_direct(inst).y.values - y0.values
     assert np.max(np.abs(delta.values - want)) <= 1e-10
 
@@ -443,33 +449,33 @@ def test_extract_coefficients_f1_round_trip():
 
 
 def test_theorem2_positive_and_negative():
-    r1 = an.theorem2_equivalence_check(gallery("F1_smooth_perturb"),
-                                       EPS_SHORT, N=16, M=256)
+    r1 = an.main_theorem_suite(gallery("F1_smooth_perturb"),
+                               EPS_SHORT, N=16, M=256).theorem2
     assert r1.bound_holds
     assert r1.S_tends_to_zero and r1.P_tends_to_zero and r1.joint
     for e, s in zip(r1.eps_sequence, r1.S):
         assert s == pytest.approx(e, rel=1e-9)  # S(eps) = eps on F1
-    r4 = an.theorem2_equivalence_check(gallery("F4_limitI_violated"),
-                                       EPS_SHORT, N=32, M=256)
+    r4 = an.main_theorem_suite(gallery("F4_limitI_violated"),
+                               EPS_SHORT, N=32, M=256).theorem2
     assert not r4.S_tends_to_zero and not r4.P_tends_to_zero
     assert r4.joint
-    r3 = an.theorem2_equivalence_check(gallery("F3_cond0_violated"),
-                                       EPS_SHORT, N=16, M=256)
+    r3 = an.main_theorem_suite(gallery("F3_cond0_violated"),
+                               EPS_SHORT, N=16, M=256).theorem2
     assert max(r3.S) < 1e-12 and max(r3.P) < 1e-12  # eps-independent
 
 
 def test_theorem2_S_sums_condition_I_norms():
     for name in ("F1_smooth_perturb", "F4_limitI_violated"):
         fam = gallery(name)
-        t2 = an.theorem2_equivalence_check(fam, EPS_SHORT, N=16, M=256)
         v = an.main_theorem_suite(fam, EPS_SHORT, N=16, M=256)
+        t2 = v.theorem2
         assert t2.eps_sequence == v.eps_sequence
         assert t2.S == [sum(row) for row in v.condI_norms]
 
 
 def test_theorem2_P_exactly_zero_for_eps_independent_coefficients():
-    t2 = an.theorem2_equivalence_check(gallery("F2_boundary_perturb"),
-                                       EPS_SHORT, N=16, M=256)
+    t2 = an.main_theorem_suite(gallery("F2_boundary_perturb"),
+                               EPS_SHORT, N=16, M=256).theorem2
     assert t2.P == [0.0] * len(EPS_SHORT)
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifacts, determinism."""
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,3 +589,53 @@ def test_a_pole_in_a_stack_names_its_key_and_eps(command, tmp_path, capsys):
                 "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: rhs[0]: division by zero at eps=0.125\n")
+
+
+def test_an_exactly_zero_error_is_a_band_violation(tmp_path, capsys):
+    # the rhs perturbation eps*(1-sign(t-0.25)^2) is 0 at every node and eps
+    # at the sample t = 0.25: each delta solve is exactly 0 and its
+    # discrepancy is not, so every ratio is 0 and the lower estimate fails
+    path = Path(__file__).with_name("zero_ratio.json")
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(path), "--count", "4",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: ratio band exceeds the two-sided estimate tolerance\n")
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["band_violation"] is True
+    assert summary["kappa_hat_low"] == summary["kappa_hat_high"] == 0.0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["error"], r["ratio"]) for r in rows] == [("0", "0")] * 4
+    assert all(float(r["discrepancy"]) > 0 for r in rows)
+    assert len((out / "sweep_plot.csv").read_text().splitlines()) == 5
+
+
+def _order_config_file(tmp_path, r):
+    """y^(r) + (1+eps) y = exp(t) with y^(k)(0) = 0 for k < r."""
+    path = tmp_path / f"order{r}.json"
+    path.write_text(json.dumps({
+        "r": r, "m": 1, "n": 0, "alpha": 1.0, "interval": [0.0, 1.0],
+        "eps0": 1.0, "rhs": ["exp(t)"], "target": ["0"] * r,
+        "coeffs": [[["1+eps" if j == 0 else "0"]] for j in range(r)],
+        "boundary": {"point_terms": [
+            {"order": k, "point": 0.0,
+             "coeff": [["1" if i == k else "0"] for i in range(r)]}
+            for k in range(r)]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("r", [9, 10, 12])
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--count", "2"],
+                                     ["verify"]])
+def test_a_degree_below_the_order_is_a_configuration_error(command, r,
+                                                            tmp_path, capsys):
+    # N < r leaves no equation row to collocate; N = r solves
+    path = _order_config_file(tmp_path, r)
+    assert run(command + ["--config", path, "--degree", str(r - 1),
+                          "--out", str(tmp_path / "low")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: degree must be >= r = {r}, got {r - 1}\n")
+    if command == ["solve"]:
+        assert run(command + ["--config", path, "--degree", str(r),
+                              "--out", str(tmp_path / "at")]) == 0

@@ -11,8 +11,7 @@ from hbvp.analysis import two_sided_sweep
 from hbvp.chebyshev import bary_matrix
 from hbvp.grid import (_PAIR_BLOCK, GridFunction, HolderIndex, ShapeError,
                        _point_row, _sample_grid, algebra_constant,
-                       holder_norm, holder_seminorm, interpolate, product,
-                       sup_norm)
+                       holder_norm, interpolate, product)
 from hbvp.problem import (_gallery_config, boundary_matrix,
                           family_from_config, gallery, instantiate)
 
@@ -77,31 +76,37 @@ def test_spectral_derivative_sin():
     assert err < 1e-9
 
 
+def _sup(g, M):
+    """The sup part of g's norm, sampled at M."""
+    return holder_norm(g, HolderIndex(0, 1.0), M).sup_parts[0]
+
+
 def test_sup_norm_examples():
     one = interpolate("1", (0.0, 1.0), 8)
     ramp = interpolate("t", (0.0, 1.0), 8)
-    assert abs(sup_norm(one, 64) - 1.0) < 1e-14
-    assert abs(sup_norm(ramp, 64) - 1.0) < 1e-14
+    assert abs(_sup(one, 64) - 1.0) < 1e-14
+    assert abs(_sup(ramp, 64) - 1.0) < 1e-14
     s = interpolate("sin(t)", (0.0, np.pi), 32)
-    assert abs(sup_norm(s, 4096) - 1.0) < 1e-6
+    assert abs(_sup(s, 4096) - 1.0) < 1e-6
 
 
 def test_sup_norm_entrywise_sum():
     g = interpolate([["t"], ["1"]], (0.0, 1.0), 8)
-    assert abs(sup_norm(g, 64) - 2.0) < 1e-14
+    assert abs(_sup(g, 64) - 2.0) < 1e-14
 
 
 def test_seminorm_constant_and_ramp():
     idx = HolderIndex(0, 1.0)
     const = interpolate("2", (0.0, 1.0), 8)
     ramp = interpolate("t", (0.0, 1.0), 8)
-    assert holder_seminorm(const, idx, 256) < 1e-13
-    assert abs(holder_seminorm(ramp, idx, 256) - 1.0) < 1e-13
+    assert holder_norm(const, idx, 256).seminorm < 1e-13
+    assert abs(holder_norm(ramp, idx, 256).seminorm - 1.0) < 1e-13
 
 
 def test_seminorm_refinement_flag():
     g = interpolate("sin(3*t)", (0.0, 1.0), 24)
-    assert abs(holder_seminorm(g, HolderIndex(0, 1.0), 256) - 3.0) < 1e-2
+    semi = holder_norm(g, HolderIndex(0, 1.0), 256).seminorm
+    assert abs(semi - 3.0) < 1e-2
 
 
 def _pair_max(vals, ts, alpha):
@@ -397,11 +402,11 @@ def test_norms_equal_a_direct_evaluation_at_the_sample_points(symbolic):
         gap = np.abs(want[:, None] - ts[None, :]).min(axis=1)
         assert np.all(gap <= 1e-9 * (g.b - g.a))
     want = float(np.sum(np.max(np.abs(direct(g, ts)), axis=-1)))
-    assert sup_norm(g, M) == want
+    assert _sup(g, M) == want
     for n, alpha in ((0, 0.5), (1, 1.0)):
         vals = direct(g.derivative(n), ts)
         want = sum(_pair_max(v, ts, alpha) for v in vals[:, 0])
-        assert holder_seminorm(g, HolderIndex(n, alpha), M) == want
+        assert holder_norm(g, HolderIndex(n, alpha), M).seminorm == want
 
 
 @pytest.mark.parametrize("node", [1, 5, 11])
@@ -412,8 +417,8 @@ def test_sup_norm_reads_a_maximum_at_a_node_off_the_uniform_grid(node):
     vals = np.zeros(N + 1)
     vals[node] = 1.0
     g = _from_values(vals)
-    assert sup_norm(g, M) == 1.0
-    assert holder_norm(g, HolderIndex(0, 1.0), M).sup_parts[0] == 1.0
+    assert _sup(g, M) == 1.0
+    assert holder_norm(g, HolderIndex(0, 0.5), M).sup_parts[0] == 1.0
 
 
 def _norm_stack(kind, shape, N=24, interval=(0.0, 2.0)):
@@ -485,12 +490,21 @@ def test_holder_norms_scan_every_row_in_one_call(alpha, monkeypatch):
     assert calls == ([14] if alpha < 1.0 else [4, 4, 4, 2])
 
 
+def _sampled(g, M):
+    """_sample_grid's points at max(M, N+1) and g's values there: node
+    values by the evaluation matrix, expressions evaluated."""
+    ts, ET = _sample_grid(g.N, g.a, g.b, max(M, g.N + 1))
+    return ts, (g.values @ ET if g.sources is None
+                else grid._eval_exprs(g.sources, ts, g.eps, g.a, g.b))
+
+
 def _norm_by_definition(g, idx, M):
-    """holder_norm row by row from the memoized samples of each derivative
-    object: sup_norm per order, _pair_max per entry of g^(n), summed in
-    order."""
-    sup_parts = tuple(sup_norm(g.derivative(j), M) for j in range(idx.n + 1))
-    ts, vals = grid._sample(g.derivative(idx.n), M)
+    """holder_norm row by row from the samples of each derivative object
+    alone: the entrywise sum of the largest |value| per order, _pair_max per
+    entry of g^(n), summed in order."""
+    sup_parts = tuple(float(np.sum(np.max(np.abs(_sampled(
+        g.derivative(j), M)[1]), axis=-1))) for j in range(idx.n + 1))
+    ts, vals = _sampled(g.derivative(idx.n), M)
     semi = 0.0
     for v in vals.reshape(-1, len(ts)):
         semi += _pair_max(v, ts, idx.alpha)
@@ -508,17 +522,17 @@ def test_holder_norm_samples_each_expression_once(monkeypatch):
     monkeypatch.setattr(grid, "_eval_exprs", counting)
     idx = HolderIndex(0, 0.5)
     first = holder_norm(g, idx, 256)
-    # the sup part and the seminorm share one sampling, and a repeated
-    # norm of the same function samples nothing again
-    assert holder_norm(g, idx, 256) == first
+    # the sup part and the seminorm share one sampling, once per call
     assert len(calls) == 1 and calls[0] > 257
+    assert holder_norm(g, idx, 256) == first
+    assert calls == [calls[0]] * 2
 
 
 def test_every_sampled_norm_enforces_the_sample_floor():
     g = interpolate("t", (0.0, 1.0), 8)
     floor = grid.MIN_SEMINORM_SAMPLES
     idx = HolderIndex(1, 0.5)
-    for norm in (sup_norm, lambda f, M: holder_seminorm(f, idx, M),
+    for norm in (_sup, lambda f, M: holder_norm(f, idx, M).seminorm,
                  lambda f, M: holder_norm(f, idx, M)):
         with pytest.raises(ValueError, match="below 64"):
             norm(g, floor - 1)
@@ -541,10 +555,6 @@ def test_shared_grid_arrays_are_read_only():
         ET[0, 0] = 1.0
     with pytest.raises(ValueError):
         _point_row(8, 0.0, 1.0, 0.3)[0, 0] = 1.0
-    # memoized samples are shared by every norm of g, so none may edit them
-    for f in (g, GridFunction(g.values, g.interval)):
-        with pytest.raises(ValueError):
-            grid._sample(f, 64)[1][0, 0, 0] = 1.0
 
 
 def _bary_oracle(nodes, x):
@@ -726,8 +736,8 @@ def test_homogeneity_and_triangle_50_random_pairs():
 def test_monotone_sampling():
     g = interpolate("powabs(t-0.3, 0.5)", (0.0, 1.0), 32)
     idx = HolderIndex(0, 0.5)
-    coarse = holder_seminorm(g, idx, 256)
-    fine = holder_seminorm(g, idx, 512)
+    coarse = holder_norm(g, idx, 256).seminorm
+    fine = holder_norm(g, idx, 512).seminorm
     assert coarse <= fine + 1e-12
 
 
