@@ -24,13 +24,13 @@ import numpy as np
 
 from . import chebyshev as cheb
 from . import expr as ex
-from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex, _eval_exprs,
-                   _grid_data, algebra_constant, holder_norms, interpolate,
-                   product)
+from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex, _derived,
+                   _eval_exprs, _grid_data, algebra_constant, holder_norms,
+                   interpolate, product)
 from .problem import (ProblemFamily, apply_B, boundary_matrix, instantiate,
                       instantiate_stack)
-from .solver import (ConditionZeroViolated, SolveRejected, apply_L, factor,
-                     solve_bvp_direct, stack_size)
+from .solver import (ConditionZeroViolated, apply_L, factor,
+                     solve_bvp_direct, solve_stack, stack_size)
 
 ZERO_TAIL_LEN = 5
 ZERO_FINAL_FACTOR = 1e-3
@@ -60,17 +60,53 @@ def tends_to_zero(values, final_factor: float = ZERO_FINAL_FACTOR) -> bool:
     return decreasing and vals[-1] < final_factor * (vals[0] + 1.0)
 
 
-def default_probes(fam: ProblemFamily, N: int = 32):
-    """Monomial and trigonometric probe functions in C^{n+r,alpha}.
+def default_probes(r: int, m: int, interval, N: int = 32):
+    """Monomial and trigonometric probe functions in C^{n+r,alpha}, for an
+    order-r family with m components on interval.
 
     {t^p e_q : p <= r+2} plus {sin(t) e_q, cos(t) e_q}.
     """
     sources = [f"t^{p}" if p > 1 else ("t" if p == 1 else "1")
-               for p in range(fam.r + 3)]
+               for p in range(r + 3)]
     sources += ["sin(t)", "cos(t)"]
-    return [interpolate([[src if i == q else "0"] for i in range(fam.m)],
-                        fam.interval, N)
-            for src in sources for q in range(fam.m)]
+    return [interpolate([[src if i == q else "0"] for i in range(m)],
+                        interval, N)
+            for src in sources for q in range(m)]
+
+
+@lru_cache(maxsize=8)
+def _probe_data(r: int, m: int, idx: HolderIndex, interval: tuple, N: int,
+                M: int):
+    """The suite's probe calibration, which reads the family only through
+    its r, m, idx and interval, so that families sharing them share it:
+    each `default_probes` probe's component-major node values Y (p, m(N+1),
+    1), as apply_B reads them, its C^{n+r,alpha} norm, the calibrated
+    constant c2 of Theorem 2's bound, and for each j < r the probes' y^(j)
+    at the degree-2N nodes (p, m, 1, 2N+1), from one `_eval_exprs` per
+    probe of its derived expressions and no evaluation at the degree-N
+    nodes.  Read-only, as `grid._sample_grid`."""
+    probes = default_probes(r, m, interval, N)
+    Y = np.array([y.values.reshape(-1, 1) for y in probes])
+    norms = tuple(v.total for v in holder_norms(
+        probes, HolderIndex(idx.n + r, idx.alpha), M))
+    srcs = [[y.sources] for y in probes]   # per probe, y^(j)'s for j < r
+    for src in srcs:
+        for _ in range(1, r):
+            src.append(_derived(src[-1]))
+    a, b = interval
+    nodes = _grid_data(2 * N, a, b)[0]
+    at_2N = [_eval_exprs(np.stack(src), nodes, 0.0, a, b) for src in srcs]
+    probes_2N = tuple(np.array([v[j] for v in at_2N]) for j in range(r))
+    # y^(j) at the degree-N nodes, which are the even degree-2N ones
+    derivs = [[GridFunction(v[j][..., ::2], interval, sources=src[j])
+               for v, src in zip(at_2N, srcs)] for j in range(r)]
+    deriv_norms = [[v.total for v in holder_norms(ds, idx, M)]
+                   for ds in derivs]
+    c2 = max(algebra_constant(idx) * max(col) / pn
+             for col, pn in zip(zip(*deriv_norms), norms))
+    for arr in (Y,) + probes_2N:
+        arr.flags.writeable = False
+    return Y, norms, c2, probes_2N
 
 
 def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
@@ -270,15 +306,12 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
 
 def _records(fam: ProblemFamily, deltas: list, hs: list, M: int) -> list:
     """The sweep records of `Factored` delta instances with perturbations
-    hs, solved one by one, their error and discrepancy norms taken as two
-    stacks (`holder_norms`)."""
-    rows = []
-    for delta in deltas:
-        try:
-            rows.append(solve_bvp_direct(delta))
-        except (ConditionZeroViolated, SolveRejected) as err:
-            rows.append(SweepRecord(delta.eps, None, None, None, None, None,
-                                    failure=type(err).__name__))
+    hs, gated as one stack (`solve_stack`), their error and discrepancy
+    norms taken as two stacks (`holder_norms`)."""
+    rows = [SweepRecord(delta.eps, None, None, None, None, None,
+                        failure=type(r).__name__)
+            if isinstance(r, Exception) else r
+            for delta, r in zip(deltas, solve_stack(deltas))]
     ok = [k for k, r in enumerate(rows) if not isinstance(r, SweepRecord)]
     errors = holder_norms([rows[k].y for k in ok],
                           HolderIndex(fam.idx.n + fam.r, fam.idx.alpha), M)
@@ -359,7 +392,8 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
     matmul of B(eps)'s matrix by the probe stack per eps) and Theorem 2's
     P(eps): the actions -(L(eps) - L(0)) y of every eps and probe, one einsum
     per j of the degree-2N differences and probe derivatives, normed as one
-    stack.
+    stack.  The probe calibration (`_probe_data`) is computed once per
+    process for each (r, m, idx, interval, N, M).
     """
     idx = fam.idx
     eps_sequence = _descending(fam, eps_sequence)
@@ -373,22 +407,9 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
         margin, y0 = err.margin, None
     else:
         margin, y0 = res0.margin, res0.y
-    probes = default_probes(fam, N)
-    # each probe's component-major node values, as apply_B reads them
-    Y = np.array([y.values.reshape(-1, 1) for y in probes])
+    Y, probe_norms, c2, probes_2N = _probe_data(fam.r, fam.m, idx,
+                                                 fam.interval, N, M)
     B0Y = (boundary_matrix(inst0.B, N) @ Y)[:, :, 0]
-    err_idx = HolderIndex(idx.n + fam.r, idx.alpha)
-    probe_norms = [v.total for v in holder_norms(probes, err_idx, M)]
-    K = algebra_constant(idx)
-    deriv_norms = [[v.total for v in holder_norms(
-        [y.derivative(j) for y in probes], idx, M)] for j in range(fam.r)]
-    deriv_sums = [max(col) for col in zip(*deriv_norms)]
-    c2 = max(K * ds / pn for ds, pn in zip(deriv_sums, probe_norms))
-
-    @lru_cache(maxsize=None)
-    def probes_2N(j):   # y^(j) of every probe at the degree-2N nodes
-        return np.array([y.derivative(j).resample(2 * N).values
-                          for y in probes])
 
     condI, condII, P, records = [], [], [], []
     for insts, diffs, dA2N, recs in _walk(fam, eps_sequence, N, M, inst0,
@@ -406,13 +427,13 @@ def main_theorem_suite(fam: ProblemFamily, eps_sequence=None,
                                        for d in dev]))
         acts = []   # -(L(eps) - L(0)) y, (eps, probe, m, 1, 2N+1)
         for n, (j, dA) in enumerate(dA2N):
-            term = np.einsum("eikt,pkjt->epijt", dA, probes_2N(j))
+            term = np.einsum("eikt,pkjt->epijt", dA, probes_2N[j])
             acts = acts - term if n else term * -1.0
         act_norms = holder_norms([GridFunction(v, fam.interval)
                                   for a in acts for v in a], idx, M)
         for k in range(len(insts)):
             P.append(max([0.0] + [v.total / pn for v, pn in zip(
-                act_norms[k * len(probes):], probe_norms)]))
+                act_norms[k * len(Y):], probe_norms)]))
         records += recs
 
     condI_ok = all(tends_to_zero([norms[j] for norms in condI],

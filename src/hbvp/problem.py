@@ -198,9 +198,11 @@ def instantiate_stack(fam: ProblemFamily, eps_list: list, N: int) -> list:
     eps that leave [0, eps0), mix eps = 0 and eps > 0 (two sets of
     expressions, `keyed_exprs`) or meet an expression with no value are
     instantiated one at a time, so that the error names the first such
-    eps.  A degree below the order r leaves no equation row to collocate."""
-    if N < fam.r:
-        raise ValueError(f"degree must be >= r = {fam.r}, got {N}")
+    eps.  The one degree floor is max(8, r): interpolation needs degree 8,
+    and a degree below the order r leaves no equation row to collocate."""
+    if N < max(8, fam.r):
+        least = f"r = {fam.r}" if fam.r > 8 else "8"
+        raise ValueError(f"degree must be >= {least}, got {N}")
     one_side = (all(0.0 <= eps < fam.eps0 for eps in eps_list)
                 and len({eps == 0.0 for eps in eps_list}) == 1)
     if len(eps_list) > 1:

@@ -171,29 +171,43 @@ def _require_condition_zero(margin: float, N: int) -> None:
         raise ConditionZeroViolated(margin, tol)
 
 
-def apply_L(instance: ProblemInstance, y: GridFunction,
-            N: int | None = None) -> GridFunction:
+def apply_L(instance: ProblemInstance, y: GridFunction) -> GridFunction:
     """y^(r) + sum_j A_{r-j} y^(r-j) for an (m, k) function y, each product
-    at degree N by `product`'s rule: by default N_f + N_g."""
+    at the exact degree N_f + N_g (`product`)."""
     out = y.derivative(instance.r)
     for j in range(instance.r):
-        out = out + product(instance.coeffs[j], y.derivative(j), N)
+        out = out + product(instance.coeffs[j], y.derivative(j))
     return out
 
 
-def _residual(instance: ProblemInstance, y: GridFunction):
-    """Sup residual of L y against the instance's right-hand side.
+def _residuals(insts: list, ys) -> list:
+    """Sup residual of L y against the right-hand side at the collocation
+    nodes, for each instance of one r, m and N with its y, a stack (k, m, 1,
+    N+1): the backward error of the discrete problem actually solved, so
+    rough data is judged at its own resolution (inter-node error is the
+    norm-level diagnostics' to report).  L y is formed at degree N in
+    `apply_L`'s complex arithmetic, each y^(k) of the stack by one matmul
+    with D and each A_j y^(j) by one einsum: every residual has the bits of
+    its instance's alone."""
+    if not insts:
+        return []
+    r, N = insts[0].r, insts[0].N
+    D = _grid_data(N, *insts[0].interval)[1]
+    derivs = [np.asarray(ys, dtype=complex)]
+    for _ in range(r):
+        derivs.append(derivs[-1] @ D.T)
+    out = derivs[r]
+    for j in range(r):
+        A = np.array([inst.coeffs[j].values for inst in insts])
+        out = out + np.einsum("sikt,skjt->sijt", A, derivs[j])
+    keep = _kept_rows(r, 1, N)
+    rhs = np.array([inst.rhs.values[..., keep] for inst in insts])
+    return np.abs(out[..., keep] - rhs).max(axis=(1, 2, 3)).tolist()
 
-    Measured at the collocation nodes the discretization enforced, against
-    the node values of the data (the system actually solved): a backward
-    error of the discrete problem.  Rough data is thereby judged at its
-    own resolution; inter-node discretization error is reported separately
-    by the norm-level diagnostics, not here.  L y is formed at degree N.
-    """
-    keep = _kept_rows(instance.r, 1, instance.N)
-    diff = (apply_L(instance, y, instance.N).values[..., keep]
-            - instance.rhs.values[..., keep])
-    return float(np.max(np.abs(diff)))
+
+def _residual(instance: ProblemInstance, y: GridFunction) -> float:
+    """`_residuals` of the stack of one."""
+    return _residuals([instance], y.values[None])[0]
 
 
 def _accept(residual: float, rhs_scale: float) -> bool:
@@ -327,23 +341,48 @@ def _refined(f: Factored) -> np.ndarray:
     return y + d.reshape(y.shape)
 
 
+def solve_stack(fs: list) -> list:
+    """The direct route's gates on the `Factored` of one `factor` stack:
+    for each, its SolveResult, or the ConditionZeroViolated or SolveRejected
+    that stops it.  Condition (0) is read from the factorization's margin,
+    which also gives the matrix solution Z.  The residuals of the stack are
+    formed at once (`_residuals`); a y over the residual gate is refined
+    once (`_refined`) and judged again, alone: at high N the LU's own
+    backward error reaches the gate."""
+    out, live = list(fs), []
+    for k, f in enumerate(fs):
+        try:
+            _require_condition_zero(f.margin, f.N)
+            live.append(k)
+        except ConditionZeroViolated as err:
+            out[k] = err
+    ys = [fs[k].cols[:, None, :, 0] for k in live]
+    for k, y, res in zip(live, ys, _residuals([fs[k].instance for k in live],
+                                              ys)):
+        f = fs[k]
+        if not _accept(res, float(np.max(np.abs(f.rhs.values)))):
+            y = _refined(f)[:, None]
+            res = _residuals([f.instance], [y])[0]
+        Z = f.cols[:, :, 1:].transpose(0, 2, 1).copy()
+        try:
+            out[k] = _result(f.instance, GridFunction(y.copy(), f.interval),
+                             GridFunction(Z, f.interval), res, "direct",
+                             f.margin)
+        except SolveRejected as err:
+            out[k] = err
+    return out
+
+
 def solve_bvp_direct(instance) -> SolveResult:
     """Square collocation of the r-th order system itself, at the
-    instance's degree, gated by Condition (0) from the same factorization,
-    which also gives the matrix solution Z.  A ProblemInstance is factored
-    as a stack of one; a `Factored` one is read from its stack's.  A y
-    over the residual gate is refined once (`_refined`) and judged again:
-    at high N the LU's own backward error reaches the gate."""
+    instance's degree: `solve_stack` of the stack of one, raising what
+    stops it.  A ProblemInstance is factored as a stack of one; a
+    `Factored` one is read from its stack's."""
     f = instance if isinstance(instance, Factored) else factor([instance])[0]
-    inst, cols = f.instance, f.cols
-    _require_condition_zero(f.margin, inst.N)
-    y = GridFunction(cols[:, None, :, 0].copy(), inst.interval)
-    residual = _residual(inst, y)
-    if not _accept(residual, float(np.max(np.abs(inst.rhs.values)))):
-        y = GridFunction(_refined(f)[:, None], inst.interval)
-        residual = _residual(inst, y)
-    Z = GridFunction(cols[:, :, 1:].transpose(0, 2, 1).copy(), inst.interval)
-    return _result(inst, y, Z, residual, "direct", f.margin)
+    (res,) = solve_stack([f])
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def solve_bvp(instance: ProblemInstance) -> SolveResult:

@@ -136,7 +136,7 @@ def test_limit_conditions_apply_B0_once_per_probe(monkeypatch):
         fam = gallery(name)
         calls, zero_B, seen = _count_B_applications(monkeypatch)
         v = an.main_theorem_suite(fam, N=16, M=256)
-        assert len(an.default_probes(fam, 16)) == 7
+        assert len(an.default_probes(fam.r, fam.m, fam.interval, 16)) == 7
         assert len(v.eps_sequence) == 20
         assert calls == [[0.0], v.eps_sequence]
         assert len(zero_B) == 1
@@ -200,6 +200,31 @@ def test_stacked_sweep_is_the_sweeps_of_one_eps(config):
         ["ConditionZeroViolated"] + [None] * 19)
 
 
+def test_a_singular_and_a_rejected_eps_in_one_stack_keep_their_records(
+        monkeypatch):
+    # eps = 0.5 fails Condition (0) and eps = 0.25, made to fail, the
+    # residual gate, both in the one stack the walk gates at once: every
+    # record has the bits of the sweep of its eps alone
+    def reject_quarter(insts, ys):
+        return [1.0 if inst.eps == 0.25 else res
+                for inst, res in zip(insts, residuals(insts, ys))]
+
+    residuals, gate, stacks = solver_mod._residuals, an.solve_stack, []
+    monkeypatch.setattr(solver_mod, "_residuals", reject_quarter)
+    monkeypatch.setattr(an, "solve_stack",
+                        lambda fs: stacks.append(len(fs)) or gate(fs))
+    fam = family_from_config(_singular_config())
+    eps = an.geometric_eps(1.0, 0.5, 6)
+    stacked = an.two_sided_sweep(fam, eps, N=16, M=256).records
+    assert stacks == [6]
+    alone = [an.two_sided_sweep(fam, [e], N=16, M=256).records[0]
+             for e in eps]
+    assert [repr(astuple(r)) for r in stacked] == [
+        repr(astuple(r)) for r in alone]
+    assert [rec.failure for rec in stacked] == [
+        "ConditionZeroViolated", "SolveRejected"] + [None] * 4
+
+
 @pytest.mark.parametrize("count, solvable", [(5, False), (6, True),
                                               (20, True)])
 def test_solvability_reads_the_rows_after_the_last_failed_eps(count,
@@ -218,9 +243,10 @@ def test_solvability_reads_the_rows_after_the_last_failed_eps(count,
 def test_main_theorem_suite_evaluates_the_2N_grid_once_per_walk(name,
                                                                 monkeypatch):
     # F1 and F4 evaluate their one coefficient difference and their rhs
-    # difference once for the stack of 20 eps, and the 7 probes' y^(j) once,
-    # not once per (probe, eps) pair; the others have no coefficient
-    # difference, so no product at degree 2N
+    # difference once for the stack of 20 eps, not once per (probe, eps)
+    # pair; the others have no coefficient difference, so no product at
+    # degree 2N.  The probe calibration evaluates each of the 7 probes'
+    # derivatives once per process, for every family alike
     seen, evaluate = [], grid._eval_exprs
     nodes = grid._grid_data(48, 0.0, 1.0)[0]
 
@@ -231,16 +257,41 @@ def test_main_theorem_suite_evaluates_the_2N_grid_once_per_walk(name,
 
     monkeypatch.setattr(grid, "_eval_exprs", counting)
     monkeypatch.setattr(an, "_eval_exprs", counting)
+    an._probe_data.cache_clear()
     an.main_theorem_suite(gallery(name), N=24, M=512)
     diffs = name.startswith(("F1", "F4"))
-    assert len(seen) == (2 + 7 if diffs else 0)
+    assert len(seen) == (2 if diffs else 0) + 7
+    seen.clear()
+    an.main_theorem_suite(gallery(name), N=24, M=512)
+    assert len(seen) == (2 if diffs else 0)
+
+
+def test_probe_calibration_evaluates_no_derivative_at_the_N_nodes(
+        monkeypatch):
+    # the 7 probes are evaluated at the degree-N nodes once, for Y; their
+    # y' only at the degree-2N nodes and the sample points
+    seen, evaluate = [], grid._eval_exprs
+    nodes = grid._grid_data(24, 0.0, 1.0)[0]
+
+    def counting(sources, ts, eps, a, b):
+        if np.array_equal(ts, nodes):
+            seen.append(sources.shape)
+        return evaluate(sources, ts, eps, a, b)
+
+    monkeypatch.setattr(grid, "_eval_exprs", counting)
+    monkeypatch.setattr(an, "_eval_exprs", counting)
+    an._probe_data.cache_clear()
+    fam = gallery("F1_smooth_perturb")
+    an._probe_data(fam.r, fam.m, fam.idx, fam.interval, 24, 512)
+    assert seen == [(1, 1)] * 7
 
 
 def test_default_f6_sweep_norms_take_no_derivative(monkeypatch):
     # F6's discrepancies are C^{0,1/2} norms of h, which need no h', and
     # the errors' three orders are differentiated as one stack, so no norm
-    # takes a derivative: what remains is apply_L's y, y' and y'' in each
-    # of the 21 residual gates, and the powabs centres per evaluation
+    # takes a derivative; the residual gates form y' and y'' of a stack by
+    # matmul, so they take none either: what remains is the powabs centres
+    # per evaluation
     calls = {"derivative": 0, "diff_t": 0}
     derivative, diff_t = grid.GridFunction.derivative, ex.diff_t
 
@@ -255,7 +306,7 @@ def test_default_f6_sweep_norms_take_no_derivative(monkeypatch):
     monkeypatch.setattr(ex, "diff_t", counting("diff_t", diff_t))
     rep = an.two_sided_sweep(gallery("F6_holder_rough"))
     assert len(rep.records) == 20
-    assert calls["derivative"] == 6 * 21 and calls["diff_t"] <= 303
+    assert calls["derivative"] == 0 and calls["diff_t"] <= 303
 
 
 def _count_factorizations(monkeypatch):

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hbvp import cli
+from hbvp import analysis as an
+from hbvp import cli, solver
 from hbvp.analysis import two_sided_sweep
 from hbvp.grid import _sample_grid
 from hbvp.problem import _gallery_config, gallery
-from hbvp.solver import SolveRejected, solve_bvp_direct
 
 
 def run(argv):
@@ -373,6 +373,36 @@ def test_verify_all_builds_each_sample_grid_once(tmp_path):
     assert info.misses == info.currsize <= 2 < info.hits
 
 
+def test_verify_all_calibrates_the_probes_once_per_key(tmp_path):
+    # F1-F5 share r, m, idx and the interval, so their probe calibration;
+    # F6 (alpha = 1/2) has its own; the cached arrays are read-only
+    an._probe_data.cache_clear()
+    assert run(["verify", "--all", "--out", str(tmp_path)]) == 0
+    info = an._probe_data.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 4)
+    fam = gallery("F6_holder_rough")
+    Y, norms, c2, probes_2N = an._probe_data(fam.r, fam.m, fam.idx,
+                                             fam.interval, 24, 512)
+    assert len(Y) == len(norms) == 7 and c2 > 0
+    assert not any(a.flags.writeable for a in (Y, *probes_2N))
+    with pytest.raises(ValueError):
+        Y[0, 0, 0] = 1.0
+
+
+def test_verify_all_repeats_in_one_process(tmp_path, capsys):
+    # a warm probe calibration, and one of another key in between, leave
+    # stdout and verify.csv byte for byte
+    outs = []
+    for k, argv in enumerate((["--all"],
+                              ["--gallery", "F6_holder_rough",
+                               "--degree", "32"],
+                              ["--all"])):
+        assert run(["verify", *argv, "--out", str(tmp_path / str(k))]) == 0
+        outs.append((capsys.readouterr().out,
+                     (tmp_path / str(k) / "verify.csv").read_bytes()))
+    assert outs[0] == outs[2]
+
+
 def test_verify_single_family_agreement(tmp_path):
     out = tmp_path / "v"
     code = run(["verify", "--gallery", "F4_limitI_violated",
@@ -512,12 +542,13 @@ def test_verify_absurd_tolerance_exit_three():
 
 
 def test_sweep_records_a_rejected_solve(tmp_path, monkeypatch):
-    def reject_quarter(instance):
-        if instance.eps == 0.25:
-            raise SolveRejected(1.0, 0.5, instance.N)
-        return solve_bvp_direct(instance)
+    # the stacked gate rejects eps = 0.25 alone, refined or not
+    def reject_quarter(insts, ys):
+        return [1.0 if inst.eps == 0.25 else res
+                for inst, res in zip(insts, residuals(insts, ys))]
 
-    monkeypatch.setattr("hbvp.analysis.solve_bvp_direct", reject_quarter)
+    residuals = solver._residuals
+    monkeypatch.setattr(solver, "_residuals", reject_quarter)
     report = two_sided_sweep(gallery("F1_smooth_perturb"),
                              [0.5, 0.25, 0.125], N=16, M=256)
     rec = next(r for r in report.records if r.eps == 0.25)
@@ -623,6 +654,17 @@ def _order_config_file(tmp_path, r):
              "coeff": [["1" if i == k else "0"] for i in range(r)]}
             for k in range(r)]}}))
     return str(path)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--count", "2"],
+                                     ["verify"]])
+def test_a_degree_below_eight_names_the_one_floor(command, N, tmp_path,
+                                                  capsys):
+    # max(8, r) is checked once: below r = 2, as above it, F1 names 8
+    assert run(command + ["--gallery", "F1_smooth_perturb", "--degree",
+                          str(N), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: degree must be >= 8, got {N}\n"
 
 
 @pytest.mark.parametrize("r", [9, 10, 12])

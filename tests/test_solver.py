@@ -8,7 +8,8 @@ import scipy.linalg
 
 from hbvp import solver as solver_mod
 from hbvp.grid import GridFunction, interpolate
-from hbvp.problem import apply_B, family_from_config, gallery, instantiate
+from hbvp.problem import (GALLERY_NAMES, apply_B, family_from_config, gallery,
+                          instantiate)
 from hbvp.solver import (CompanionSystem, ConditionZeroViolated,
                          SolveRejected, apply_L,
                          build_companion, characteristic_matrix,
@@ -601,6 +602,31 @@ COMPLEX_CFG = {
     "boundary": {"point_terms": [
         {"order": 0, "point": 0.0, "coeff": [["1", "0"], ["0", "1"]]}]},
     "target": ["1", "0"]}
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+@pytest.mark.parametrize("cfg", [
+    *GALLERY_NAMES, R3_M2_CFG, R1_M2_CFG, COMPLEX_CFG],
+    ids=[*(n[:2] for n in GALLERY_NAMES), "r3_m2", "r1_m2", "complex"])
+def test_stacked_gate_is_the_gate_of_each_alone(cfg, N):
+    # eps = 0 (real) and three eps > 0 (complex for the complex config) in
+    # one stack: each residual, and each verdict, has the bits of its
+    # instance's stack of one
+    fam = gallery(cfg) if isinstance(cfg, str) else _family(cfg)
+    insts = [instantiate(fam, eps, N) for eps in (0.0, 0.2, 0.1, 0.05)]
+    fs = solver_mod.factor(insts)
+    ys = [f.cols[:, None, :, 0] for f in fs]
+    assert solver_mod._residuals(insts, ys) == [
+        solver_mod._residuals([inst], [y])[0] for inst, y in zip(insts, ys)]
+    for got, f in zip(solver_mod.solve_stack(fs), fs):
+        (want,) = solver_mod.solve_stack([f])
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+            continue
+        assert (got.residual, got.margin) == (want.residual, want.margin)
+        assert np.array_equal(got.y.values, want.y.values)
+        assert np.array_equal(got.Z.values, want.Z.values)
 
 
 def test_complex_stack_factors_in_complex128():
