@@ -4,8 +4,8 @@ Implements the discrepancy, the two-sided error/discrepancy sweep,
 monomial coefficient extraction and the criterion-vs-behavior agreement
 suite.  The sweep and the suite share one walk down the eps sequence
 (`_walk`), which instantiates the swept eps, differences their
-coefficients, forms their perturbations and factors their delta solves as
-one stack, with the records per eps.  From each eps's instance and
+coefficients, forms their perturbations and solves their deltas as one
+stack, with the records per eps.  From each eps's instance and
 differences the suite measures the Limit Condition I norms, the Condition
 II probe deviation and Theorem 2's operator-distance probe P(eps).  Its
 verdict carries Theorem 2's report.
@@ -22,15 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import chebyshev as cheb
 from . import expr as ex
 from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex, _derived,
                    _eval_exprs, _grid_data, algebra_constant, holder_norms,
                    interpolate, product)
 from .problem import (ProblemFamily, apply_B, boundary_matrix, instantiate,
                       instantiate_stack)
-from .solver import (ConditionZeroViolated, apply_L, factor,
-                     solve_bvp_direct, solve_stack, stack_size)
+from .solver import (ConditionZeroViolated, apply_L, solve_bvp_direct,
+                     solve_stack, stack_size)
 
 ZERO_TAIL_LEN = 5
 ZERO_FINAL_FACTOR = 1e-3
@@ -158,10 +157,10 @@ def _perturbations(fam: ProblemFamily, inst0, y0: GridFunction):
     degree N and c_delta = (c(eps) - c(0)) - (B(eps) - B(0)) y0, the
     right-hand side and boundary data of delta = y(eps) - y(0).  h is formed
     for the stack at degree 2N, the products' exact degree, from one
-    evaluation of the rhs difference with eps as a column, and taken to
-    degree N by one matmul; with no coefficient difference it is the rhs
-    difference at degree N, keeping its source.  B(0) y0 and each y0^(j)
-    at degree 2N are formed once.
+    evaluation of the rhs difference with eps as a column, and read at
+    degree N at its even nodes, the degree-N nodes bit for bit; with no
+    coefficient difference it is the rhs difference at degree N, keeping
+    its source.  B(0) y0 and each y0^(j) at degree 2N are formed once.
     """
     (a, b), N = fam.interval, y0.N
     nodes, B0y0 = _grid_data(2 * N, a, b)[0], apply_B(inst0.B, y0)[:, 0]
@@ -177,8 +176,7 @@ def _perturbations(fam: ProblemFamily, inst0, y0: GridFunction):
             for j, dA in dA2N:
                 h = h - np.einsum("sikt,kjt->sijt", dA, y0_2N(j))
             hs = [GridFunction(v, fam.interval) for v in h]
-            h = h @ cheb.bary_matrix(nodes, _grid_data(N, a, b)[0]).T
-            rhs = [GridFunction(v, fam.interval) for v in h]
+            rhs = [GridFunction(v, fam.interval) for v in h[..., ::2]]
         else:
             hs = rhs = GridFunction.from_exprs(rhs_diff, fam.interval, N,
                                                eps=eps)
@@ -282,7 +280,7 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
     up to N = 128, seven at N = 256, one at N = 512), each instantiated at once
     (`instantiate_stack`), its differences evaluated with eps as a column
     (`_diffs_2N`), its perturbations formed together (`_perturbations`) and
-    its delta solves factored by one call (`factor`).  A record's delta =
+    its deltas solved as one stack (`solve_stack`).  A record's delta =
     y(eps) - y(0) solves the exactly-cancelled perturbation data, avoiding
     loss of significance at tiny eps; solve failures are recorded as data.
     """
@@ -298,16 +296,16 @@ def _walk(fam: ProblemFamily, eps_sequence: list, N: int, M: int, inst0,
             records = []
             if perturb is not None:
                 hs, rhs, c_deltas = perturb(insts, rhs_diff, dA2N)
-                records = _records(fam, factor(
+                records = _records(fam, [
                     replace(inst, rhs=f, c=c)
-                    for inst, f, c in zip(insts, rhs, c_deltas)), hs, M)
+                    for inst, f, c in zip(insts, rhs, c_deltas)], hs, M)
             yield insts, coeff_diffs, dA2N, records
 
 
 def _records(fam: ProblemFamily, deltas: list, hs: list, M: int) -> list:
-    """The sweep records of `Factored` delta instances with perturbations
-    hs, gated as one stack (`solve_stack`), their error and discrepancy
-    norms taken as two stacks (`holder_norms`)."""
+    """The sweep records of delta instances with perturbations hs, solved
+    as one stack (`solve_stack`), their error and discrepancy norms taken
+    as two stacks (`holder_norms`)."""
     rows = [SweepRecord(delta.eps, None, None, None, None, None,
                         failure=type(r).__name__)
             if isinstance(r, Exception) else r

@@ -51,6 +51,16 @@ class NormValue:
     total: float
 
 
+def _require_degree(N: int, r: int = 0) -> None:
+    """Raise unless N >= max(floor, r): an interpolant needs degree 8, and
+    an equation of order r collocated at degree N < r has no equation row
+    left."""
+    floor = 8
+    if N < max(floor, r):
+        least = f"r = {r}" if r > floor else str(floor)
+        raise ValueError(f"degree must be >= {least}, got {N}")
+
+
 @lru_cache(maxsize=64)
 def _grid_data(N: int, a: float, b: float):
     nodes = cheb.lobatto_nodes(N, a, b)
@@ -140,8 +150,7 @@ class GridFunction:
     def from_exprs(cls, exprs, interval, N: int, eps=0.0):
         """The interpolant of expressions at a float eps; at a 1-D array of
         eps, the list of one interpolant per eps (`_eval_exprs`)."""
-        if N < 8:
-            raise ValueError(f"degree must be >= 8, got {N}")
+        _require_degree(N)
         srcs = np.asarray(exprs, dtype=object)
         if srcs.ndim == 0:
             srcs = srcs.reshape(1, 1)

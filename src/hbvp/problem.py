@@ -18,7 +18,7 @@ import numpy as np
 from . import chebyshev as cheb
 from . import expr as ex
 from .grid import (GridFunction, HolderIndex, ShapeError, _grid_data,
-                   _point_row)
+                   _point_row, _require_degree)
 
 
 class ConfigError(ValueError):
@@ -198,11 +198,9 @@ def instantiate_stack(fam: ProblemFamily, eps_list: list, N: int) -> list:
     eps that leave [0, eps0), mix eps = 0 and eps > 0 (two sets of
     expressions, `keyed_exprs`) or meet an expression with no value are
     instantiated one at a time, so that the error names the first such
-    eps.  The one degree floor is max(8, r): interpolation needs degree 8,
-    and a degree below the order r leaves no equation row to collocate."""
-    if N < max(8, fam.r):
-        least = f"r = {fam.r}" if fam.r > 8 else "8"
-        raise ValueError(f"degree must be >= {least}, got {N}")
+    eps.  The one degree floor is that of interpolation and of the order r
+    (`_require_degree`)."""
+    _require_degree(N, fam.r)
     one_side = (all(0.0 <= eps < fam.eps0 for eps in eps_list)
                 and len({eps == 0.0 for eps in eps_list}) == 1)
     if len(eps_list) > 1:

@@ -4,8 +4,10 @@ Two routes share one bordered collocation solve.  The direct route
 applies it to the r-th order system with its boundary rows; the companion
 route to the first-order system x' + A x = g with x(a) given (r = 1), and
 closes B's conditions through the fundamental and characteristic matrices.
-The bordered solve factors a stack of instances of one shape in one call
-(`factor`); a single solve is the stack of one.
+The direct route solves a stack of instances of one r, m and N at once
+(`solve_stack`): one call factors their bordered systems (`factor`), whose
+matrices, for refining a y over the residual gate, stay inside the call; a
+single solve is the stack of one.
 Each returns one SolveResult: the solution y, the matrix solution Z (L Z =
 0, B Z = I) and the Condition (0) margin its gate decided on.  Differing in
 formulation and boundary handling, they cross-validate field for field.
@@ -68,29 +70,13 @@ class CharacteristicMatrix:
 
 
 @dataclass(frozen=True)
-class InstanceStack:
-    """Instances of one r, m, degree N and `_dtype`, factored in one call."""
-    instances: tuple
-    dtype: type
-
-    @property
-    def N(self) -> int:
-        return self.instances[0].N
-
-
-@dataclass(frozen=True)
 class Factored:
-    """An instance with its row of a stack's factorization (`factor`), which
-    `solve_bvp_direct` reads instead of factoring again."""
-    instance: ProblemInstance
+    """An instance's row of a stack's factorization (`factor`)."""
     margin: float             # 0 where the system is singular
     cols: np.ndarray          # (m, N+1, 1 + rm) in its `_dtype`, zeros
                               # where singular
     mat: np.ndarray           # its system [K; Bmat] and column 0's right-
     b: np.ndarray             # hand side [f; c], for `_refined`
-
-    def __getattr__(self, name):   # eps, N, ...: the instance's
-        return getattr(self.instance, name)
 
 
 @dataclass(frozen=True)
@@ -205,11 +191,6 @@ def _residuals(insts: list, ys) -> list:
     return np.abs(out[..., keep] - rhs).max(axis=(1, 2, 3)).tolist()
 
 
-def _residual(instance: ProblemInstance, y: GridFunction) -> float:
-    """`_residuals` of the stack of one."""
-    return _residuals([instance], y.values[None])[0]
-
-
 def _accept(residual: float, rhs_scale: float) -> bool:
     return residual <= RESIDUAL_RTOL * (1.0 + rhs_scale)
 
@@ -244,20 +225,18 @@ def _dtype(instances) -> type:
     return complex if any(p.imag.any() for p in parts) else float
 
 
-def collocation_matrix(instance) -> np.ndarray:
-    """Square collocation matrix of (L, B) with boundary bordering, of an
-    instance, or the stack of an InstanceStack's, in the stack's `_dtype`:
-    A_0 on the diagonal, and one einsum per higher coefficient over the
-    stacked coefficient values with D's cached power (`_diff_power`).
+def collocation_matrix(insts, dtype: type) -> np.ndarray:
+    """The stack (k, n, n) of the square collocation matrices of (L, B) with
+    boundary bordering, of k instances of one r, m and N, in dtype (their
+    `_dtype`): A_0 on the diagonal, and one einsum per higher coefficient
+    over the stacked coefficient values with D's cached power
+    (`_diff_power`).
 
     Component-major layout; collocation rows at ceil(r/2) leading and
     floor(r/2) trailing nodes are replaced by the rm boundary rows.
     """
-    insts = getattr(instance, "instances", (instance,))
     r, m, N = insts[0].r, insts[0].m, insts[0].N
     a, b = insts[0].coeffs[0].interval
-    stacked = isinstance(instance, InstanceStack)
-    dtype = instance.dtype if stacked else _dtype(insts)
     part = np.real if dtype is float else np.asarray   # the zero imag dropped
     big = np.empty((len(insts), m, N + 1, m, N + 1), dtype=dtype)
     big[:] = np.kron(np.eye(m), _diff_power(N, a, b, r)).reshape(
@@ -270,11 +249,10 @@ def collocation_matrix(instance) -> np.ndarray:
         else:   # (s, p, i, q, i), indexed as (i, s, p, q)
             big[:, :, node, :, node] += A.transpose(3, 0, 1, 2)
     big = big.reshape(len(insts), m * (N + 1), m * (N + 1))
-    mats = np.concatenate(
+    return np.concatenate(
         [big[:, _kept_rows(r, m, N)],
          part(np.stack([boundary_matrix(inst.B, N) for inst in insts]))],
         axis=1)
-    return mats if stacked else mats[0]
 
 
 def _kept_rows(r: int, m: int, N: int) -> np.ndarray:
@@ -306,7 +284,7 @@ def factor(instances) -> list:
                  for k in set(kinds)}
         return [next(parts[k]) for k in kinds]
     r, m, N = insts[0].r, insts[0].m, insts[0].N
-    mats = collocation_matrix(InstanceStack(insts, kinds[0]))
+    mats = collocation_matrix(insts, kinds[0])
     keep = _kept_rows(r, m, N)
     f = np.array([np.concatenate([inst.rhs.values[:, 0, :].reshape(-1)[keep],
                                   inst.c]) for inst in insts])
@@ -327,7 +305,7 @@ def factor(instances) -> list:
         EZ.append(row @ cols[..., 1:])
         row = row @ insts[0].coeffs[0].diffmat
     margins = _margin(np.concatenate(EZ, axis=1)).tolist()
-    return list(map(Factored, insts, margins, cols, mats, rhs[..., 0]))
+    return list(map(Factored, margins, cols, mats, rhs[..., 0]))
 
 
 def _refined(f: Factored) -> np.ndarray:
@@ -341,45 +319,44 @@ def _refined(f: Factored) -> np.ndarray:
     return y + d.reshape(y.shape)
 
 
-def solve_stack(fs: list) -> list:
-    """The direct route's gates on the `Factored` of one `factor` stack:
-    for each, its SolveResult, or the ConditionZeroViolated or SolveRejected
-    that stops it.  Condition (0) is read from the factorization's margin,
-    which also gives the matrix solution Z.  The residuals of the stack are
-    formed at once (`_residuals`); a y over the residual gate is refined
-    once (`_refined`) and judged again, alone: at high N the LU's own
-    backward error reaches the gate."""
-    out, live = list(fs), []
-    for k, f in enumerate(fs):
+def solve_stack(instances) -> list:
+    """The direct route on instances of one r, m and N: for each, its
+    SolveResult, or the ConditionZeroViolated or SolveRejected that stops
+    it.  The stack is factored by one call (`factor`), whose margin decides
+    Condition (0) and whose columns give y and the matrix solution Z.  The
+    residuals of the stack are formed at once (`_residuals`); a y over the
+    residual gate is refined once (`_refined`) and judged again, alone: at
+    high N the LU's own backward error reaches the gate."""
+    insts = list(instances)
+    fs = factor(insts)
+    out, live = [None] * len(insts), []
+    for k, (inst, f) in enumerate(zip(insts, fs)):
         try:
-            _require_condition_zero(f.margin, f.N)
+            _require_condition_zero(f.margin, inst.N)
             live.append(k)
         except ConditionZeroViolated as err:
             out[k] = err
     ys = [fs[k].cols[:, None, :, 0] for k in live]
-    for k, y, res in zip(live, ys, _residuals([fs[k].instance for k in live],
-                                              ys)):
-        f = fs[k]
-        if not _accept(res, float(np.max(np.abs(f.rhs.values)))):
+    for k, y, res in zip(live, ys, _residuals([insts[k] for k in live], ys)):
+        inst, f = insts[k], fs[k]
+        if not _accept(res, float(np.max(np.abs(inst.rhs.values)))):
             y = _refined(f)[:, None]
-            res = _residuals([f.instance], [y])[0]
+            res = _residuals([inst], [y])[0]
         Z = f.cols[:, :, 1:].transpose(0, 2, 1).copy()
         try:
-            out[k] = _result(f.instance, GridFunction(y.copy(), f.interval),
-                             GridFunction(Z, f.interval), res, "direct",
+            out[k] = _result(inst, GridFunction(y.copy(), inst.interval),
+                             GridFunction(Z, inst.interval), res, "direct",
                              f.margin)
         except SolveRejected as err:
             out[k] = err
     return out
 
 
-def solve_bvp_direct(instance) -> SolveResult:
+def solve_bvp_direct(instance: ProblemInstance) -> SolveResult:
     """Square collocation of the r-th order system itself, at the
     instance's degree: `solve_stack` of the stack of one, raising what
-    stops it.  A ProblemInstance is factored as a stack of one; a
-    `Factored` one is read from its stack's."""
-    f = instance if isinstance(instance, Factored) else factor([instance])[0]
-    (res,) = solve_stack([f])
+    stops it."""
+    (res,) = solve_stack([instance])
     if isinstance(res, Exception):
         raise res
     return res
@@ -400,8 +377,9 @@ def solve_bvp(instance: ProblemInstance) -> SolveResult:
     Z = np.einsum("ijt,jk->ikt", X[:m], np.linalg.inv(cm.M))
     # the residual is the first-order system's: this route discretized it
     return _result(instance, GridFunction(x.values[:m], interval),
-                   GridFunction(Z, interval), _residual(_first_order(cs), x),
-                   "companion", cm.margin)
+                   GridFunction(Z, interval),
+                   _residuals([_first_order(cs)], [x.values])[0], "companion",
+                   cm.margin)
 
 
 def recover_coefficients(X: GridFunction) -> GridFunction:
@@ -433,5 +411,6 @@ def liouville_defect(cs: CompanionSystem, X: GridFunction) -> float:
 
 def fredholm_nullity(instance: ProblemInstance) -> int:
     """Nullity of the square collocation matrix of (L, B)."""
-    sigma = np.linalg.svd(collocation_matrix(instance), compute_uv=False)
+    mat = collocation_matrix([instance], _dtype([instance]))[0]
+    sigma = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sigma <= 1e-10 * sigma[0]))

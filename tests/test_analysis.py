@@ -10,6 +10,7 @@ from hbvp import cli
 from hbvp import expr as ex
 from hbvp import grid
 from hbvp import solver as solver_mod
+from hbvp.chebyshev import bary_matrix
 from hbvp.grid import HolderIndex, holder_norm
 from hbvp.problem import (GALLERY_NAMES, _gallery_config, apply_B,
                           boundary_matrix, boundedness_certificate,
@@ -397,6 +398,27 @@ def test_sweep_delta_is_the_difference_of_the_discrete_solves(family, N, eps):
     assert np.max(np.abs(delta.values - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("N", [24, 32, 512])
+@pytest.mark.parametrize("name", ["F1_smooth_perturb", "F4_limitI_violated"])
+def test_the_degree_N_perturbation_is_h_interpolated_at_the_N_nodes(name, N):
+    # the degree-N nodes are the even degree-2N nodes, so reading h there
+    # keeps the bits of the 2N -> N barycentric matrix, zero signs included
+    fam = gallery(name)
+    eps = an.geometric_eps(fam.eps0, 0.5, 4)
+    inst0 = instantiate(fam, 0.0, N)
+    rhs_diff, diffs = an._diff_exprs(fam, eps[0])
+    assert diffs   # a coefficient difference: h is formed at degree 2N
+    hs, rhs, _ = an._perturbations(fam, inst0, solve_bvp_direct(inst0).y)(
+        instantiate_stack(fam, eps, N), rhs_diff,
+        an._diffs_2N(fam, diffs, np.array(eps), N))
+    h = np.array([v.values for v in hs])
+    want = h @ bary_matrix(hs[0].nodes, rhs[0].nodes).T
+    got = np.array([v.values for v in rhs])
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
 def test_boundary_residual_is_that_of_the_solved_rows(tmp_path):
     cfg = tmp_path / "rough.json"
     cfg.write_text(json.dumps(_rough_density_config()))
@@ -456,9 +478,9 @@ def test_main_theorem_suite_factors_eps_zero_once(monkeypatch):
     seen = []
     real = solver_mod.collocation_matrix
 
-    def counting(stack):
-        seen.append([inst.eps for inst in stack.instances])
-        return real(stack)
+    def counting(insts, dtype):
+        seen.append([inst.eps for inst in insts])
+        return real(insts, dtype)
 
     monkeypatch.setattr(solver_mod, "collocation_matrix", counting)
     v = an.main_theorem_suite(fam, N=24, M=512)
@@ -588,9 +610,11 @@ def test_a_stack_of_real_and_complex_deltas_keeps_each_sweep_alone(
         kinds.append([solver_mod._dtype([inst]) for inst in insts])
         return factor(insts)
 
-    monkeypatch.setattr(an, "factor", recording)
+    monkeypatch.setattr(solver_mod, "factor", recording)
     eps = [0.5, 0.25, 0.125]
     stacked = an.two_sided_sweep(fam, eps, N=24, M=256).records
-    assert kinds == [[complex, float, complex]]
+    # the eps = 0 solve, the mixed stack, then its real and complex parts
+    assert kinds[:2] == [[float], [complex, float, complex]]
+    assert sorted(kinds[2:], key=len) == [[float], [complex, complex]]
     alone = [an.two_sided_sweep(fam, [e], N=24, M=256).records[0] for e in eps]
     assert repr(stacked) == repr(alone)

@@ -288,9 +288,9 @@ def _count_calls(monkeypatch, name, degree):
     degrees = []
     real = getattr(solver_mod, name)
 
-    def counting(arg):
-        degrees.append(degree(arg))
-        return real(arg)
+    def counting(*args):
+        degrees.append(degree(*args))
+        return real(*args)
 
     monkeypatch.setattr(solver_mod, name, counting)
     return degrees
@@ -308,8 +308,7 @@ def test_direct_route_decides_condition_zero_once(monkeypatch):
     # at a higher degree
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: False)
     fundamentals = _count_fundamental_matrices(monkeypatch)
-    collocations = _count_calls(monkeypatch, "collocation_matrix",
-                                lambda inst: inst.N)
+    collocations = _count_collocation_matrices(monkeypatch)
     with pytest.raises(SolveRejected) as err:
         solve_bvp_direct(instantiate(gallery("F6_holder_rough"), 0.2, 512))
     assert err.value.N == 512
@@ -333,7 +332,8 @@ def test_direct_residual_is_L_at_the_collocation_nodes(cfg, N):
     keep = solver_mod._kept_rows(inst.r, 1, N)
     gap = (apply_L(inst, y).eval_at(inst.rhs.nodes[keep])
            - inst.rhs.values[..., keep])
-    assert solver_mod._residual(inst, y) == float(np.max(np.abs(gap)))
+    assert solver_mod._residuals([inst], [y.values])[0] == float(
+        np.max(np.abs(gap)))
 
 
 @pytest.mark.parametrize("N", [384, 512])
@@ -352,9 +352,9 @@ def test_direct_solve_refines_a_y_over_the_gate_once(monkeypatch):
     monkeypatch.setattr(solver_mod, "_accept", lambda *a: next(verdicts))
     inst = instantiate(gallery("F1_smooth_perturb"), 0.2, 512)
     f = solver_mod.factor([inst])[0]
-    res = solve_bvp_direct(f)
+    res = solve_bvp_direct(inst)
     assert np.array_equal(res.y.values[:, 0], solver_mod._refined(f))
-    assert res.residual == solver_mod._residual(inst, res.y)
+    assert res.residual == solver_mod._residuals([inst], [res.y.values])[0]
 
     def backward_error(y):
         ext = f.mat.astype(np.longdouble) @ y.reshape(-1)
@@ -366,7 +366,7 @@ def test_direct_solve_refines_a_y_over_the_gate_once(monkeypatch):
 
 def _count_collocation_matrices(monkeypatch):
     return _count_calls(monkeypatch, "collocation_matrix",
-                        lambda inst: inst.N)
+                        lambda insts, dtype: insts[0].N)
 
 
 def test_companion_route_rejects_at_the_requested_degree(monkeypatch):
@@ -556,7 +556,7 @@ def test_fredholm_nullity():
 
 def test_collocation_matrix_square():
     inst = instantiate(gallery("F5_multipoint_integral"), 0.0, 20)
-    mat = collocation_matrix(inst)
+    (mat,) = collocation_matrix([inst], solver_mod._dtype([inst]))
     assert mat.shape == (21, 21)
 
 
@@ -584,10 +584,10 @@ def test_real_data_factor_in_float64(monkeypatch, tmp_path):
 
 def _explicit_solve(inst, dtype):
     """[f; c] and [0; I] solved by np.linalg.solve of the instance's
-    collocation matrix in dtype, as (m, N+1, 1 + rm) columns."""
+    collocation matrix built in dtype, as (m, N+1, 1 + rm) columns."""
     r, m, N = inst.r, inst.m, inst.N
     keep = solver_mod._kept_rows(r, m, N)
-    mat = collocation_matrix(inst).astype(dtype)
+    (mat,) = collocation_matrix([inst], dtype)
     rhs = np.zeros((m * (N + 1), 1 + r * m), dtype=dtype)
     rhs[:, 0] = np.concatenate(
         [inst.rhs.values[:, 0, :].reshape(-1)[keep], inst.c]).astype(dtype)
@@ -614,12 +614,11 @@ def test_stacked_gate_is_the_gate_of_each_alone(cfg, N):
     # instance's stack of one
     fam = gallery(cfg) if isinstance(cfg, str) else _family(cfg)
     insts = [instantiate(fam, eps, N) for eps in (0.0, 0.2, 0.1, 0.05)]
-    fs = solver_mod.factor(insts)
-    ys = [f.cols[:, None, :, 0] for f in fs]
+    ys = [f.cols[:, None, :, 0] for f in solver_mod.factor(insts)]
     assert solver_mod._residuals(insts, ys) == [
         solver_mod._residuals([inst], [y])[0] for inst, y in zip(insts, ys)]
-    for got, f in zip(solver_mod.solve_stack(fs), fs):
-        (want,) = solver_mod.solve_stack([f])
+    for got, inst in zip(solver_mod.solve_stack(insts), insts):
+        (want,) = solver_mod.solve_stack([inst])
         assert type(got) is type(want)
         if isinstance(want, Exception):
             assert str(got) == str(want)
@@ -632,7 +631,8 @@ def test_stacked_gate_is_the_gate_of_each_alone(cfg, N):
 def test_complex_stack_factors_in_complex128():
     from hbvp.problem import instantiate_stack
     insts = instantiate_stack(_family(COMPLEX_CFG), [0.5, 0.25, 0.125], 32)
-    assert collocation_matrix(insts[0]).dtype == np.complex128
+    assert collocation_matrix(
+        insts[:1], solver_mod._dtype(insts[:1])).dtype == np.complex128
     for f, inst in zip(solver_mod.factor(insts), insts):
         assert f.cols.dtype == np.complex128
         assert np.array_equal(f.cols, _explicit_solve(inst, np.complex128))
