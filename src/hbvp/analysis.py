@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex, _derived,
+from .grid import (DEFAULT_SAMPLES, GridFunction, HolderIndex, _entrywise,
                    _eval_exprs, _grid_data, algebra_constant, holder_norms,
                    interpolate, product)
 from .problem import (ProblemFamily, apply_B, boundary_matrix, instantiate,
@@ -59,7 +59,7 @@ def tends_to_zero(values, final_factor: float = ZERO_FINAL_FACTOR) -> bool:
     return decreasing and vals[-1] < final_factor * (vals[0] + 1.0)
 
 
-def default_probes(r: int, m: int, interval, N: int = 32):
+def default_probes(r: int, m: int, interval, N: int):
     """Monomial and trigonometric probe functions in C^{n+r,alpha}, for an
     order-r family with m components on interval.
 
@@ -91,7 +91,7 @@ def _probe_data(r: int, m: int, idx: HolderIndex, interval: tuple, N: int,
     srcs = [[y.sources] for y in probes]   # per probe, y^(j)'s for j < r
     for src in srcs:
         for _ in range(1, r):
-            src.append(_derived(src[-1]))
+            src.append(_entrywise(ex.diff_t, src[-1]))
     a, b = interval
     nodes = _grid_data(2 * N, a, b)[0]
     at_2N = [_eval_exprs(np.stack(src), nodes, 0.0, a, b) for src in srcs]
@@ -110,10 +110,8 @@ def _probe_data(r: int, m: int, idx: HolderIndex, interval: tuple, N: int,
 
 def _eps_diff(e_eps: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
     """The symbolic e(., eps) - e(., 0), entry by entry."""
-    diff = np.empty(e_eps.shape, dtype=object)
-    for idx in np.ndindex(e_eps.shape):
-        diff[idx] = ex.sub(e_eps[idx], ex.substitute_eps(e_zero[idx], 0.0))
-    return diff
+    return _entrywise(lambda e, z: ex.sub(e, ex.substitute_eps(z, 0.0)),
+                      e_eps, e_zero)
 
 
 def _all_zero(sources: np.ndarray) -> bool:
@@ -129,10 +127,10 @@ def _diff_exprs(fam: ProblemFamily, eps: float):
     rough right-hand-side perturbation's symbolic source (and hence its
     exact Holder seminorm) in the perturbation residual.
     """
-    coeffs = enumerate(zip(fam.coeff_exprs(eps), fam.coeff_exprs(0.0)))
-    diffs = [(j, _eps_diff(c, z)) for j, (c, z) in coeffs]
-    return (_eps_diff(fam.rhs_exprs(eps), fam.rhs_exprs(0.0)),
-            [(j, d) for j, d in diffs if not _all_zero(d)])
+    c, c0, f, f0 = (fam.keyed_exprs(key, e)[1]
+                    for key in ("coeffs", "rhs") for e in (eps, 0.0))
+    diffs = [(j, _eps_diff(a, z)) for j, (a, z) in enumerate(zip(c, c0))]
+    return _eps_diff(f, f0), [(j, d) for j, d in diffs if not _all_zero(d)]
 
 
 def _diffs_2N(fam: ProblemFamily, diffs: list, eps: np.ndarray,

@@ -89,17 +89,3 @@ def clenshaw_curtis_weights(N: int, a: float = -1.0,
     w = (moments * scale) @ C * halve
     return w * (b - a) / 2.0
 
-
-def antiderivative_coeffs(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Coefficients of the antiderivative vanishing at t=a (last axis)."""
-    N = coeffs.shape[-1] - 1
-    c = np.concatenate([coeffs, np.zeros(coeffs.shape[:-1] + (2,),
-                                         dtype=coeffs.dtype)], axis=-1)
-    out = np.zeros(coeffs.shape[:-1] + (N + 2,), dtype=complex)
-    k = np.arange(1, N + 2)
-    out[..., 1:] = (c[..., 0:N + 1] - c[..., 2:N + 3]) / (2.0 * k)
-    out[..., 1] = c[..., 0] - c[..., 2] / 2.0
-    # fix value at x=-1 (t=a): T_k(-1) = (-1)^k
-    signs = (-1.0) ** np.arange(N + 2)
-    out[..., 0] = -np.sum(out[..., 1:] * signs[1:], axis=-1)
-    return out * (b - a) / 2.0

@@ -275,23 +275,14 @@ def _eval(e: Expr, t, eps):
 
 
 def substitute_eps(e: Expr, value: float) -> Expr:
-    """Replace eps with a constant (used to form eps=0 slices)."""
+    """Replace eps with a constant (used to form eps=0 slices), each node
+    rebuilt by its folding constructor."""
     if isinstance(e, Var):
         return Const(complex(value)) if e.name == "eps" else e
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        cls = {Add: add, Sub: sub, Mul: mul, Div: div}[type(e)]
-        return cls(substitute_eps(e.a, value), substitute_eps(e.b, value))
-    if isinstance(e, Pow):
-        return powi(substitute_eps(e.base, value), e.exponent)
-    if isinstance(e, Neg):
-        return neg(substitute_eps(e.a, value))
-    if isinstance(e, Fun):
-        return Fun(e.name, substitute_eps(e.a, value))
-    if isinstance(e, PowAbs):
-        return PowAbs(substitute_eps(e.arg, value), e.beta)
-    raise ExprError(f"unknown node {e!r}")
+    build = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: powi,
+             Neg: neg}.get(type(e), type(e))
+    return build(*(substitute_eps(v, value) if isinstance(v, Expr) else v
+                   for v in vars(e).values()))
 
 
 def mentions(e: Expr, name: str) -> bool:
@@ -327,10 +318,7 @@ def _centers(e: Expr, eps, out):
                 out.append(c)
         except EvalError:
             pass
-        _centers(e.arg, eps, out)
-        return
-    for attr in ("a", "b", "base", "arg"):
-        child = getattr(e, attr, None)
+    for child in vars(e).values():
         if isinstance(child, Expr):
             _centers(child, eps, out)
 
@@ -446,16 +434,11 @@ class _Parser:
                 beta = self.signed_number()
                 self.expect(")")
                 return PowAbs(arg, beta)
-            if val == "neg":
+            if val == "neg" or val in _FUNCS:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return neg(arg)
-            if val in _FUNCS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Fun(val, arg)
+                return neg(arg) if val == "neg" else Fun(val, arg)
             raise ParseError(f"unknown identifier {val!r}", pos)
         if val == "(":
             e = self.expr()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -99,15 +100,13 @@ def _eval_exprs(sources: np.ndarray, ts: np.ndarray, eps,
     a 1-D array of k eps values, one such stack per eps, (k, rows, cols,
     len(ts)): each entry is evaluated once with eps as a (k, 1) column, at
     ts nudged per eps (a (k, len(ts)) grid only where some eps has a powabs
-    centre), and an entry that does not mention eps at one eps only."""
-    stack = isinstance(eps, np.ndarray)
-    if stack and len(eps) == 1:   # the bits of the float, at its cost
-        return _eval_exprs(sources, ts, float(eps[0]), a, b)[None]
-    lead, at = (eps.shape, eps.tolist()) if stack else ((), [eps])
-    out = np.empty(lead + sources.shape + (len(ts),), dtype=complex)
+    centre), and an entry that does not mention eps at one eps only.  An
+    array of one eps is read as its float, with its bits and at its cost."""
+    at = eps.tolist() if isinstance(eps, np.ndarray) else [eps]
+    out = np.empty(np.shape(eps) + sources.shape + (len(ts),), dtype=complex)
     for idx in np.ndindex(sources.shape):
         e, pts = sources[idx], ts
-        by_eps = stack and ex.mentions(e, "eps")
+        by_eps = len(at) > 1 and ex.mentions(e, "eps")
         if ex.mentions(e, "powabs"):
             grids = [_nudge(ts, ex.singular_centers(e, x), a, b)
                      for x in (at if by_eps else at[:1])]
@@ -118,11 +117,11 @@ def _eval_exprs(sources: np.ndarray, ts: np.ndarray, eps,
     return out
 
 
-def _derived(sources: np.ndarray) -> np.ndarray:
-    """The t-derivative of an object array of expressions, entrywise."""
-    out = np.empty(sources.shape, dtype=object)
-    for idx in np.ndindex(sources.shape):
-        out[idx] = ex.diff_t(sources[idx])
+def _entrywise(f, *arrays) -> np.ndarray:
+    """The object array of f over the entries of arrays of one shape."""
+    out = np.empty(arrays[0].shape, dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = f(*(arr[idx] for arr in arrays))
     return out
 
 
@@ -142,7 +141,6 @@ class GridFunction:
         self.N = values.shape[2] - 1
         self.sources = sources
         self.eps = float(eps)
-        self._deriv = None
 
     # -- construction ------------------------------------------------------
 
@@ -189,11 +187,8 @@ class GridFunction:
     def resample(self, N: int) -> "GridFunction":
         if N == self.N:
             return self
-        nodes, _ = _grid_data(N, self.a, self.b)
-        if self.sources is not None:
-            return GridFunction(self.eval_at(nodes), self.interval,
-                                sources=self.sources, eps=self.eps)
-        return GridFunction(self.eval_at(nodes), self.interval)
+        return GridFunction(self.eval_at(_grid_data(N, self.a, self.b)[0]),
+                            self.interval, sources=self.sources, eps=self.eps)
 
     # -- calculus ------------------------------------------------------------
 
@@ -201,15 +196,12 @@ class GridFunction:
         """k-th derivative; symbolic when sources are known, else spectral."""
         if k == 0:
             return self
-        if self._deriv is None:
-            if self.sources is not None:
-                d = GridFunction.from_exprs(_derived(self.sources),
-                                            self.interval, self.N,
-                                            eps=self.eps)
-            else:
-                d = GridFunction(self.values @ self.diffmat.T, self.interval)
-            self._deriv = d
-        return self._deriv.derivative(k - 1)
+        if self.sources is not None:
+            d = GridFunction.from_exprs(_entrywise(ex.diff_t, self.sources),
+                                        self.interval, self.N, eps=self.eps)
+        else:
+            d = GridFunction(self.values @ self.diffmat.T, self.interval)
+        return d.derivative(k - 1)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -231,11 +223,8 @@ class GridFunction:
         return self._binary(other, np.subtract)
 
     def scale(self, c) -> "GridFunction":
-        sources = None
-        if self.sources is not None:
-            sources = np.empty(self.sources.shape, dtype=object)
-            for idx in np.ndindex(self.sources.shape):
-                sources[idx] = ex.mul(ex.Const(complex(c)), self.sources[idx])
+        sources = None if self.sources is None else _entrywise(
+            lambda e: ex.mul(ex.Const(complex(c)), e), self.sources)
         return GridFunction(self.values * c, self.interval,
                             sources=sources, eps=self.eps)
 
@@ -243,24 +232,20 @@ class GridFunction:
 def interpolate(e, interval, N: int) -> GridFunction:
     """Build a GridFunction at eps = 0 from an expression or string, or a
     (rows, cols) nested list or array of them."""
-    arr = np.asarray(e, dtype=object)
-    parsed = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        v = arr[idx]
-        parsed[idx] = ex.parse_expression(v) if isinstance(v, str) else v
+    parsed = _entrywise(
+        lambda v: ex.parse_expression(v) if isinstance(v, str) else v,
+        np.asarray(e, dtype=object))
     return GridFunction.from_exprs(parsed, interval, N)
 
 
-def product(f: GridFunction, g: GridFunction, N: int | None = None
-            ) -> GridFunction:
-    """Pointwise matrix product of the node values at degree N, by default
-    N_f + N_g, the degree of the exact product."""
+def product(f: GridFunction, g: GridFunction) -> GridFunction:
+    """Pointwise matrix product of the node values at degree N_f + N_g, the
+    degree of the exact product: each factor is resampled there."""
     if (f.a, f.b) != (g.a, g.b):
         raise ValueError("interval mismatch")
     if f.shape[1] != g.shape[0]:
         raise ShapeError(f"shapes {f.shape} and {g.shape} not composable")
-    if N is None:
-        N = f.N + g.N
+    N = f.N + g.N
     vals = np.einsum("ikt,kjt->ijt", f.resample(N).values,
                      g.resample(N).values)
     return GridFunction(vals, f.interval)
@@ -398,12 +383,12 @@ def holder_norms(gs: list, idx: HolderIndex,
     Each derivative order of a stack is sampled at once at the points of
     _sample_grid at max(M, N+1), more than a degree-N function has
     coefficients: one matmul of the stacked node values by the cached ET
-    (derivatives by D), one `_eval_exprs` with eps as a column for functions
-    sharing their sources, else function by function (derivatives
-    symbolic).  Each order's sup parts take one max over the stack.  The
-    seminorm, the maximum over all pairs of points and so a lower bound of
-    the true one, is `_pair_max`'s: by stack at alpha = 1, else one call for
-    every function and entry of gs.
+    (derivatives by D), or one `_eval_exprs` with eps as a column per run of
+    consecutive functions sharing one sources object, a run of one included
+    (derivatives symbolic).  Each order's sup parts take one max over the
+    stack.  The seminorm, the maximum over all pairs of points and so a
+    lower bound of the true one, is `_pair_max`'s: by stack at alpha = 1,
+    else one call for every function and entry of gs.
     """
     if M < MIN_SEMINORM_SAMPLES:
         raise ValueError(f"sampling count {M} below {MIN_SEMINORM_SAMPLES}")
@@ -414,24 +399,23 @@ def holder_norms(gs: list, idx: HolderIndex,
     step = max(1, NORM_STACK_BYTES // (16 * len(ts) * np.prod(g.shape)))
     sups, last = [], []
     for stack in (gs[s:s + step] for s in range(0, len(gs), step)):
-        srcs = [f.sources for f in stack]
-        shared = len(stack) > 1 and all(s is srcs[0] for s in srcs)
-        vals = np.array([f.values for f in stack]) if srcs[0] is None else None
+        vals = (np.array([f.values for f in stack]) if g.sources is None
+                else None)
+        runs = [list(r) for _, r in groupby(stack, lambda f: id(f.sources))]
+        srcs = [run[0].sources for run in runs]
+        eps = [np.array([f.eps for f in run]) for run in runs]
         for order in range(idx.n + 1):
             if vals is not None:
                 S = vals @ ET
-            elif shared:
-                S = _eval_exprs(srcs[0], ts, np.array([f.eps for f in stack]),
-                                g.a, g.b)
-            else:
-                S = np.array([_eval_exprs(src, ts, f.eps, g.a, g.b)
-                              for src, f in zip(srcs, stack)])
+            else:   # one run's samples are taken as they are, uncopied
+                S = [_eval_exprs(src, ts, e, g.a, g.b)
+                     for src, e in zip(srcs, eps)]
+                S = S[0] if len(S) == 1 else np.concatenate(S)
             sups.append(np.sum(np.max(np.abs(S), axis=-1), axis=(1, 2)))
             if order < idx.n and vals is not None:
                 vals = vals @ g.diffmat.T
             elif order < idx.n:
-                srcs = ([_derived(srcs[0])] * len(stack) if shared
-                        else [_derived(src) for src in srcs])
+                srcs = [_entrywise(ex.diff_t, src) for src in srcs]
         S = S.reshape(-1, len(ts))   # alpha < 1: every stack's rows, one scan
         last.append(_pair_max(S, ts, 1.0) if idx.alpha == 1.0 else
                     S if S.imag.any() else S.real.copy())

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import chebyshev as cheb
 from . import expr as ex
-from .grid import (GridFunction, HolderIndex, ShapeError, _grid_data,
-                   _point_row, _require_degree)
+from .grid import (GridFunction, HolderIndex, ShapeError, _entrywise,
+                   _grid_data, _point_row, _require_degree)
 
 
 class ConfigError(ValueError):
@@ -110,12 +110,6 @@ class ProblemFamily:
             key += "_at_zero"
         return key, getattr(self, key)
 
-    def coeff_exprs(self, eps: float):
-        return self.keyed_exprs("coeffs", eps)[1]
-
-    def rhs_exprs(self, eps: float):
-        return self.keyed_exprs("rhs", eps)[1]
-
 
 @dataclass(frozen=True)
 class PointTerm:
@@ -156,10 +150,8 @@ class ProblemInstance:
 
 
 def _eval_eps_matrix(exprs: np.ndarray, eps: float) -> np.ndarray:
-    out = np.empty(exprs.shape, dtype=complex)
-    for idx in np.ndindex(exprs.shape):
-        out[idx] = complex(np.asarray(ex.evaluate(exprs[idx], 0.0, eps)))
-    return out
+    return _entrywise(lambda e: complex(np.asarray(ex.evaluate(e, 0.0, eps))),
+                      exprs).astype(complex)
 
 
 def _keyed(build, exprs: np.ndarray, key: str, eps_list: list):
@@ -282,7 +274,7 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
     if N in B.matrices:
         return B.matrices[N]
     a, b = map(float, B.interval)
-    nodes, D = _grid_data(N, a, b)
+    D = _grid_data(N, a, b)[1]
     w = _quadrature(N, a, b)[1]
     out = np.zeros((B.size, B.m, N + 1), dtype=complex)
     for term in B.point_terms:
@@ -291,7 +283,7 @@ def boundary_matrix(B: BoundaryOperator, N: int) -> np.ndarray:
             row = row @ D
         out += term.coeff[:, :, None] * row
     for term in B.integral_terms:
-        rows = w * term.density.eval_at(nodes)    # (rm, m, N+1)
+        rows = w * term.density.resample(N).values    # (rm, m, N+1)
         for _ in range(term.order):
             rows = rows @ D
         out += rows

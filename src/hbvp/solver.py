@@ -275,21 +275,25 @@ def factor(instances) -> list:
     rows E Z (y^(k)(a), k < r) are M^{-1}.  Where the stacked solve raises,
     the systems are solved one by one, and a singular one keeps zero
     columns, so margin 0.  Real and complex instances (`_dtype`) are
-    factored as two stacks, so that each keeps the bits of its solve alone.
+    factored as two stacks (`_factor`), so that each keeps the bits of its
+    solve alone.
     """
     insts = tuple(instances)
     kinds = [_dtype([inst]) for inst in insts]
-    if len(set(kinds)) > 1:
-        parts = {k: iter(factor(i for i, ki in zip(insts, kinds) if ki is k))
-                 for k in set(kinds)}
-        return [next(parts[k]) for k in kinds]
+    parts = {k: iter(_factor([i for i, ki in zip(insts, kinds) if ki is k], k))
+             for k in dict.fromkeys(kinds)}
+    return [next(parts[k]) for k in kinds]
+
+
+def _factor(insts: list, dtype: type) -> list:
+    """`factor` of a stack of instances of one r, m, N and `_dtype`."""
     r, m, N = insts[0].r, insts[0].m, insts[0].N
-    mats = collocation_matrix(insts, kinds[0])
+    mats = collocation_matrix(insts, dtype)
     keep = _kept_rows(r, m, N)
     f = np.array([np.concatenate([inst.rhs.values[:, 0, :].reshape(-1)[keep],
                                   inst.c]) for inst in insts])
     rhs = np.zeros(mats.shape[:2] + (1 + r * m,), dtype=mats.dtype)
-    rhs[:, :, 0] = f.real if kinds[0] is float else f
+    rhs[:, :, 0] = f.real if dtype is float else f
     rhs[:, -r * m:, 1:] = np.eye(r * m)
     try:
         sol = np.linalg.solve(mats, rhs)
@@ -402,7 +406,8 @@ def liouville_defect(cs: CompanionSystem, X: GridFunction) -> float:
     logdet = np.log(np.abs(np.linalg.det(P)))
     trA = np.einsum("iit->t", cs.A.values).real
     a, b = X.interval
-    co = cheb.antiderivative_coeffs(cheb.cheb_coeffs(trA + 0j), a, b)
+    co = np.polynomial.chebyshev.chebint(cheb.cheb_coeffs(trA + 0j), lbnd=-1,
+                                         scl=(b - a) / 2)
     x = 2 * (X.nodes - a) / (b - a) - 1
     integral = np.polynomial.chebyshev.chebval(x, co).real
     drift = logdet + integral

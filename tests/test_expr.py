@@ -160,6 +160,33 @@ def test_singular_centers():
     assert ex.singular_centers(ex.parse_expression("sin(t)"), 0.0) == []
 
 
+def test_a_centre_with_no_value_is_skipped():
+    # the slope of 1/(t - 0.1234) has no value at the probe point 0.1234,
+    # so the powabs has no linear centre to report
+    e = ex.parse_expression("powabs(1/(t-0.1234), 0.5)")
+    assert ex.singular_centers(e, 0.0) == []
+
+
+@pytest.mark.parametrize("source, eps, folded", [
+    ("2/4", None, ex.Const(0.5 + 0j)),
+    ("eps/4", 2.0, ex.Const(0.5 + 0j)),
+    ("0/t", None, ex.ZERO),
+    ("eps/t", 0.0, ex.ZERO),
+    ("t/1", None, ex.Var("t")),
+    ("t/eps", 1.0, ex.Var("t")),
+    ("neg(neg(t))", None, ex.Var("t")),
+    ("neg(eps-t)", 0.0, ex.Var("t")),
+    ("sin(eps*t)", 1.0, ex.Fun("sin", ex.Var("t"))),
+    ("powabs(t-eps, 0.5)", 0.0, ex.PowAbs(ex.Var("t"), 0.5)),
+    ("(t+eps)^2", 0.0, ex.Pow(ex.Var("t"), 2)),
+])
+def test_parsing_and_substitution_fold_constants(source, eps, folded):
+    # the parser and substitute_eps build through the same folding
+    # constructors: 2/4 is a constant, 0/t zero, t/1 and neg(neg(t)) t
+    e = ex.parse_expression(source)
+    assert (e if eps is None else ex.substitute_eps(e, eps)) == folded
+
+
 def test_constant_folding_keeps_round_trip_canonical():
     # smart constructors fold constants, so equal trees compare equal
     e = ex.mul(ex.Const(2 + 0j), ex.Const(3 + 0j))

@@ -490,6 +490,30 @@ def test_holder_norms_scan_every_row_in_one_call(alpha, monkeypatch):
     assert calls == ([14] if alpha < 1.0 else [4, 4, 4, 2])
 
 
+def test_holder_norms_sample_each_run_of_shared_sources_by_one_call(
+        monkeypatch):
+    # runs of 2, 1 and 2 consecutive functions sharing one sources object:
+    # one `_eval_exprs` per run and order, with eps as a column, the run of
+    # one included; each norm has the bits of its function's norm alone
+    exprs = [[ex.parse_expression("(1+eps)*sin(3*t)+powabs(t-eps, 1.5)")]]
+    def run(*eps):
+        return GridFunction.from_exprs(exprs, (0.0, 1.0), 24, np.array(eps))
+
+    gs = run(0.5, 0.25) + [interpolate("exp(t)", (0.0, 1.0), 24)] + run(0.1, 0)
+    calls, evaluate = [], grid._eval_exprs
+
+    def counting(sources, ts, eps, a, b):
+        calls.append(eps.tolist())
+        return evaluate(sources, ts, eps, a, b)
+
+    monkeypatch.setattr(grid, "_eval_exprs", counting)
+    idx = HolderIndex(1, 0.5)
+    stacked = grid.holder_norms(gs, idx, 128)
+    assert calls == [[0.5, 0.25], [0.0], [0.1, 0.0]] * 2
+    monkeypatch.undo()
+    assert repr(stacked) == repr([holder_norm(g, idx, 128) for g in gs])
+
+
 def _sampled(g, M):
     """_sample_grid's points at max(M, N+1) and g's values there: node
     values by the evaluation matrix, expressions evaluated."""
@@ -683,9 +707,10 @@ def test_product_shape_rules():
     assert np.allclose(Av.eval_at(ts)[0, 0], 2 * ts)
     with pytest.raises(ShapeError):
         product(v, A)
-    # at the factors' own degree: the nodal product, bit for bit
-    assert np.array_equal(product(A, v, N=A.N).values,
-                          np.einsum("ikt,kjt->ijt", A.values, v.values))
+    # at the degree N_f + N_g: the nodal product there, bit for bit
+    assert Av.N == 16
+    assert np.array_equal(Av.values, np.einsum(
+        "ikt,kjt->ijt", A.resample(16).values, v.resample(16).values))
 
 
 def test_product_of_two_degree_400_factors_has_degree_800():
@@ -795,6 +820,18 @@ def test_norms_of_a_product_sample_at_least_at_its_degree(M):
     idx = HolderIndex(1, 0.5)
     assert fg.N == 128
     assert holder_norm(fg, idx, M) == holder_norm(fg, idx, 129)
+
+
+def test_a_powabs_with_no_linear_centre_is_sampled_unmoved():
+    # t^2 - 0.25 is not linear in t, so no centre is found and no point is
+    # nudged: the degree-32 nodes, 0.49999999999999994 among them, are
+    # evaluated as they are
+    e = ex.parse_expression("powabs(t^2-0.25, 0.5)")
+    nodes = grid._grid_data(32, 0.0, 1.0)[0]
+    assert grid._nudge(nodes, ex.singular_centers(e, 0.0), 0.0, 1.0) is nodes
+    got = grid._eval_exprs(np.array([[e]], dtype=object), nodes, 0.0, 0.0,
+                           1.0)
+    assert got[0, 0].tobytes() == ex.evaluate(e, nodes, 0.0).tobytes()
 
 
 @pytest.mark.parametrize("src", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from hbvp import chebyshev, cli
+from hbvp import chebyshev, cli, grid
 from hbvp.analysis import _diff_exprs
 from hbvp.grid import (GridFunction, HolderIndex, ShapeError, holder_norm,
                        interpolate)
@@ -163,6 +163,29 @@ def test_order_two_point_row_is_accurate_at_high_degree():
     y = interpolate("(t-0.3)^23 - 2*t^6 + t - 0.5", (0.0, 1.0), N)
     got, want = apply_B(inst.B, y)[0, 0], _y_at(2, 0.4)
     assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_boundary_matrix_reads_the_density_at_its_own_nodes(monkeypatch):
+    # F5's integral density was evaluated on the instance's nodes when it
+    # was instantiated: its boundary matrix reads those values, evaluating
+    # no expression again, and only another degree evaluates it there
+    inst = instantiate(gallery("F5_multipoint_integral"), 0.2, 24)
+    (term,) = inst.B.integral_terms
+    again = term.density.eval_at(term.density.nodes)
+    assert term.density.values.tobytes() == again.tobytes()
+    calls, evaluate = [], grid._eval_exprs
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return evaluate(*args)
+
+    monkeypatch.setattr(grid, "_eval_exprs", counting)
+    mat = boundary_matrix(inst.B, 24)
+    assert calls == []
+    w = _quadrature(24, 0.0, 1.0)[1]
+    assert mat.reshape(2, 1, 25)[1].tobytes() == (w * again[1]).tobytes()
+    boundary_matrix(inst.B, 32)
+    assert calls == [33]
 
 
 def test_boundary_matrix_leaves_no_reference_cycle():
