@@ -286,14 +286,19 @@ def substitute_eps(e: Expr, value: float) -> Expr:
 
 
 def mentions(e: Expr, name: str) -> bool:
-    """Whether the variable name (t or eps), or for name "powabs" a powabs
-    node, occurs in e, even where it cancels."""
+    """Whether the variable name (t or eps) occurs in e, even where it
+    cancels."""
     if isinstance(e, Var):
         return e.name == name
-    if isinstance(e, PowAbs) and name == "powabs":
-        return True
     return any(mentions(c, name) for c in vars(e).values()
                if isinstance(c, Expr))
+
+
+def powabs_args(e: Expr) -> list:
+    """The arguments of e's powabs nodes, each before those inside it."""
+    own = [e.arg] if isinstance(e, PowAbs) else []
+    return own + [u for c in vars(e).values() if isinstance(c, Expr)
+                  for u in powabs_args(c)]
 
 
 def singular_centers(e: Expr, eps: float):
@@ -302,25 +307,17 @@ def singular_centers(e: Expr, eps: float):
     Sampling grids nudge away from these points before evaluation.
     """
     out = []
-    _centers(e, eps, out)
-    return out
-
-
-def _centers(e: Expr, eps, out):
-    if isinstance(e, PowAbs):
-        d = diff_t(e.arg)
+    for u in powabs_args(e):
+        d = diff_t(u)
         try:
             s1 = complex(np.asarray(_eval(d, np.float64(0.1234), eps)))
             s2 = complex(np.asarray(_eval(d, np.float64(0.7891), eps)))
             if abs(s1 - s2) < 1e-12 * (abs(s1) + 1) and s1 != 0:
-                v = complex(np.asarray(_eval(e.arg, np.float64(0.1234), eps)))
-                c = 0.1234 - (v / s1).real
-                out.append(c)
+                v = complex(np.asarray(_eval(u, np.float64(0.1234), eps)))
+                out.append(0.1234 - (v / s1).real)
         except EvalError:
             pass
-    for child in vars(e).values():
-        if isinstance(child, Expr):
-            _centers(child, eps, out)
+    return out
 
 
 # --- parsing -------------------------------------------------------------

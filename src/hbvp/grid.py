@@ -24,7 +24,7 @@ DEFAULT_SAMPLES = 1024
 MIN_SEMINORM_SAMPLES = 64
 NUDGE_FRACTION = 1e-12
 _ROUNDOFF_SLACK = 64 * np.finfo(float).eps
-NORM_STACK_BYTES = 64 << 10   # sampled values per stack of `holder_norms`
+NORM_STACK_BYTES = 512 << 10  # sampled values per stack of `holder_norms`
 
 
 class ShapeError(ValueError):
@@ -98,18 +98,21 @@ def _eval_exprs(sources: np.ndarray, ts: np.ndarray, eps,
                 a: float, b: float) -> np.ndarray:
     """The entries' values at ts, (rows, cols, len(ts)) at a float eps.  At
     a 1-D array of k eps values, one such stack per eps, (k, rows, cols,
-    len(ts)): each entry is evaluated once with eps as a (k, 1) column, at
-    ts nudged per eps (a (k, len(ts)) grid only where some eps has a powabs
-    centre), and an entry that does not mention eps at one eps only.  An
-    array of one eps is read as its float, with its bits and at its cost."""
+    len(ts)): each entry is evaluated once with eps as a (k, 1) column, and
+    an entry that does not mention eps at one eps only.  Its points are ts
+    nudged off its powabs centres, searched at each eps only where a powabs
+    argument mentions eps (a (k, len(ts)) grid only where a centre exists),
+    else once, at the first eps.  An array of one eps is read as its float,
+    with its bits and at its cost."""
     at = eps.tolist() if isinstance(eps, np.ndarray) else [eps]
     out = np.empty(np.shape(eps) + sources.shape + (len(ts),), dtype=complex)
     for idx in np.ndindex(sources.shape):
         e, pts = sources[idx], ts
         by_eps = len(at) > 1 and ex.mentions(e, "eps")
-        if ex.mentions(e, "powabs"):
+        if args := ex.powabs_args(e):
+            moving = any(ex.mentions(u, "eps") for u in args)
             grids = [_nudge(ts, ex.singular_centers(e, x), a, b)
-                     for x in (at if by_eps else at[:1])]
+                     for x in (at if moving else at[:1])]
             pts = (grids[0] if len(grids) == 1 or all(g is ts for g in grids)
                    else np.array(grids))
         out[(...,) + idx + (slice(None),)] = ex.evaluate(
@@ -268,9 +271,10 @@ def _sample_grid(N: int, a: float, b: float, M: int):
     holds an (N+1, P) matrix, hence the smaller bound than _grid_data's.
     """
     nodes = _grid_data(N, a, b)[0]
-    ts = np.unique(np.concatenate([a + (b - a) * np.arange(M + 1) / M, nodes]))
-    # drop near-coincident points: pairs separated by ~eps_machine
-    # turn interpolation roundoff into spurious difference quotients
+    ts = np.sort(np.concatenate([a + (b - a) * np.arange(M + 1) / M, nodes]))
+    # drop repeated and near-coincident points: pairs separated by
+    # ~eps_machine turn interpolation roundoff into spurious difference
+    # quotients (np.sort, not np.unique, which imports numpy.ma)
     ts = ts[np.concatenate([[True], np.diff(ts) > 1e-9 * (b - a)])]
     ET = np.ascontiguousarray(cheb.bary_matrix(nodes, ts).T, dtype=complex)
     ts.flags.writeable = ET.flags.writeable = False
@@ -278,7 +282,7 @@ def _sample_grid(N: int, a: float, b: float, M: int):
 
 
 _PAIR_BLOCK = 32    # points per block of the seminorm's branch and bound
-_PAIR_CHUNK = 64    # block pairs per batch: 32 KiB per (pair, side, point) array
+_PAIR_CHUNK = 256   # block pairs per batch: 128 KiB per (pair, side, point) array
 _TINY = np.finfo(float).tiny
 
 
@@ -314,7 +318,8 @@ def _pair_max(V: np.ndarray, ts: np.ndarray, alpha: float) -> np.ndarray:
     Im, L: the largest adjacent slope, over both blocks).  Only points whose
     own bound (the farthest reach of the other block's box over the distance
     to it**alpha; NaN if I = J) beats the best are evaluated, on the side with
-    fewer.  Rows go in groups of 4 _PAIR_CHUNK _PAIR_BLOCK values per array.
+    fewer.  Rows go in groups of 4 _PAIR_CHUNK _PAIR_BLOCK values (256 KiB)
+    per array: 30 rows at P = 1055, so a default sweep's 20 form one group.
     """
     P, B, nb = len(ts), _PAIR_BLOCK, -(-len(ts) // _PAIR_BLOCK)
     if len(V) > (step := max(1, 4 * _PAIR_CHUNK * B // max(P, nb * nb))):
@@ -377,7 +382,8 @@ def holder_norms(gs: list, idx: HolderIndex,
                  M: int = DEFAULT_SAMPLES) -> list:
     """The `holder_norm` of each function of gs, which share one degree,
     interval and shape and all keep expressions or none, in stacks of as
-    many as have samples within NORM_STACK_BYTES; each value has the bits
+    many as have samples within NORM_STACK_BYTES (a default sweep's 20
+    scalar functions at P = 1055 make one stack); each value has the bits
     of its function's norm alone.
 
     Each derivative order of a stack is sampled at once at the points of

@@ -291,10 +291,12 @@ def test_default_f6_sweep_norms_take_no_derivative(monkeypatch):
     # F6's discrepancies are C^{0,1/2} norms of h, which need no h', and
     # the errors' three orders are differentiated as one stack, so no norm
     # takes a derivative; the residual gates form y' and y'' of a stack by
-    # matmul, so they take none either: what remains is the powabs centres
-    # per evaluation
-    calls = {"derivative": 0, "diff_t": 0}
-    derivative, diff_t = grid.GridFunction.derivative, ex.diff_t
+    # matmul, so they take none either: what remains is the powabs centres,
+    # searched once per evaluation, as the rhs's centre does not move:
+    # at the instances, h at the nodes, h at the samples and eps = 0
+    calls = {"derivative": 0, "diff_t": 0, "singular_centers": 0}
+    derivative = grid.GridFunction.derivative
+    diff_t, centers = ex.diff_t, ex.singular_centers
 
     def counting(name, fn):
         def call(*args):
@@ -305,9 +307,48 @@ def test_default_f6_sweep_norms_take_no_derivative(monkeypatch):
     monkeypatch.setattr(grid.GridFunction, "derivative",
                         counting("derivative", derivative))
     monkeypatch.setattr(ex, "diff_t", counting("diff_t", diff_t))
+    monkeypatch.setattr(ex, "singular_centers",
+                        counting("singular_centers", centers))
     rep = an.two_sided_sweep(gallery("F6_holder_rough"))
     assert len(rep.records) == 20
-    assert calls["derivative"] == 0 and calls["diff_t"] <= 303
+    assert calls == {"derivative": 0, "diff_t": 18, "singular_centers": 4}
+
+
+def test_default_f6_sweep_norms_sample_each_order_as_one_stack(monkeypatch):
+    # the 20 errors (orders 0-2) and the 20 discrepancies (order 0) are
+    # each one stack: one matmul by the sample matrix per order, one
+    # `_eval_exprs` at the sample points; each seminorm scan takes its 20
+    # rows as one group, with no nested call
+    class CountingET(np.ndarray):
+        def __rmatmul__(self, vals):
+            matmuls.append(len(vals))
+            return vals @ self.view(np.ndarray)
+
+    matmuls, evals, scans = [], [], []
+    sample_grid, evaluate, pair_max = (grid._sample_grid, grid._eval_exprs,
+                                       grid._pair_max)
+
+    def sampling(*args):
+        ts, ET = sample_grid(*args)
+        return ts, ET.view(CountingET)
+
+    def counting(sources, ts, eps, a, b):
+        if len(ts) == len(sample_grid(32, a, b, 1024)[0]):
+            evals.append(np.size(eps))
+        return evaluate(sources, ts, eps, a, b)
+
+    def scanning(V, ts, alpha):
+        scans.append((len(V), alpha))
+        return pair_max(V, ts, alpha)
+
+    monkeypatch.setattr(grid, "_sample_grid", sampling)
+    monkeypatch.setattr(grid, "_eval_exprs", counting)
+    monkeypatch.setattr(an, "_eval_exprs", counting)
+    monkeypatch.setattr(grid, "_pair_max", scanning)
+    rep = an.two_sided_sweep(gallery("F6_holder_rough"))
+    assert len(rep.records) == 20
+    assert matmuls == [20] * 3 and evals == [20]
+    assert scans == [(20, 0.5)] * 2
 
 
 def _count_factorizations(monkeypatch):

@@ -1,6 +1,9 @@
 """Command-line front end: exit codes, artifacts, determinism."""
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +364,20 @@ def test_sweep_identical_with_cold_and_warm_sample_grids(tmp_path):
     for name in ("sweep.csv", "sweep_plot.csv", "sweep_summary.json"):
         assert (tmp_path / "cold" / name).read_bytes() == \
             (tmp_path / "warm" / name).read_bytes()
+
+
+def test_a_sweep_process_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which costs every
+    # process milliseconds; the sample points are merged without it
+    code = ("import sys; from hbvp import cli; code = cli.main(sys.argv[1:]);"
+            " print('numpy.ma' in sys.modules); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "--gallery", "F1_smooth_perturb",
+         "--count", "4", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_all_builds_each_sample_grid_once(tmp_path):

@@ -372,14 +372,28 @@ def test_pair_max_is_exact_on_the_f6_workload(argv, tmp_path, monkeypatch):
             assert row == _all_pairs_max(vals, ts, alpha)
 
 
-@pytest.mark.parametrize("N, M, interval", [
+_SAMPLE_CASES = pytest.mark.parametrize("N, M, interval", [
     (8, 64, (0.0, 1.0)), (24, 512, (0.0, 1.0)), (32, 1024, (-1.0, 2.0)),
     (100, 128, (0.0, 1e-3)), (512, 4096, (-5.0, 10.0))])
+
+
+@_SAMPLE_CASES
 def test_seminorm_samples_strictly_increase(N, M, interval):
     # the seminorm's block bounds, and alpha = 1's adjacent maximum, hold
     # only on sorted, distinct points
     g = interpolate("t", interval, N)
     assert np.all(np.diff(_sample_grid(g.N, g.a, g.b, M)[0]) > 0)
+
+
+@_SAMPLE_CASES
+def test_sample_points_are_those_of_a_unique_merge(N, M, interval):
+    # sorting keeps exact repeats, which the merge gap drops as np.unique
+    # did: the points are the same bit for bit
+    a, b = interval
+    ts = np.unique(np.concatenate([a + (b - a) * np.arange(M + 1) / M,
+                                   grid._grid_data(N, a, b)[0]]))
+    ts = ts[np.concatenate([[True], np.diff(ts) > 1e-9 * (b - a)])]
+    assert _sample_grid(N, a, b, M)[0].tobytes() == ts.tobytes()
 
 
 @pytest.mark.parametrize("symbolic", [True, False])
@@ -832,6 +846,24 @@ def test_a_powabs_with_no_linear_centre_is_sampled_unmoved():
     got = grid._eval_exprs(np.array([[e]], dtype=object), nodes, 0.0, 0.0,
                            1.0)
     assert got[0, 0].tobytes() == ex.evaluate(e, nodes, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("src, searches", [
+    ("(1+eps)*powabs(t-eps, 0.5)", 4), ("powabs(t-0.5*eps, 0.5)*t", 4),
+    ("(1+eps)*powabs(t-0.5, 0.5)", 1), ("eps*powabs(t, 1.5)+powabs(t, 0.5)", 1),
+    ("exp(eps*t)", 0)])
+def test_powabs_centres_are_searched_per_eps_only_where_they_move(
+        src, searches, monkeypatch):
+    # a centre moves with eps only if a powabs argument mentions eps; else
+    # one search, at the first eps, serves the whole stack
+    calls, centers = [], ex.singular_centers
+    monkeypatch.setattr(ex, "singular_centers",
+                        lambda e, x: calls.append(x) or centers(e, x))
+    eps = [0.5, 0.3, 0.25, 1e-3]
+    sources = np.array([[ex.parse_expression(src)]], dtype=object)
+    grid._eval_exprs(sources, grid._grid_data(32, 0.0, 1.0)[0],
+                     np.array(eps), 0.0, 1.0)
+    assert calls == eps[:searches]
 
 
 @pytest.mark.parametrize("src", [
